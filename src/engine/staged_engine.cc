@@ -613,51 +613,16 @@ RunOutcome OperatorInstance::RunIndexScan() {
     morsel.reserve(target);
     while (morsel.size() < target && index_pos_ < index_matches_.size()) {
       const auto& [key, head] = index_matches_[index_pos_++];
-      // Walk the version chain from the indexed head to the version visible
-      // in this packet's snapshot (mirrors IndexScanExec::FetchVisible). A
-      // dangling prev ends the walk: deeper versions predate the vacuum
-      // horizon and were invisible to us anyway.
-      storage::Rid rid = head;
-      bool emitted = false;
-      while (!emitted) {
-        std::string record;
-        Status s = plan_->table->heap->Get(rid, &record);
-        if (s.IsNotFound()) break;  // deleted/vacuumed after lookup
-        if (!s.ok()) {
-          query_->Fail(s);
-          return FinishEarly();
-        }
-        if (mvcc_on) {
-          if (record.size() < storage::kVersionHeaderSize) {
-            query_->Fail(
-                Status::Internal("record missing MVCC version header"));
-            return FinishEarly();
-          }
-          const storage::VersionHeader h =
-              storage::DecodeVersionHeader(record);
-          if (!storage::VersionVisible(h, view)) {
-            if (!h.has_prev()) break;
-            rid = h.prev;
-            continue;
-          }
-        }
-        auto tuple = catalog::DecodeTuple(
-            plan_->table->schema,
-            mvcc_on ? storage::RowPayload(record) : std::string_view(record));
-        if (!tuple.ok()) {
-          query_->Fail(tuple.status());
-          return FinishEarly();
-        }
-        if (mvcc_on) {
-          // Key recheck: chains cross keys when an update rewrites the
-          // indexed column; a visible version with a different key does not
-          // match this lookup in our snapshot.
-          const Value& v = (*tuple)[plan_->index->column];
-          if (v.is_null() || v.int_value() != key) break;
-        }
-        morsel.push_back(std::move(*tuple));
-        emitted = true;
+      storage::Rid rid;
+      Tuple tuple;
+      auto found = exec::FetchVisibleVersion(*plan_->table, *plan_->index,
+                                             mvcc_on, view, key, head, &rid,
+                                             &tuple);
+      if (!found.ok()) {
+        query_->Fail(found.status());
+        return FinishEarly();
       }
+      if (*found) morsel.push_back(std::move(tuple));
     }
     budget -= static_cast<int>(std::max<size_t>(1, morsel.size()));
     if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;

@@ -143,6 +143,51 @@ inline StatusOr<bool> DecodeVisibleRecord(bool mvcc_on,
   return true;
 }
 
+/// Resolves one entry of `index` (`key` -> `head`) to the row version
+/// visible in `view`, returning its rid and tuple. Without MVCC the entry
+/// names the row itself; with it, `head` is the newest version of the key and
+/// the walk follows `prev` links to the (unique) visible version. A dangling
+/// prev (vacuumed tail) ends the walk: deeper versions are strictly older
+/// than the vacuum horizon, hence invisible to us anyway. Key recheck: with
+/// several indexes a chain can cross keys (DESIGN.md §12), so a visible
+/// version whose key is not `key` does not match in this view. Shared by the
+/// volcano index scan, the staged iscan driver and the DML target collector.
+inline StatusOr<bool> FetchVisibleVersion(const catalog::TableInfo& table,
+                                          const catalog::IndexInfo& index,
+                                          bool mvcc_on,
+                                          const storage::MvccReadView& view,
+                                          int64_t key, storage::Rid head,
+                                          storage::Rid* rid_out,
+                                          catalog::Tuple* out) {
+  storage::Rid rid = head;
+  std::string record;
+  while (true) {
+    Status s = table.heap->Get(rid, &record);
+    if (s.IsNotFound()) return false;  // deleted/vacuumed after lookup
+    STAGEDB_RETURN_IF_ERROR(s);
+    std::string_view payload = record;
+    if (mvcc_on) {
+      if (record.size() < storage::kVersionHeaderSize) {
+        return Status::Internal("record missing MVCC version header");
+      }
+      const storage::VersionHeader h = storage::DecodeVersionHeader(record);
+      if (!storage::VersionVisible(h, view)) {
+        if (!h.has_prev()) return false;
+        rid = h.prev;
+        continue;
+      }
+      payload = storage::RowPayload(record);
+    }
+    auto tuple = catalog::DecodeTuple(table.schema, payload);
+    if (!tuple.ok()) return tuple.status();
+    const catalog::Value& v = (*tuple)[index.column];
+    if (v.is_null() || v.int_value() != key) return false;
+    *rid_out = rid;
+    *out = std::move(*tuple);
+    return true;
+  }
+}
+
 /// Pull-based operator.
 class Executor {
  public:

@@ -117,7 +117,9 @@ class IndexScanExec : public Executor {
     if (ctx_->trace != nullptr) ctx_->trace->CountInvocation(trace_id_);
     while (pos_ < matches_.size()) {
       const auto& [key, head] = matches_[pos_++];
-      auto found = FetchVisible(key, head, out);
+      storage::Rid rid;
+      auto found = FetchVisibleVersion(*plan_->table, *plan_->index, mvcc_on_,
+                                       view_, key, head, &rid, out);
       if (!found.ok()) return found.status();
       if (!*found) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountTuple(trace_id_);
@@ -127,45 +129,6 @@ class IndexScanExec : public Executor {
   }
 
  private:
-  /// Resolves one index match. Without MVCC this is a plain heap fetch; with
-  /// it, the entry points at the newest version of the key and we walk the
-  /// prev-chain to the (unique) version visible in our view. A dangling prev
-  /// (vacuumed tail) ends the walk: deeper versions are strictly older than
-  /// the vacuum horizon, hence invisible to us anyway.
-  StatusOr<bool> FetchVisible(int64_t key, storage::Rid rid, Tuple* out) {
-    std::string record;
-    while (true) {
-      Status s = plan_->table->heap->Get(rid, &record);
-      if (s.IsNotFound()) return false;  // deleted/vacuumed after lookup
-      STAGEDB_RETURN_IF_ERROR(s);
-      if (!mvcc_on_) {
-        auto tuple = catalog::DecodeTuple(plan_->table->schema, record);
-        if (!tuple.ok()) return tuple.status();
-        *out = std::move(*tuple);
-        return true;
-      }
-      if (record.size() < storage::kVersionHeaderSize) {
-        return Status::Internal("record missing MVCC version header");
-      }
-      const storage::VersionHeader h = storage::DecodeVersionHeader(record);
-      if (storage::VersionVisible(h, view_)) {
-        auto tuple = catalog::DecodeTuple(plan_->table->schema,
-                                          storage::RowPayload(record));
-        if (!tuple.ok()) return tuple.status();
-        // Key recheck: an update that changed the indexed column links
-        // versions with different keys into one chain. If the visible
-        // version's key is not the one we looked up, the row does not match
-        // in this snapshot.
-        const Value& v = (*tuple)[plan_->index->column];
-        if (v.is_null() || v.int_value() != key) return false;
-        *out = std::move(*tuple);
-        return true;
-      }
-      if (!h.has_prev()) return false;
-      rid = h.prev;
-    }
-  }
-
   const PhysicalPlan* plan_;
   ExecContext* ctx_;
   std::vector<std::pair<int64_t, storage::Rid>> matches_;
@@ -779,6 +742,78 @@ class InsertExec : public Executor {
   bool done_ = false;
 };
 
+/// One row a DELETE or UPDATE acts on: its rid and its visible image.
+struct DmlTarget {
+  storage::Rid rid;
+  Tuple tuple;
+};
+
+/// Collects every row of a DELETE/UPDATE node's table that is visible in the
+/// statement's view and passes the node's full WHERE, before any row is
+/// modified (so a key-changing UPDATE never meets its own new versions).
+///
+/// With an index range the candidates come from the B+-tree and are returned
+/// in rid order, which is heap-scan order (pages are only ever appended), so
+/// the mutations, and the first conflict or duplicate a statement hits, are
+/// the heap scan's. With one index every version chain holds a single key,
+/// so a walk that finds no visible version is exact. With several, a
+/// version's prev link follows only the first index whose head it replaced,
+/// so a row still visible here can be unreachable from this index's head
+/// (DESIGN.md §12): such an inconclusive walk falls back to the heap scan,
+/// as does a statement with no usable index range.
+Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
+                         std::vector<DmlTarget>* out) {
+  const catalog::TableInfo& table = *plan->table;
+  const bool mvcc_on = ctx->catalog->mvcc_enabled();
+  const storage::MvccReadView view = MvccViewFor(ctx);
+  const auto keep = [&](const storage::Rid& rid, Tuple tuple) -> Status {
+    if (plan->predicate) {
+      auto pass = EvalPredicate(*plan->predicate, tuple);
+      if (!pass.ok()) return pass.status();
+      if (!*pass) return Status::OK();
+    }
+    out->push_back({rid, std::move(tuple)});
+    return Status::OK();
+  };
+  if (plan->index != nullptr) {
+    const bool walk_exact = !mvcc_on || table.indexes.size() == 1;
+    std::vector<std::pair<int64_t, storage::Rid>> matches;
+    STAGEDB_RETURN_IF_ERROR(
+        plan->index->tree->Scan(plan->index_lo, plan->index_hi, &matches));
+    bool exact = true;
+    for (const auto& [key, head] : matches) {
+      storage::Rid rid;
+      Tuple tuple;
+      auto found = FetchVisibleVersion(table, *plan->index, mvcc_on, view, key,
+                                       head, &rid, &tuple);
+      if (!found.ok()) return found.status();
+      if (*found) {
+        STAGEDB_RETURN_IF_ERROR(keep(rid, std::move(tuple)));
+      } else if (!walk_exact) {
+        exact = false;
+        break;
+      }
+    }
+    if (exact) {
+      std::sort(out->begin(), out->end(),
+                [](const DmlTarget& a, const DmlTarget& b) {
+                  return a.rid < b.rid;
+                });
+      return Status::OK();
+    }
+    out->clear();
+  }
+  auto it = table.heap->Scan();
+  while (it.Next()) {
+    Tuple tuple;
+    auto visible =
+        DecodeVisibleRecord(mvcc_on, view, table.schema, it.record(), &tuple);
+    if (!visible.ok()) return visible.status();
+    if (*visible) STAGEDB_RETURN_IF_ERROR(keep(it.rid(), std::move(tuple)));
+  }
+  return it.status();
+}
+
 class DeleteExec : public Executor {
  public:
   DeleteExec(const PhysicalPlan* plan, ExecContext* ctx)
@@ -787,26 +822,8 @@ class DeleteExec : public Executor {
   StatusOr<bool> Next(Tuple* out) override {
     if (done_) return false;
     done_ = true;
-    // Two phases: collect matching rids, then delete (so the scan iterator
-    // never observes its own deletions).
-    std::vector<std::pair<storage::Rid, Tuple>> victims;
-    const bool mvcc_on = ctx_->catalog->mvcc_enabled();
-    const storage::MvccReadView view = MvccViewFor(ctx_);
-    auto it = plan_->table->heap->Scan();
-    while (it.Next()) {
-      Tuple tuple;
-      auto visible = DecodeVisibleRecord(mvcc_on, view, plan_->table->schema,
-                                         it.record(), &tuple);
-      if (!visible.ok()) return visible.status();
-      if (!*visible) continue;
-      if (plan_->predicate) {
-        auto pass = EvalPredicate(*plan_->predicate, tuple);
-        if (!pass.ok()) return pass.status();
-        if (!*pass) continue;
-      }
-      victims.emplace_back(it.rid(), std::move(tuple));
-    }
-    STAGEDB_RETURN_IF_ERROR(it.status());
+    std::vector<DmlTarget> victims;
+    STAGEDB_RETURN_IF_ERROR(CollectDmlTargets(plan_, ctx_, &victims));
     for (auto& [rid, tuple] : victims) {
       STAGEDB_RETURN_IF_ERROR(
           ctx_->catalog->DeleteTuple(plan_->table, rid, ctx_->mvcc));
@@ -835,29 +852,16 @@ class UpdateExec : public Executor {
   StatusOr<bool> Next(Tuple* out) override {
     if (done_) return false;
     done_ = true;
-    struct Pending {
-      storage::Rid rid;
-      Tuple old_tuple;
-      Tuple new_tuple;
-    };
-    std::vector<Pending> updates;
-    const bool mvcc_on = ctx_->catalog->mvcc_enabled();
-    const storage::MvccReadView view = MvccViewFor(ctx_);
-    auto it = plan_->table->heap->Scan();
-    while (it.Next()) {
-      Tuple tuple;
-      auto visible = DecodeVisibleRecord(mvcc_on, view, plan_->table->schema,
-                                         it.record(), &tuple);
-      if (!visible.ok()) return visible.status();
-      if (!*visible) continue;
-      if (plan_->predicate) {
-        auto pass = EvalPredicate(*plan_->predicate, tuple);
-        if (!pass.ok()) return pass.status();
-        if (!*pass) continue;
-      }
-      Tuple updated = tuple;
+    std::vector<DmlTarget> targets;
+    STAGEDB_RETURN_IF_ERROR(CollectDmlTargets(plan_, ctx_, &targets));
+    // Every new image is computed before the first mutation, so a SET
+    // expression error leaves the table untouched.
+    std::vector<Tuple> updated;
+    updated.reserve(targets.size());
+    for (const DmlTarget& target : targets) {
+      Tuple row = target.tuple;
       for (size_t i = 0; i < plan_->update_columns.size(); ++i) {
-        auto v = Eval(*plan_->exprs[i], tuple);
+        auto v = Eval(*plan_->exprs[i], target.tuple);
         if (!v.ok()) return v.status();
         Value value = *v;
         const TypeId want =
@@ -868,34 +872,34 @@ class UpdateExec : public Executor {
         if (!catalog::TypesCompatible(value.type(), want)) {
           return Status::InvalidArgument("UPDATE value type mismatch");
         }
-        updated[plan_->update_columns[i]] = std::move(value);
+        row[plan_->update_columns[i]] = std::move(value);
       }
-      updates.push_back({it.rid(), std::move(tuple), std::move(updated)});
+      updated.push_back(std::move(row));
     }
-    STAGEDB_RETURN_IF_ERROR(it.status());
-    for (auto& pending : updates) {
+    for (size_t i = 0; i < targets.size(); ++i) {
+      DmlTarget& target = targets[i];
       // Delete + reinsert keeps indexes and stats consistent. Under MVCC
       // this marks the old version deleted and installs the new tuple as a
       // fresh version, both stamped with the statement's transaction.
       STAGEDB_RETURN_IF_ERROR(
-          ctx_->catalog->DeleteTuple(plan_->table, pending.rid, ctx_->mvcc));
-      auto new_rid = ctx_->catalog->InsertTuple(plan_->table,
-                                                pending.new_tuple, ctx_->mvcc);
+          ctx_->catalog->DeleteTuple(plan_->table, target.rid, ctx_->mvcc));
+      auto new_rid =
+          ctx_->catalog->InsertTuple(plan_->table, updated[i], ctx_->mvcc);
       if (!new_rid.ok()) return new_rid.status();
       if (ctx_->wal != nullptr) {
         // One UPDATE record carrying both images (redo finds the victim by
         // before-image, undo restores it).
-        STAGEDB_RETURN_IF_ERROR(ctx_->wal->LogUpdate(
-            plan_->table, pending.old_tuple, pending.new_tuple));
+        STAGEDB_RETURN_IF_ERROR(
+            ctx_->wal->LogUpdate(plan_->table, target.tuple, updated[i]));
       }
       if (ctx_->mutation_log != nullptr) {
-        ctx_->mutation_log->LogDelete(plan_->table, pending.rid,
-                                      std::move(pending.old_tuple));
+        ctx_->mutation_log->LogDelete(plan_->table, target.rid,
+                                      std::move(target.tuple));
         ctx_->mutation_log->LogInsert(plan_->table, *new_rid,
-                                      std::move(pending.new_tuple));
+                                      std::move(updated[i]));
       }
     }
-    *out = {Value::Int(static_cast<int64_t>(updates.size()))};
+    *out = {Value::Int(static_cast<int64_t>(targets.size()))};
     return true;
   }
 

@@ -143,6 +143,18 @@ StatusOr<int64_t> ResolveBound(const std::vector<Value>& params, int param,
 }
 
 Status InstantiateNode(PhysicalPlan* plan, const std::vector<Value>& params) {
+  const auto null_param = [&params](int param) {
+    return param >= 0 && static_cast<size_t>(param) < params.size() &&
+           params[param].is_null();
+  };
+  if (null_param(plan->index_lo_param) || null_param(plan->index_hi_param)) {
+    // A comparison with NULL is never true: the range is empty, as the
+    // predicate would find on a heap scan.
+    plan->index_lo = INT64_MAX;
+    plan->index_hi = INT64_MIN;
+    plan->index_lo_param = plan->index_hi_param = -1;
+    plan->index_lo_adjust = plan->index_hi_adjust = 0;
+  }
   if (plan->index_lo_param >= 0) {
     auto bound = ResolveBound(params, plan->index_lo_param,
                               plan->index_lo_adjust);

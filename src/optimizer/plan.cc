@@ -132,7 +132,7 @@ std::string PhysicalPlan::ToString(int indent) const {
   if (agg_mode == AggMode::kMerge) line += "[merge]";
   if (dop > 1) line += StrFormat(" dop=%d", dop);
   if (table != nullptr) line += " " + table->name;
-  if (kind == PlanKind::kIndexScan) {
+  if (index != nullptr) {
     const auto bound = [](int64_t value, int param, int adjust) {
       if (param < 0) return StrFormat("%lld", static_cast<long long>(value));
       std::string s = StrFormat("?%d", param);

@@ -92,9 +92,12 @@ struct PhysicalPlan {
   // Scans and mutations.
   catalog::TableInfo* table = nullptr;
   catalog::IndexInfo* index = nullptr;
-  int64_t index_lo = INT64_MIN;  // inclusive range for kIndexScan
+  // Inclusive key range over `index`: the access path of a kIndexScan, or
+  // of a kDelete/kUpdate that finds its targets through the index (null
+  // `index` = heap scan).
+  int64_t index_lo = INT64_MIN;
   int64_t index_hi = INT64_MAX;
-  // Parameterized kIndexScan bounds (plan templates): when >= 0, the bound is
+  // Parameterized index bounds (plan templates): when >= 0, the bound is
   // `params[index_*_param] + index_*_adjust` tightened against the static
   // index_lo/index_hi by frontend::InstantiatePlan (the adjust turns the
   // strict comparisons `col > ?` / `col < ?` into inclusive bounds).

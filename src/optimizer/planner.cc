@@ -1063,6 +1063,28 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanInsert(
   return StatusOr<std::unique_ptr<PhysicalPlan>>(std::move(insert));
 }
 
+Status Planner::ChooseDmlAccessPath(const Expr* where, PhysicalPlan* node) {
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(where, &conjuncts);
+  Relation rel;
+  rel.table = node->table;
+  rel.name = node->table->name;
+  rel.schema = node->table->schema;  // the schema the DML predicate binds to
+  auto scan = PlanBaseRelation(rel, std::move(conjuncts));
+  if (!scan.ok()) return scan.status();
+  const PhysicalPlan* access = scan->get();
+  if (access->kind == PlanKind::kFilter) access = access->children[0].get();
+  if (access->kind != PlanKind::kIndexScan) return Status::OK();
+  node->index = access->index;
+  node->index_lo = access->index_lo;
+  node->index_hi = access->index_hi;
+  node->index_lo_param = access->index_lo_param;
+  node->index_hi_param = access->index_hi_param;
+  node->index_lo_adjust = access->index_lo_adjust;
+  node->index_hi_adjust = access->index_hi_adjust;
+  return Status::OK();
+}
+
 StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanDelete(
     const parser::DeleteStmt& stmt) {
   auto table_or = catalog_->GetTable(stmt.table);
@@ -1075,6 +1097,7 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanDelete(
     auto bound = Bind(*stmt.where, (*table_or)->schema, nullptr);
     if (!bound.ok()) return bound.status();
     del->predicate = std::move(*bound);
+    STAGEDB_RETURN_IF_ERROR(ChooseDmlAccessPath(stmt.where.get(), del.get()));
   }
   del->estimated_rows = 1;
   return StatusOr<std::unique_ptr<PhysicalPlan>>(std::move(del));
@@ -1101,6 +1124,8 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanUpdate(
     auto bound = Bind(*stmt.where, table->schema, nullptr);
     if (!bound.ok()) return bound.status();
     update->predicate = std::move(*bound);
+    STAGEDB_RETURN_IF_ERROR(
+        ChooseDmlAccessPath(stmt.where.get(), update.get()));
   }
   update->estimated_rows = 1;
   return StatusOr<std::unique_ptr<PhysicalPlan>>(std::move(update));

@@ -83,6 +83,13 @@ class Planner {
   StatusOr<std::unique_ptr<PhysicalPlan>> PlanBaseRelation(
       const Relation& rel, std::vector<const parser::Expr*> local_conjuncts);
 
+  /// Gives a DELETE/UPDATE node the index range PlanBaseRelation picks for
+  /// the same WHERE on its table (static or parameterized bounds). The node
+  /// keeps its full predicate, which the executor rechecks on every
+  /// candidate; without a usable range the node keeps index == nullptr and
+  /// heap-scans.
+  Status ChooseDmlAccessPath(const parser::Expr* where, PhysicalPlan* node);
+
   /// Binds a parser expression against a schema (optionally in aggregate
   /// context).
   StatusOr<std::unique_ptr<BoundExpr>> Bind(const parser::Expr& expr,

@@ -179,15 +179,35 @@ class CatalogRecoveryApplier : public storage::RecoveryApplier {
  private:
   /// Logical identity across re-assigned rids: find the row by image. Under
   /// MVCC the heap records carry a version header the WAL images do not, so
-  /// compare the payload bytes only.
+  /// compare the payload bytes only. Replay installs one version per row and
+  /// index keys are unique, so on an indexed table the image's key names the
+  /// row; the heap scan remains for unindexed tables, a NULL key, or an
+  /// entry whose payload does not match.
   StatusOr<storage::Rid> FindByImage(catalog::TableInfo* table,
                                      const std::string& image) {
     const bool mvcc = db_->catalog_->mvcc_enabled();
+    const auto payload = [mvcc](std::string_view record) {
+      return mvcc ? storage::RowPayload(record) : record;
+    };
+    if (!table->indexes.empty()) {
+      const catalog::IndexInfo& index = *table->indexes.front();
+      auto tuple = catalog::DecodeTuple(table->schema, image);
+      if (!tuple.ok()) return tuple.status();
+      const catalog::Value& key = (*tuple)[index.column];
+      if (!key.is_null()) {
+        auto rid = index.tree->Get(key.int_value());
+        if (rid.ok()) {
+          std::string record;
+          STAGEDB_RETURN_IF_ERROR(table->heap->Get(*rid, &record));
+          if (payload(record) == image) return *rid;
+        } else if (!rid.status().IsNotFound()) {
+          return rid.status();
+        }
+      }
+    }
     auto scan = table->heap->Scan();
     while (scan.Next()) {
-      const std::string_view row =
-          mvcc ? storage::RowPayload(scan.record()) : scan.record();
-      if (row == image) return scan.rid();
+      if (payload(scan.record()) == image) return scan.rid();
     }
     STAGEDB_RETURN_IF_ERROR(scan.status());
     return Status::NotFound("recover: row image not found");

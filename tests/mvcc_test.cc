@@ -18,6 +18,9 @@
 #include "catalog/catalog.h"
 #include "catalog/tuple.h"
 #include "engine/vacuum_stage.h"
+#include "exec/executor.h"
+#include "optimizer/planner.h"
+#include "parser/parser.h"
 #include "server/database.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -107,6 +110,29 @@ class MvccCatalogTest : public ::testing::Test {
   StatusOr<Rid> Insert(MvccTxn* txn, int64_t id, int64_t v) {
     return catalog_->InsertTuple(table_, Tuple{Value::Int(id), Value::Int(v)},
                                  txn);
+  }
+
+  /// Plans one UPDATE/DELETE and runs it inside `txn` through the volcano
+  /// executor, as the Database facade runs a statement of an explicit
+  /// transaction. `index_scan` selects the index-driven target search (the
+  /// plan must then carry an index range) or the heap-scan oracle. Returns
+  /// the affected-row count.
+  StatusOr<int64_t> Dml(const std::string& sql, MvccTxn* txn,
+                        bool index_scan = true) {
+    auto stmt = parser::ParseStatement(sql);
+    if (!stmt.ok()) return stmt.status();
+    optimizer::PlannerOptions options;
+    options.enable_index_scan = index_scan;
+    optimizer::Planner planner(catalog_.get(), options);
+    auto plan = planner.Plan(**stmt);
+    if (!plan.ok()) return plan.status();
+    EXPECT_EQ((*plan)->index != nullptr, index_scan) << sql;
+    exec::ExecContext ctx;
+    ctx.catalog = catalog_.get();
+    ctx.mvcc = txn;
+    auto rows = exec::ExecutePlan(plan->get(), &ctx);
+    if (!rows.ok()) return rows.status();
+    return (*rows)[0][0].int_value();
   }
 
   std::unique_ptr<storage::MemDiskManager> disk_;
@@ -270,6 +296,102 @@ TEST_F(MvccCatalogTest, VacuumRemovesIndexHeadOfDeadChain) {
   ASSERT_NE(index, nullptr);
   auto head = index->tree->Get(7);
   EXPECT_TRUE(head.status().IsNotFound());
+}
+
+TEST_F(MvccCatalogTest, IndexedUpdateOnStaleSnapshotAbortsThenRetryWins) {
+  ASSERT_TRUE(catalog_->CreateIndex("t_id", "t", "id").ok());
+  MvccTxn setup = BeginTxn();
+  for (int64_t id = 1; id <= 8; ++id) ASSERT_TRUE(Insert(&setup, id, id).ok());
+  ASSERT_TRUE(Finish(&setup, true).ok());
+
+  // An explicit transaction whose snapshot predates the committed update.
+  MvccTxn stale = BeginTxn();
+  MvccTxn updater = BeginTxn();
+  auto n = Dml("UPDATE t SET v = v + 10 WHERE id = 5", &updater);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, 1);
+  ASSERT_TRUE(Finish(&updater, true).ok());
+
+  // The index walk finds the version the stale snapshot sees; marking it is
+  // a lost update, so first-updater-wins aborts the statement.
+  auto conflict = Dml("UPDATE t SET v = v + 100 WHERE id = 5", &stale);
+  EXPECT_TRUE(conflict.status().IsAborted()) << conflict.status().ToString();
+  ASSERT_TRUE(Finish(&stale, false).ok());
+
+  MvccTxn retry = BeginTxn();
+  n = Dml("UPDATE t SET v = v + 100 WHERE id = 5", &retry);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, 1);
+  ASSERT_TRUE(Finish(&retry, true).ok());
+  int64_t v5 = -1;
+  for (const auto& [id, v] : VisibleRows(ReaderView())) {
+    if (id == 5) v5 = v;
+  }
+  EXPECT_EQ(v5, 115);
+}
+
+TEST_F(MvccCatalogTest, MultiIndexInconclusiveChainFallsBackToHeapScan) {
+  // Index creation order matters: a new version's prev link comes from the
+  // first index (t_id) whose head it replaces.
+  ASSERT_TRUE(catalog_->CreateIndex("t_id", "t", "id").ok());
+  ASSERT_TRUE(catalog_->CreateIndex("t_v", "t", "v").ok());
+  MvccTxn setup = BeginTxn();
+  auto r1 = Insert(&setup, 1, 10);
+  auto r2 = Insert(&setup, 2, 20);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  ASSERT_TRUE(Finish(&setup, true).ok());
+
+  // Two statements of old transactions, both seeing (1,10) and (2,20).
+  MvccTxn old_index = BeginTxn();
+  MvccTxn old_heap = BeginTxn();
+
+  // Delete both rows, then re-bind v = 20 to a different logical row (1,20):
+  // t_v's head for 20 now chains back to (1,10), not to (2,20).
+  MvccTxn deleter = BeginTxn();
+  ASSERT_TRUE(catalog_->DeleteTuple(table_, *r1, &deleter).ok());
+  ASSERT_TRUE(catalog_->DeleteTuple(table_, *r2, &deleter).ok());
+  ASSERT_TRUE(Finish(&deleter, true).ok());
+  MvccTxn rebind = BeginTxn();
+  auto r3 = Insert(&rebind, 1, 20);
+  ASSERT_TRUE(r3.ok());
+  ASSERT_TRUE(Finish(&rebind, true).ok());
+  catalog::IndexInfo* by_v = catalog_->FindIndexOn(table_->id, 1);
+  ASSERT_NE(by_v, nullptr);
+  auto head = by_v->tree->Get(20);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(*head, *r3);
+  std::string record;
+  ASSERT_TRUE(table_->heap->Get(*r3, &record).ok());
+  EXPECT_EQ(storage::DecodeVersionHeader(record).prev, *r1);
+
+  // The old snapshots still see (2,20), which the t_v chain cannot reach.
+  // The index-driven statement must find it anyway (and hit the conflict
+  // with the committed delete), exactly as the heap scan does.
+  const std::string sql = "UPDATE t SET id = id + 100 WHERE v = 20";
+  auto via_index = Dml(sql, &old_index, true);
+  auto via_heap = Dml(sql, &old_heap, false);
+  EXPECT_TRUE(via_heap.status().IsAborted()) << via_heap.status().ToString();
+  EXPECT_EQ(via_index.status().code(), via_heap.status().code())
+      << via_index.status().ToString();
+  ASSERT_TRUE(Finish(&old_index, false).ok());
+  ASSERT_TRUE(Finish(&old_heap, false).ok());
+
+  // Fresh snapshots: the chain for 20 ends at its live head; the one for 10
+  // ends without a visible version. Both paths agree on the affected rows.
+  for (const char* fresh_sql : {"UPDATE t SET id = id + 100 WHERE v = 20",
+                                "DELETE FROM t WHERE v = 10",
+                                "DELETE FROM t WHERE v >= 10"}) {
+    SCOPED_TRACE(fresh_sql);
+    MvccTxn a = BeginTxn();
+    auto index_rows = Dml(fresh_sql, &a, true);
+    ASSERT_TRUE(Finish(&a, false).ok());
+    MvccTxn b = BeginTxn();
+    auto heap_rows = Dml(fresh_sql, &b, false);
+    ASSERT_TRUE(Finish(&b, false).ok());
+    ASSERT_TRUE(index_rows.ok()) << index_rows.status().ToString();
+    ASSERT_TRUE(heap_rows.ok()) << heap_rows.status().ToString();
+    EXPECT_EQ(*index_rows, *heap_rows);
+  }
 }
 
 // --------------------------------------------------------------- SQL level --

@@ -241,6 +241,43 @@ TEST_F(PlannerTest, UpdateBindsAssignments) {
   EXPECT_NE(plan->predicate, nullptr);
 }
 
+TEST_F(PlannerTest, DmlFindsTargetsThroughIndexRange) {
+  ASSERT_TRUE(catalog_->CreateIndex("t1_a4", "t1", "a").ok());
+  for (const char* sql : {"UPDATE t1 SET b = b + 1 WHERE a = 3",
+                          "DELETE FROM t1 WHERE a = 3"}) {
+    SCOPED_TRACE(sql);
+    auto plan = Plan(sql);
+    ASSERT_NE(plan, nullptr);
+    ASSERT_NE(plan->index, nullptr);
+    EXPECT_EQ(plan->index_lo, 3);
+    EXPECT_EQ(plan->index_hi, 3);
+    // The full WHERE stays on the node: every candidate is rechecked.
+    EXPECT_NE(plan->predicate, nullptr);
+    EXPECT_NE(plan->ToString().find("[3..3]"), std::string::npos);
+
+    PlannerOptions no_index;
+    no_index.enable_index_scan = false;
+    auto heap = Plan(sql, no_index);
+    ASSERT_NE(heap, nullptr);
+    EXPECT_EQ(heap->index, nullptr);
+  }
+  // A prepared template carries the parameterized bound for instantiation.
+  const std::vector<TypeId> param_types = {TypeId::kInt64};
+  for (const char* sql : {"UPDATE t1 SET b = 7 WHERE a = ?",
+                          "DELETE FROM t1 WHERE a = ?"}) {
+    SCOPED_TRACE(sql);
+    auto stmt = ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    Planner planner(catalog_.get());
+    auto plan = planner.Plan(**stmt, &param_types);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_NE((*plan)->index, nullptr);
+    EXPECT_EQ((*plan)->index_lo_param, 0);
+    EXPECT_EQ((*plan)->index_hi_param, 0);
+    EXPECT_TRUE((*plan)->IsTemplate());
+  }
+}
+
 TEST_F(PlannerTest, EstimatesDecreaseWithSelectivePredicates) {
   auto scan = Plan("SELECT * FROM t1");
   auto filtered = Plan("SELECT * FROM t1 WHERE b = 3");

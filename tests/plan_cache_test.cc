@@ -261,6 +261,31 @@ TEST_F(PlanCacheDbTest, ParameterizedIndexScanKeepsAccessPath) {
   EXPECT_NE(result->plan_text.find("[6..13]"), std::string::npos);
 }
 
+TEST_F(PlanCacheDbTest, PreparedDmlKeepsIndexRangeAndNullMatchesNothing) {
+  ASSERT_TRUE(db_->Execute("CREATE INDEX idx_a ON t (a)").ok());
+  auto update = db_->Prepare("UPDATE t SET b = ? WHERE a = ?");
+  ASSERT_TRUE(update.ok());
+  auto result = db_->ExecutePrepared(**update,
+                                     {Value::Varchar("z"), Value::Int(7)});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows[0][0].int_value(), 1);
+  EXPECT_NE(result->plan_text.find("Update t [7..7]"), std::string::npos)
+      << result->plan_text;
+  // A NULL bound matches no row, exactly as the heap scan's predicate does.
+  result = db_->ExecutePrepared(**update, {Value::Varchar("z"), Value::Null()});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows[0][0].int_value(), 0);
+  auto del = db_->Prepare("DELETE FROM t WHERE a >= ? AND a < ?");
+  ASSERT_TRUE(del.ok());
+  result = db_->ExecutePrepared(**del, {Value::Int(3), Value::Null()});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows[0][0].int_value(), 0);
+  result = db_->ExecutePrepared(**del, {Value::Int(3), Value::Int(6)});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows[0][0].int_value(), 3);
+  EXPECT_EQ(CountWhere(1000), 17);
+}
+
 TEST_F(PlanCacheDbTest, DdlInvalidatesAndReplansNeverServingStalePlans) {
   EXPECT_EQ(CountWhere(5), 5);  // populate the cache
   EXPECT_EQ(CountWhere(5), 5);  // hit

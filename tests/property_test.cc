@@ -440,66 +440,38 @@ TEST(SqlRandomProperty, JoinCardinalityMatchesModel) {
 // one additionally restores the commit-timestamp high-water mark). All
 // final states must agree. The script is fully determined by its seed,
 // which is printed on failure for replay.
+//
+// Two script families: an unindexed table filtered on a non-key column, and
+// a table with a unique index on `id`, whose UPDATE/DELETE statements find
+// their targets through the B+-tree. The indexed family runs a sixth
+// database with index scans disabled as the heap-scan oracle.
 
-std::vector<std::string> RunDmlScript(server::Database* db, uint64_t seed,
-                                      bool* ok) {
-  Rng rng(seed);
-  *ok = true;
-  auto exec = [&](const std::string& sql) {
+/// Runs one script statement, recording a test failure (and clearing *ok)
+/// if it errors.
+class ScriptRunner {
+ public:
+  ScriptRunner(server::Database* db, uint64_t seed, bool* ok)
+      : db_(db), seed_(seed), ok_(ok) {
+    *ok_ = true;
+  }
+  void operator()(const std::string& sql) {
     if (::getenv("STAGEDB_DML_TRACE") != nullptr) {
       fprintf(stderr, "[dml seed=%llu] %s\n",
-              static_cast<unsigned long long>(seed), sql.c_str());
+              static_cast<unsigned long long>(seed_), sql.c_str());
     }
-    auto r = db->Execute(sql);
+    auto r = db_->Execute(sql);
     if (!r.ok()) {
-      ADD_FAILURE() << "seed=" << seed << " sql=" << sql << " -> "
+      ADD_FAILURE() << "seed=" << seed_ << " sql=" << sql << " -> "
                     << r.status().ToString();
-      *ok = false;
-    }
-  };
-  exec("CREATE TABLE t (k INTEGER, v VARCHAR(16))");
-  const int ops = 8 + static_cast<int>(rng.Uniform(18));
-  int in_txn_left = 0;
-  bool txn_rolls_back = false;
-  for (int i = 0; i < ops && *ok; ++i) {
-    if (in_txn_left == 0 && rng.Bernoulli(0.2)) {
-      in_txn_left = 1 + static_cast<int>(rng.Uniform(4));
-      txn_rolls_back = rng.Bernoulli(0.3);
-      exec("BEGIN");
-    }
-    const int64_t k = rng.UniformRange(0, 12);
-    switch (rng.Uniform(4)) {
-      case 0:
-      case 1:
-        exec("INSERT INTO t VALUES (" + std::to_string(k) + ", 's" +
-             std::to_string(i) + "')");
-        break;
-      case 2:
-        exec("UPDATE t SET v = 'u" + std::to_string(i) + "' WHERE k = " +
-             std::to_string(k));
-        break;
-      default:
-        exec("DELETE FROM t WHERE k = " + std::to_string(k));
-    }
-    if (in_txn_left > 0 && --in_txn_left == 0) {
-      exec(txn_rolls_back ? "ROLLBACK" : "COMMIT");
+      *ok_ = false;
     }
   }
-  if (in_txn_left > 0) exec("COMMIT");
-  auto result = db->Execute("SELECT * FROM t");
-  std::vector<std::string> rows;
-  if (!result.ok()) {
-    ADD_FAILURE() << "seed=" << seed << " final select: "
-                  << result.status().ToString();
-    *ok = false;
-  } else {
-    for (const auto& t : result->rows) {
-      rows.push_back(catalog::TupleToString(t));
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
+
+ private:
+  server::Database* db_;
+  uint64_t seed_;
+  bool* ok_;
+};
 
 std::vector<std::string> FinalRows(server::Database* db) {
   auto result = db->Execute("SELECT * FROM t");
@@ -514,14 +486,137 @@ std::vector<std::string> FinalRows(server::Database* db) {
   return rows;
 }
 
-TEST(DmlDifferentialProperty, EnginesAndRecoveryAgreeOnRandomScripts) {
+/// Opens and closes explicit transactions around a script's statements: a
+/// BEGIN with probability 0.2 when none is open, then COMMIT or ROLLBACK
+/// after 1-4 statements.
+class TxnBrackets {
+ public:
+  TxnBrackets(Rng* rng, ScriptRunner* exec) : rng_(rng), exec_(exec) {}
+  void Before() {
+    if (left_ == 0 && rng_->Bernoulli(0.2)) {
+      left_ = 1 + static_cast<int>(rng_->Uniform(4));
+      rolls_back_ = rng_->Bernoulli(0.3);
+      (*exec_)("BEGIN");
+    }
+  }
+  void After() {
+    if (left_ > 0 && --left_ == 0) {
+      (*exec_)(rolls_back_ ? "ROLLBACK" : "COMMIT");
+    }
+  }
+  void Finish() {
+    if (left_ > 0) (*exec_)("COMMIT");
+  }
+
+ private:
+  Rng* rng_;
+  ScriptRunner* exec_;
+  int left_ = 0;
+  bool rolls_back_ = false;
+};
+
+void RunDmlScript(server::Database* db, uint64_t seed, bool* ok) {
+  Rng rng(seed);
+  ScriptRunner exec(db, seed, ok);
+  TxnBrackets txn(&rng, &exec);
+  exec("CREATE TABLE t (k INTEGER, v VARCHAR(16))");
+  const int ops = 8 + static_cast<int>(rng.Uniform(18));
+  for (int i = 0; i < ops && *ok; ++i) {
+    txn.Before();
+    const int64_t k = rng.UniformRange(0, 12);
+    switch (rng.Uniform(4)) {
+      case 0:
+      case 1:
+        exec("INSERT INTO t VALUES (" + std::to_string(k) + ", 's" +
+             std::to_string(i) + "')");
+        break;
+      case 2:
+        exec("UPDATE t SET v = 'u" + std::to_string(i) + "' WHERE k = " +
+             std::to_string(k));
+        break;
+      default:
+        exec("DELETE FROM t WHERE k = " + std::to_string(k));
+    }
+    txn.After();
+  }
+  txn.Finish();
+}
+
+/// Indexed family. Ids come from a counter, so an INSERT never duplicates a
+/// live key; a re-insert first deletes its key. The single key-changing
+/// UPDATE shifts ids by 1000, past every id the counter can reach.
+void RunIndexedDmlScript(server::Database* db, uint64_t seed, bool* ok) {
+  Rng rng(seed);
+  ScriptRunner exec(db, seed, ok);
+  TxnBrackets txn(&rng, &exec);
+  exec("CREATE TABLE t (id INTEGER, k INTEGER, v VARCHAR(16))");
+  exec("CREATE INDEX t_id ON t (id)");
+  const auto str = [](int64_t n) { return std::to_string(n); };
+  int64_t next_id = 0;
+  bool shifted = false;
+  const int ops = 10 + static_cast<int>(rng.Uniform(20));
+  for (int i = 0; i < ops && *ok; ++i) {
+    txn.Before();
+    const int64_t k = rng.UniformRange(0, 4);
+    const int64_t lo = rng.UniformRange(0, next_id + 1);
+    const int64_t hi = lo + rng.UniformRange(0, 4);
+    const std::string tag = "'x" + str(i) + "'";
+    switch (rng.Uniform(9)) {
+      case 0:
+      case 1:
+        exec("INSERT INTO t VALUES (" + str(next_id++) + ", " + str(k) + ", " +
+             tag + ")");
+        break;
+      case 2:
+        exec("UPDATE t SET v = " + tag + ", k = k + 1 WHERE id = " + str(lo));
+        break;
+      case 3:
+        exec("UPDATE t SET v = " + tag + " WHERE id >= " + str(lo) +
+             " AND id < " + str(hi));
+        break;
+      case 4:
+        exec("UPDATE t SET k = k * 2 WHERE id > " + str(lo) + " AND id <= " +
+             str(hi) + " AND k <> " + str(k));
+        break;
+      case 5:
+        exec("DELETE FROM t WHERE id = " + str(lo));
+        break;
+      case 6:
+        exec("DELETE FROM t WHERE id >= " + str(lo) + " AND id <= " + str(hi) +
+             " AND k < " + str(k));
+        break;
+      case 7:
+        if (next_id > 0) {
+          const int64_t id = rng.UniformRange(0, next_id - 1);
+          exec("DELETE FROM t WHERE id = " + str(id));
+          exec("INSERT INTO t VALUES (" + str(id) + ", " + str(k) + ", " + tag +
+               ")");
+        } else {
+          exec("INSERT INTO t VALUES (NULL, " + str(k) + ", " + tag + ")");
+        }
+        break;
+      default:
+        if (!shifted) {
+          exec("UPDATE t SET id = id + 1000 WHERE id >= " + str(lo));
+          shifted = true;
+        } else {
+          exec("DELETE FROM t WHERE id >= 1000 AND id < " + str(1000 + hi));
+        }
+    }
+    txn.After();
+  }
+  txn.Finish();
+}
+
+using DmlScript = void (*)(server::Database*, uint64_t, bool*);
+
+void ExpectScriptsAgree(DmlScript script, uint64_t base_seed, int scripts,
+                        bool heap_scan_oracle) {
   const std::string wal_path = testing::TempDir() + "/stagedb_prop_wal_" +
                                std::to_string(::getpid());
   const std::string snap_wal_path = wal_path + "_snap";
-  constexpr uint64_t kBaseSeed = 4242;
-  constexpr int kScripts = 200;
-  for (int i = 0; i < kScripts; ++i) {
-    const uint64_t seed = kBaseSeed + static_cast<uint64_t>(i);
+  for (int i = 0; i < scripts; ++i) {
+    const uint64_t seed = base_seed + static_cast<uint64_t>(i);
     SCOPED_TRACE("seed=" + std::to_string(seed));
     std::remove(wal_path.c_str());
     std::remove(snap_wal_path.c_str());
@@ -550,20 +645,30 @@ TEST(DmlDifferentialProperty, EnginesAndRecoveryAgreeOnRandomScripts) {
     ASSERT_TRUE(snap_durable.ok());
 
     bool ok = true;
-    const auto v = RunDmlScript(volcano->get(), seed, &ok);
+    script(volcano->get(), seed, &ok);
     if (!ok) break;
-    const auto s = RunDmlScript(staged->get(), seed, &ok);
+    script(staged->get(), seed, &ok);
     if (!ok) break;
-    const auto d = RunDmlScript(durable->get(), seed, &ok);
+    script(durable->get(), seed, &ok);
     if (!ok) break;
-    const auto m = RunDmlScript(snapshot->get(), seed, &ok);
+    script(snapshot->get(), seed, &ok);
     if (!ok) break;
-    const auto md = RunDmlScript(snap_durable->get(), seed, &ok);
+    script(snap_durable->get(), seed, &ok);
     if (!ok) break;
-    EXPECT_EQ(v, s);
-    EXPECT_EQ(v, d);
-    EXPECT_EQ(v, m) << "snapshot mode diverged";
-    EXPECT_EQ(v, md) << "snapshot+wal diverged";
+    const auto v = FinalRows(volcano->get());
+    EXPECT_EQ(v, FinalRows(staged->get()));
+    EXPECT_EQ(v, FinalRows(durable->get()));
+    EXPECT_EQ(v, FinalRows(snapshot->get())) << "snapshot mode diverged";
+    EXPECT_EQ(v, FinalRows(snap_durable->get())) << "snapshot+wal diverged";
+    if (heap_scan_oracle) {
+      server::DatabaseOptions oracle_opts;
+      oracle_opts.planner.enable_index_scan = false;
+      auto oracle = server::Database::Open(oracle_opts);
+      ASSERT_TRUE(oracle.ok());
+      script(oracle->get(), seed, &ok);
+      if (!ok) break;
+      EXPECT_EQ(v, FinalRows(oracle->get())) << "heap-scan oracle diverged";
+    }
 
     // Restart the WAL-backed databases: state must be rebuilt from the log.
     durable->reset();
@@ -586,6 +691,14 @@ TEST(DmlDifferentialProperty, EnginesAndRecoveryAgreeOnRandomScripts) {
   }
   std::remove(wal_path.c_str());
   std::remove(snap_wal_path.c_str());
+}
+
+TEST(DmlDifferentialProperty, EnginesAndRecoveryAgreeOnRandomScripts) {
+  ExpectScriptsAgree(RunDmlScript, 4242, 200, /*heap_scan_oracle=*/false);
+}
+
+TEST(DmlDifferentialProperty, IndexedDmlMatchesHeapScanOracle) {
+  ExpectScriptsAgree(RunIndexedDmlScript, 9100, 100, /*heap_scan_oracle=*/true);
 }
 
 // ------------------------------------------------- parser robustness fuzz --
