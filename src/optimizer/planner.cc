@@ -1068,7 +1068,6 @@ Status Planner::ChooseDmlAccessPath(const Expr* where, PhysicalPlan* node) {
   SplitConjuncts(where, &conjuncts);
   Relation rel;
   rel.table = node->table;
-  rel.name = node->table->name;
   rel.schema = node->table->schema;  // the schema the DML predicate binds to
   auto scan = PlanBaseRelation(rel, std::move(conjuncts));
   if (!scan.ok()) return scan.status();
