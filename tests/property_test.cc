@@ -221,6 +221,13 @@ struct PolicyLoadCase {
   double load_fraction;
 };
 
+// Without this, gtest prints the case as raw bytes, padding included, and the
+// ctest names derived from it change from build to build.
+void PrintTo(const PolicyLoadCase& c, std::ostream* os) {
+  *os << simsched::PolicyName(c.policy) << "_load" << c.load << "_frac"
+      << c.load_fraction;
+}
+
 class ProductionLineGrid : public ::testing::TestWithParam<PolicyLoadCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
