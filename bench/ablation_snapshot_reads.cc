@@ -176,12 +176,11 @@ CellResult RunCell(server::ConcurrencyMode mode, int writers,
           .count();
   cell.errors = errors.load();
 
-  // Quiesced verification: reclaim every dead version, then require each
-  // pair to read back exactly the number of updates its writer applied.
-  if (mode == server::ConcurrencyMode::kSnapshot) {
-    auto reclaimed = db->VacuumNow();
-    if (reclaimed.ok()) cell.reclaimed = *reclaimed;
-  }
+  // Quiesced verification: reclaim every dead version (both modes run on
+  // versioned storage), then require each pair to read back exactly the
+  // number of updates its writer applied.
+  auto reclaimed = db->VacuumNow();
+  if (reclaimed.ok()) cell.reclaimed = *reclaimed;
   const int64_t expected_v = ops_per_writer / kPairsPerWriter;
   auto final_result = db->Execute("SELECT pair_id, v FROM acct");
   if (!final_result.ok()) {

@@ -93,34 +93,42 @@ StatusOr<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
   info->table_id = table->id;
   info->column = col;
   info->tree = std::move(*tree_or);
-  // Backfill from existing rows. Under MVCC only chain heads are indexed
-  // (end == kMax, or an in-flight delete mark which is still the newest
-  // version); at most one version per key is truly live, so a conflict means
-  // the live version displaces an in-flight-delete head indexed earlier.
+  // Backfill from existing rows. Only chain heads are indexed (end == kMax,
+  // or an in-flight delete mark which is still the newest version). Two
+  // heads sharing a key are a duplicate unless exactly one is live and the
+  // other carries an in-flight delete mark: then the live one owns the key,
+  // whichever the scan meets first.
   auto it = table->heap->Scan();
   while (it.Next()) {
-    std::string_view record = it.record();
-    bool live_head = true;
-    if (mvcc_ != nullptr) {
-      if (record.size() < storage::kVersionHeaderSize) {
-        return Status::Internal("index backfill: record missing MVCC header");
-      }
-      const storage::VersionHeader h = storage::DecodeVersionHeader(record);
-      if (h.end != storage::kMaxTs && h.end >= 0) continue;  // dead version
-      live_head = h.end == storage::kMaxTs;
-      record = storage::RowPayload(record);
-    }
-    auto tuple_or = DecodeTuple(table->schema, record);
+    const storage::VersionHeader h = storage::DecodeVersionHeader(it.record());
+    if (h.end != storage::kMaxTs && h.end >= 0) continue;  // dead version
+    auto tuple_or =
+        DecodeTuple(table->schema, storage::RowPayload(it.record()));
     if (!tuple_or.ok()) return tuple_or.status();
     const Value& key = (*tuple_or)[col];
     if (key.is_null()) continue;
-    Status inserted = info->tree->Insert(key.int_value(), it.rid());
-    if (!inserted.ok() && mvcc_ != nullptr &&
-        inserted.code() == StatusCode::kAlreadyExists && live_head) {
-      STAGEDB_RETURN_IF_ERROR(info->tree->Delete(key.int_value()));
-      inserted = info->tree->Insert(key.int_value(), it.rid());
+    const int64_t k = key.int_value();
+    Status inserted = info->tree->Insert(k, it.rid());
+    if (inserted.code() != StatusCode::kAlreadyExists) {
+      STAGEDB_RETURN_IF_ERROR(inserted);
+      continue;
     }
-    STAGEDB_RETURN_IF_ERROR(inserted);
+    auto earlier_or = info->tree->Get(k);
+    if (!earlier_or.ok()) return earlier_or.status();
+    std::string earlier;
+    STAGEDB_RETURN_IF_ERROR(table->heap->Get(*earlier_or, &earlier));
+    const bool earlier_live =
+        storage::DecodeVersionHeader(earlier).end == storage::kMaxTs;
+    const bool live = h.end == storage::kMaxTs;
+    if (earlier_live == live) {
+      return Status::AlreadyExists(
+          StrFormat("duplicate key %lld in index '%s'",
+                    static_cast<long long>(k), index_name.c_str()));
+    }
+    if (live) {
+      STAGEDB_RETURN_IF_ERROR(info->tree->Delete(k));
+      STAGEDB_RETURN_IF_ERROR(info->tree->Insert(k, it.rid()));
+    }
   }
   STAGEDB_RETURN_IF_ERROR(it.status());
   IndexInfo* ptr = info.get();
@@ -163,19 +171,14 @@ StatusOr<storage::Rid> Catalog::InsertTuple(TableInfo* table,
     }
   }
   const std::string bytes = EncodeTuple(table->schema, tuple);
-  if (mvcc_ != nullptr && txn != nullptr) {
+  if (txn != nullptr) {
     storage::Rid rid;
     STAGEDB_RETURN_IF_ERROR(
         MvccInsertIndexes(table, tuple, bytes, txn, &rid));
     return rid;
   }
-  std::string record;
-  if (mvcc_ != nullptr) {
-    // Bootstrap/recovery install: committed before every snapshot.
-    storage::VersionHeader h;
-    h.begin = 0;
-    record = storage::EncodeVersionHeader(h);
-  }
+  // Bootstrap/recovery install: committed before every snapshot (begin = 0).
+  std::string record = storage::EncodeVersionHeader(storage::VersionHeader{});
   record.append(bytes);
   auto rid_or = table->heap->Insert(record);
   if (!rid_or.ok()) return rid_or.status();
@@ -238,9 +241,6 @@ Status Catalog::MvccInsertIndexes(TableInfo* table, const Tuple& tuple,
     }
     std::string head_record;
     STAGEDB_RETURN_IF_ERROR(table->heap->Get(*head_or, &head_record));
-    if (head_record.size() < storage::kVersionHeaderSize) {
-      return Status::Internal("mvcc insert: head missing version header");
-    }
     const storage::VersionHeader h =
         storage::DecodeVersionHeader(head_record);
     const bool foreign_marker = (h.begin < 0 && -h.begin != view.self) ||
@@ -296,7 +296,7 @@ Status Catalog::MvccInsertIndexes(TableInfo* table, const Tuple& tuple,
 
 Status Catalog::DeleteTuple(TableInfo* table, const storage::Rid& rid,
                             storage::MvccTxn* txn) {
-  if (mvcc_ != nullptr && txn != nullptr) {
+  if (txn != nullptr) {
     // Mark-only delete: the version (and its index entries) stays in place
     // for older snapshots; FinalizeCommit stamps the end timestamp and
     // MvccVacuum reclaims it once no snapshot can see it.
@@ -305,36 +305,24 @@ Status Catalog::DeleteTuple(TableInfo* table, const storage::Rid& rid,
     table->stats->RecordDelete();
     return Status::OK();
   }
-  std::string bytes;
-  STAGEDB_RETURN_IF_ERROR(table->heap->Get(rid, &bytes));
-  std::string_view payload = bytes;
-  if (mvcc_ != nullptr) {
-    if (bytes.size() < storage::kVersionHeaderSize) {
-      return Status::Internal("mvcc delete: record missing version header");
-    }
-    payload = storage::RowPayload(bytes);
-  }
-  auto tuple_or = DecodeTuple(table->schema, payload);
+  std::string record;
+  STAGEDB_RETURN_IF_ERROR(table->heap->Get(rid, &record));
+  auto tuple_or = DecodeTuple(table->schema, storage::RowPayload(record));
   if (!tuple_or.ok()) return tuple_or.status();
   STAGEDB_RETURN_IF_ERROR(table->heap->Delete(rid));
   table->stats->RecordDelete();
   for (IndexInfo* index : table->indexes) {
     const Value& key = (*tuple_or)[index->column];
     if (key.is_null()) continue;
-    if (mvcc_ != nullptr) {
-      // The entry may already point at a newer version of this key.
-      auto head_or = index->tree->Get(key.int_value());
-      if (head_or.ok() && !(*head_or == rid)) continue;
-    }
+    // The entry may already point at a newer version of this key.
+    auto head_or = index->tree->Get(key.int_value());
+    if (head_or.ok() && !(*head_or == rid)) continue;
     STAGEDB_RETURN_IF_ERROR(index->tree->Delete(key.int_value()));
   }
   return Status::OK();
 }
 
 Status Catalog::MvccCommit(storage::MvccTxn* txn, storage::Ts cts) {
-  if (mvcc_ == nullptr) {
-    return Status::InvalidArgument("MvccCommit without MVCC enabled");
-  }
   return mvcc_->FinalizeCommit(
       txn, cts, [this](int32_t table_id) -> storage::HeapFile* {
         auto table_or = GetTableById(table_id);
@@ -343,9 +331,6 @@ Status Catalog::MvccCommit(storage::MvccTxn* txn, storage::Ts cts) {
 }
 
 Status Catalog::MvccAbort(storage::MvccTxn* txn) {
-  if (mvcc_ == nullptr) {
-    return Status::InvalidArgument("MvccAbort without MVCC enabled");
-  }
   Status status;
   const auto keep_first = [&status](const Status& s) {
     if (!s.ok() && status.ok()) status = s;
@@ -400,7 +385,6 @@ Status Catalog::MvccAbort(storage::MvccTxn* txn) {
 }
 
 StatusOr<int64_t> Catalog::MvccVacuum() {
-  if (mvcc_ == nullptr) return int64_t{0};
   const storage::Ts horizon = mvcc_->VacuumHorizon();
   const auto dead_at_horizon = [horizon](const storage::VersionHeader& h) {
     return h.end >= 0 && h.end != storage::kMaxTs && h.end <= horizon;
@@ -416,9 +400,6 @@ StatusOr<int64_t> Catalog::MvccVacuum() {
     std::vector<storage::Rid> candidates;
     auto it = table->heap->Scan();
     while (it.Next()) {
-      if (it.record().size() < storage::kVersionHeaderSize) {
-        return Status::Internal("vacuum: record missing version header");
-      }
       if (dead_at_horizon(storage::DecodeVersionHeader(it.record()))) {
         candidates.push_back(it.rid());
       }

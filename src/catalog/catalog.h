@@ -69,30 +69,32 @@ class Catalog {
 
   /// Inserts a tuple through the catalog: updates heap, stats, and indexes.
   ///
-  /// Under MVCC (EnableMvcc), records gain a version header: with a writer
-  /// `txn` the new version is installed uncommitted (begin = -txn->id) and
-  /// unique-key conflicts against the index head follow first-updater-wins
-  /// (Aborted on a concurrent writer's version, AlreadyExists on a genuinely
-  /// live duplicate); with txn == nullptr (bootstrap/recovery) the version is
+  /// Every record carries a version header. With a writer `txn` the new
+  /// version is installed uncommitted (begin = -txn->id) and unique-key
+  /// conflicts against the index head follow first-updater-wins (Aborted on a
+  /// concurrent writer's version, AlreadyExists on a genuinely live
+  /// duplicate); with txn == nullptr (bootstrap/recovery) the version is
   /// installed committed-at-bootstrap (begin = 0).
   StatusOr<storage::Rid> InsertTuple(TableInfo* table, const Tuple& tuple,
                                      storage::MvccTxn* txn = nullptr);
   /// Deletes a tuple by rid, maintaining indexes and stats.
   ///
-  /// Under MVCC with a writer `txn` this only *marks* the version deleted
-  /// (end = -txn->id, first-updater-wins) and leaves index entries in place
-  /// so older snapshots keep finding the chain; physical reclamation is
+  /// With a writer `txn` this only *marks* the version deleted (end =
+  /// -txn->id, first-updater-wins) and leaves index entries in place so
+  /// older snapshots keep finding the chain; physical reclamation is
   /// MvccVacuum's job. With txn == nullptr the delete is physical (recovery
   /// replays a flat committed history).
   Status DeleteTuple(TableInfo* table, const storage::Rid& rid,
                      storage::MvccTxn* txn = nullptr);
 
-  /// Switches the catalog to multi-version storage, using `txn_mgr` as the
-  /// timestamp authority. Call once at setup, before any rows exist; tuple
-  /// encodings with and without version headers must never mix in one heap.
-  void EnableMvcc(storage::TransactionManager* txn_mgr) { mvcc_ = txn_mgr; }
-  bool mvcc_enabled() const { return mvcc_ != nullptr; }
-  storage::TransactionManager* mvcc() const { return mvcc_; }
+  /// Sets the timestamp authority: the TransactionManager that hands out
+  /// snapshots and commit timestamps. Writer transactions (a non-null `txn`
+  /// above), MvccCommit and MvccVacuum need one. A catalog without one holds
+  /// only bootstrap versions (begin = 0), which readers see at timestamp 0.
+  void SetTimestampAuthority(storage::TransactionManager* txn_mgr) {
+    mvcc_ = txn_mgr;
+  }
+  storage::TransactionManager* timestamp_authority() const { return mvcc_; }
 
   /// Publishes `txn`'s versions at commit timestamp `cts` (rewrites the
   /// -txn_id markers; see TransactionManager::FinalizeCommit for ordering).

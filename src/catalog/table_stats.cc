@@ -5,8 +5,8 @@
 namespace stagedb::catalog {
 
 void TableStats::RecordInsert(const Tuple& tuple) {
-  ++row_count_;
-  if (hashes_.size() != columns_.size()) hashes_.resize(columns_.size());
+  row_count_.fetch_add(1, std::memory_order_relaxed);
+  MutexLock lock(mu_);
   for (size_t i = 0; i < columns_.size() && i < tuple.size(); ++i) {
     ColumnStats& cs = columns_[i];
     const Value& v = tuple[i];
@@ -24,14 +24,20 @@ void TableStats::RecordInsert(const Tuple& tuple) {
   }
 }
 
-void TableStats::Reset() {
-  row_count_ = 0;
-  const size_t n = columns_.size();
-  columns_.assign(n, ColumnStats{});
-  hashes_.assign(n, {});
+void TableStats::RecordDelete() {
+  int64_t n = row_count_.load(std::memory_order_relaxed);
+  while (n > 0 && !row_count_.compare_exchange_weak(
+                      n, n - 1, std::memory_order_relaxed)) {
+  }
+}
+
+ColumnStats TableStats::column(size_t i) const {
+  MutexLock lock(mu_);
+  return columns_.at(i);
 }
 
 double TableStats::EqSelectivity(size_t i) const {
+  MutexLock lock(mu_);
   const ColumnStats& cs = columns_.at(i);
   if (cs.num_distinct <= 0) return 0.1;
   return 1.0 / static_cast<double>(cs.num_distinct);
@@ -39,6 +45,7 @@ double TableStats::EqSelectivity(size_t i) const {
 
 double TableStats::RangeSelectivity(size_t i, const Value& lo,
                                     const Value& hi) const {
+  MutexLock lock(mu_);
   const ColumnStats& cs = columns_.at(i);
   if (cs.min.is_null() || cs.max.is_null()) return 1.0 / 3.0;
   const double span = cs.max.AsDouble() - cs.min.AsDouble();

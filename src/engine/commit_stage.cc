@@ -35,9 +35,9 @@ void CommitTicket::Complete(int64_t lsn, Status status) {
 // -------------------------------------------------------- GroupCommitStage --
 
 /// The stage's single long-lived packet. It parks (kBlocked) while no commit
-/// is pending; Submit wakes it via Stage::Activate, and each Run() serves one
-/// batch window.
-class GroupCommitStage::FlushTask : public StageTask {
+/// is pending; Submit wakes it via Stage::Activate, each Run() serves one
+/// batch window, and it retires once a drain finds nothing pending.
+class GroupCommitStage::FlushTask : public ServiceTask {
  public:
   explicit FlushTask(GroupCommitStage* owner) : owner_(owner) {}
   RunOutcome Run() override { return owner_->RunFlush(); }
@@ -65,7 +65,6 @@ std::shared_ptr<CommitTicket> GroupCommitStage::Submit(int64_t txn_id,
                                                        int64_t commit_ts) {
   std::shared_ptr<CommitTicket> ticket(new CommitTicket(txn_id, commit_ts));
   ticket->arrival_micros_ = RealClock::Instance()->NowMicros();
-  bool first = false;
   {
     MutexLock lock(mu_);
     if (draining_) {
@@ -73,22 +72,18 @@ std::shared_ptr<CommitTicket> GroupCommitStage::Submit(int64_t txn_id,
       return ticket;
     }
     pending_.push_back(ticket);
-    first = !task_enqueued_;
-    task_enqueued_ = true;
+    task_->Activate(stage_);
   }
   // A full batch need not wait out the window.
   window_cv_.NotifyAll();
-  if (first) {
-    stage_->Enqueue(task_.get());
-  } else {
-    stage_->Activate(task_.get());
-  }
   return ticket;
 }
 
 RunOutcome GroupCommitStage::RunFlush() {
   MutexLock lock(mu_);
-  if (pending_.empty()) return RunOutcome::kBlocked;
+  if (pending_.empty()) {
+    return draining_ ? RunOutcome::kDone : RunOutcome::kBlocked;
+  }
   // Hold the window open until the batch fills, the oldest ticket has waited
   // max_wait_us, or a drain forces the flush. This wait is the "group" in
   // group commit: it trades a bounded latency add for fsync amortization.
@@ -111,7 +106,6 @@ RunOutcome GroupCommitStage::RunFlush() {
     batch.push_back(std::move(pending_.front()));
     pending_.pop_front();
   }
-  flushing_ = true;
   lock.Unlock();
 
   const int64_t t0 = RealClock::Instance()->NowMicros();
@@ -144,14 +138,9 @@ RunOutcome GroupCommitStage::RunFlush() {
   for (size_t i = 0; i < batch.size(); ++i) {
     batch[i]->Complete(lsns[i], flush);
   }
-  // flushing_ clears only after the acks, so Drain() (and with it the
-  // destructor) cannot return while completions are still being delivered.
   lock.Lock();
-  flushing_ = false;
-  const bool more = !pending_.empty();
-  lock.Unlock();
-  drain_cv_.NotifyAll();
-  return more ? RunOutcome::kYield : RunOutcome::kBlocked;
+  if (!pending_.empty()) return RunOutcome::kYield;
+  return draining_ ? RunOutcome::kDone : RunOutcome::kBlocked;
 }
 
 void GroupCommitStage::Drain() {
@@ -160,15 +149,9 @@ void GroupCommitStage::Drain() {
     draining_ = true;
   }
   window_cv_.NotifyAll();
-  MutexLock lock(mu_);
-  while (!pending_.empty() || flushing_) {
-    lock.Unlock();
-    // The flush task may be parked (it blocked before the last Submit, or a
-    // prior Run left pending work it was not re-activated for): poke it.
-    stage_->Activate(task_.get());
-    lock.Lock();
-    drain_cv_.WaitFor(mu_, std::chrono::milliseconds(1));
-  }
+  // The flush packet retires only after acking every pending ticket, and
+  // only once that retirement returns is the packet free of the runtime.
+  task_->WaitRetired(stage_);
 }
 
 StageRuntime::GroupCommitCounters GroupCommitStage::counters() const {

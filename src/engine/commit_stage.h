@@ -77,7 +77,7 @@ class GroupCommitStage {
   GroupCommitStage& operator=(const GroupCommitStage&) = delete;
 
   /// Submits txn `txn_id` for commit; the caller then blocks in
-  /// ticket->Wait(). `commit_ts` (MVCC snapshot mode) is stamped on the
+  /// ticket->Wait(). `commit_ts` (the MVCC commit timestamp) is stamped on the
   /// COMMIT record so recovery can restore the timestamp high-water mark.
   /// Returns a completed ticket with an Aborted status if the stage is
   /// draining.
@@ -103,12 +103,8 @@ class GroupCommitStage {
 
   mutable Mutex mu_;
   CondVar window_cv_;  // wakes the window wait early
-  CondVar drain_cv_;   // Drain waits for in-flight flushes
   std::deque<std::shared_ptr<CommitTicket>> pending_ GUARDED_BY(mu_);
   bool draining_ GUARDED_BY(mu_) = false;
-  // A batch is being appended/synced right now.
-  bool flushing_ GUARDED_BY(mu_) = false;
-  bool task_enqueued_ GUARDED_BY(mu_) = false;
   int64_t commits_ GUARDED_BY(mu_) = 0;
   int64_t batches_ GUARDED_BY(mu_) = 0;
   Histogram batch_size_ GUARDED_BY(mu_);

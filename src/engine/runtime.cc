@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
 #include "common/clock.h"
 #include "common/string_util.h"
@@ -166,6 +167,32 @@ void Stage::Activate(StageTask* task) {
     PushLocked(task);
   }
   runtime_->cv_.NotifyAll();
+}
+
+void ServiceTask::Activate(Stage* stage) {
+  {
+    MutexLock lock(mu_);
+    activated_ = true;
+  }
+  stage->Activate(this);
+}
+
+void ServiceTask::OnRetired() {
+  MutexLock lock(mu_);
+  retired_ = true;
+  // Notify under the lock: the waiter cannot return, and free this packet,
+  // before the unlock, which is the packet's last access.
+  cv_.NotifyAll();
+}
+
+void ServiceTask::WaitRetired(Stage* stage) {
+  MutexLock lock(mu_);
+  while (activated_ && !retired_) {
+    lock.Unlock();
+    stage->Activate(this);
+    lock.Lock();
+    cv_.WaitFor(mu_, std::chrono::milliseconds(1));
+  }
 }
 
 size_t Stage::queue_depth() const {

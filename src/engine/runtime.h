@@ -99,6 +99,32 @@ class StageTask {
   int64_t service_start_micros_ = 0;
 };
 
+/// The single long-lived packet of a service stage (group commit, vacuum):
+/// parked while its owner has nothing pending, re-activated by the owner,
+/// and retired (its Run returns kDone) once the owner drains. OnRetired is
+/// the runtime's last access to a packet, so the owner may free the packet
+/// only after WaitRetired returns.
+class ServiceTask : public StageTask {
+ public:
+  /// Hands the packet to `stage` (Stage::Activate) and records that it was.
+  /// Call it under the lock with which the owner admits work, so a drain
+  /// that finds the packet never activated cannot miss a later activation.
+  void Activate(Stage* stage) EXCLUDES(mu_);
+  void OnRetired() override EXCLUDES(mu_);
+  /// Blocks until the packet has retired, re-activating it on `stage` every
+  /// millisecond: it may be parked on a wake that predates the drain.
+  /// Returns at once if the packet was never activated. The owner must
+  /// already refuse new work, and `stage`'s runtime must still have its
+  /// workers.
+  void WaitRetired(Stage* stage) EXCLUDES(mu_);
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool activated_ GUARDED_BY(mu_) = false;
+  bool retired_ GUARDED_BY(mu_) = false;
+};
+
 /// The named members of the policy family (Figure 5). kCohort is the
 /// pre-policy-object name for exhaustive cohort rotation and is kept as an
 /// alias so existing call sites read unchanged.

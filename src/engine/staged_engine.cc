@@ -394,17 +394,12 @@ class OperatorInstance : public StageTask {
   bool finishing_ = false;
 
   /// MVCC view for this packet's scans: the statement's registered snapshot
-  /// when the query carries one, last-committed visibility otherwise. Same
-  /// fallback as the volcano engine's MvccViewFor, so the differential tests
-  /// compare identical semantics.
+  /// when the query carries one, last-committed visibility otherwise — the
+  /// volcano engine's rule, so the differential tests compare identical
+  /// semantics.
   storage::MvccReadView MvccView() const {
-    if (query_->exec_ctx != nullptr && query_->exec_ctx->mvcc != nullptr) {
-      return query_->exec_ctx->mvcc->View();
-    }
-    return storage::MvccReadView{
-        engine_->catalog()->mvcc()->last_committed(), 0};
+    return exec::MvccViewFor(query_->exec_ctx);
   }
-  bool MvccOn() const { return engine_->catalog()->mvcc_enabled(); }
 
   // Scan state. Private-iterator path (shared_scans=false):
   std::unique_ptr<storage::HeapFile::Iterator> scan_iter_;
@@ -497,9 +492,7 @@ RunOutcome OperatorInstance::RunSeqScan() {
     scan_iter_ = std::make_unique<storage::HeapFile::Iterator>(
         plan_->table->heap->Scan());
   }
-  const bool mvcc_on = MvccOn();
-  const storage::MvccReadView view =
-      mvcc_on ? MvccView() : storage::MvccReadView{};
+  const storage::MvccReadView view = MvccView();
   int budget = quantum_tuples();
   RowBatch morsel;
   while (budget > 0) {
@@ -520,7 +513,7 @@ RunOutcome OperatorInstance::RunSeqScan() {
       }
       Tuple tuple;
       auto visible = exec::DecodeVisibleRecord(
-          mvcc_on, view, plan_->table->schema, scan_iter_->record(), &tuple);
+          view, plan_->table->schema, scan_iter_->record(), &tuple);
       if (!visible.ok()) {
         query_->Fail(visible.status());
         return FinishEarly();
@@ -546,9 +539,7 @@ RunOutcome OperatorInstance::RunSharedSeqScan() {
     shared_cursor_ = engine_->shared_scans()->Attach(plan_->table->heap.get());
     shared_attached_ = true;
   }
-  const bool mvcc_on = MvccOn();
-  const storage::MvccReadView view =
-      mvcc_on ? MvccView() : storage::MvccReadView{};
+  const storage::MvccReadView view = MvccView();
   int budget = quantum_tuples();
   RowBatch morsel;
   while (budget > 0) {
@@ -564,8 +555,8 @@ RunOutcome OperatorInstance::RunSharedSeqScan() {
              shared_page_pos_ < shared_page_->size()) {
         Tuple tuple;
         auto visible = exec::DecodeVisibleRecord(
-            mvcc_on, view, plan_->table->schema,
-            (*shared_page_)[shared_page_pos_], &tuple);
+            view, plan_->table->schema, (*shared_page_)[shared_page_pos_],
+            &tuple);
         ++shared_page_pos_;
         if (!visible.ok()) {
           query_->Fail(visible.status());
@@ -602,9 +593,7 @@ RunOutcome OperatorInstance::RunIndexScan() {
     }
     index_loaded_ = true;
   }
-  const bool mvcc_on = MvccOn();
-  const storage::MvccReadView view =
-      mvcc_on ? MvccView() : storage::MvccReadView{};
+  const storage::MvccReadView view = MvccView();
   int budget = quantum_tuples();
   RowBatch morsel;
   while (budget > 0) {
@@ -616,8 +605,7 @@ RunOutcome OperatorInstance::RunIndexScan() {
       storage::Rid rid;
       Tuple tuple;
       auto found = exec::FetchVisibleVersion(*plan_->table, *plan_->index,
-                                             mvcc_on, view, key, head, &rid,
-                                             &tuple);
+                                             view, key, head, &rid, &tuple);
       if (!found.ok()) {
         query_->Fail(found.status());
         return FinishEarly();
@@ -1173,11 +1161,7 @@ class DmlTask : public StageTask {
   }
 
   RunOutcome Run() override {
-    exec::ExecContext local_ctx;
-    local_ctx.catalog = engine_->catalog();
-    exec::ExecContext* ctx =
-        query_->exec_ctx != nullptr ? query_->exec_ctx : &local_ctx;
-    auto rows = exec::ExecutePlan(plan_, ctx);
+    auto rows = exec::ExecutePlan(plan_, query_->exec_ctx);
     if (!rows.ok()) {
       query_->Fail(rows.status());
       return RunOutcome::kDone;
@@ -1289,6 +1273,10 @@ std::shared_ptr<StagedQuery> StagedEngine::Submit(const PhysicalPlan* plan,
                                                   exec::ExecContext* exec_ctx) {
   auto query = std::make_shared<StagedQuery>();
   query->id = next_query_id_.fetch_add(1);
+  if (exec_ctx == nullptr) {
+    query->own_ctx.catalog = catalog_;
+    exec_ctx = &query->own_ctx;
+  }
   query->exec_ctx = exec_ctx;
 
   const bool is_dml = plan->kind == PlanKind::kInsert ||

@@ -126,7 +126,10 @@ class StagedQuery {
   /// Partition routers for dop>1 edges. The partition buffers themselves
   /// live in `buffers` (above) so Fail() cancels them uniformly.
   std::vector<std::unique_ptr<PartitionedExchange>> exchanges;
-  exec::ExecContext* exec_ctx = nullptr;  // for DML packets
+  /// The statement's context (DML packets, scan visibility): the caller's,
+  /// or own_ctx when the caller passed none.
+  exec::ExecContext* exec_ctx = nullptr;
+  exec::ExecContext own_ctx;
 
  private:
   friend class StagedEngine;
@@ -147,7 +150,7 @@ class StagedEngine {
 
   /// Executes a plan to completion and returns the result rows. Thread-safe:
   /// concurrent calls interleave through the shared stages. `exec_ctx` is
-  /// optional and only consulted by DML packets (mutation logging).
+  /// optional: it carries the statement's MVCC transaction and WAL sink.
   StatusOr<std::vector<catalog::Tuple>> Execute(
       const optimizer::PhysicalPlan* plan,
       exec::ExecContext* exec_ctx = nullptr);

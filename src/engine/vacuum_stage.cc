@@ -6,8 +6,9 @@ namespace stagedb::engine {
 
 /// The stage's single long-lived packet, mirroring the group-commit flush
 /// task: parked (kBlocked) while nothing is pending, woken via
-/// Stage::Activate, one vacuum pass per Run().
-class VacuumStage::VacuumTask : public StageTask {
+/// Stage::Activate, one vacuum pass per Run(), retired once a drain finds
+/// nothing pending.
+class VacuumStage::VacuumTask : public ServiceTask {
  public:
   explicit VacuumTask(VacuumStage* owner) : owner_(owner) {}
   RunOutcome Run() override { return owner_->RunVacuum(); }
@@ -31,52 +32,40 @@ bool VacuumStage::HasPending() const {
 }
 
 void VacuumStage::Wake() {
-  bool first = false;
   {
     MutexLock lock(mu_);
     if (draining_) return;
     wake_pending_ = true;
-    first = !task_enqueued_;
-    task_enqueued_ = true;
-  }
-  if (first) {
-    stage_->Enqueue(task_.get());
-  } else {
-    stage_->Activate(task_.get());
+    task_->Activate(stage_);
   }
 }
 
 RunOutcome VacuumStage::RunVacuum() {
   {
     MutexLock lock(mu_);
-    if (!wake_pending_) return RunOutcome::kBlocked;
+    if (!wake_pending_) {
+      return draining_ ? RunOutcome::kDone : RunOutcome::kBlocked;
+    }
     if (!draining_ && options_.window_us > 0) {
       // Batching window: let a burst of committing deletes coalesce into one
       // pass. The CondVar wait (not a sleep) lets Drain cut it short.
       window_cv_.WaitFor(mu_, std::chrono::microseconds(options_.window_us));
     }
     wake_pending_ = false;
-    vacuuming_ = true;
   }
   // Reset the hint counter before the pass: marks that land mid-pass may be
   // counted twice (a harmless extra wake), never missed.
-  if (catalog_->mvcc() != nullptr) catalog_->mvcc()->ResetDeadVersions();
+  catalog_->timestamp_authority()->ResetDeadVersions();
   auto reclaimed_or = catalog_->MvccVacuum();
-  RunOutcome outcome;
-  {
-    MutexLock lock(mu_);
-    vacuuming_ = false;
-    ++passes_;
-    if (reclaimed_or.ok()) {
-      reclaimed_ += *reclaimed_or;
-    } else if (last_error_.ok()) {
-      last_error_ = reclaimed_or.status();
-    }
-    outcome = (wake_pending_ && !draining_) ? RunOutcome::kYield
-                                            : RunOutcome::kBlocked;
+  MutexLock lock(mu_);
+  ++passes_;
+  if (reclaimed_or.ok()) {
+    reclaimed_ += *reclaimed_or;
+  } else if (last_error_.ok()) {
+    last_error_ = reclaimed_or.status();
   }
-  drain_cv_.NotifyAll();
-  return outcome;
+  if (wake_pending_) return RunOutcome::kYield;
+  return draining_ ? RunOutcome::kDone : RunOutcome::kBlocked;
 }
 
 void VacuumStage::Drain() {
@@ -85,15 +74,9 @@ void VacuumStage::Drain() {
     draining_ = true;
   }
   window_cv_.NotifyAll();
-  MutexLock lock(mu_);
-  while (wake_pending_ || vacuuming_) {
-    lock.Unlock();
-    // The task may be parked (its wake predates this drain): poke it so the
-    // final pass runs.
-    stage_->Activate(task_.get());
-    lock.Lock();
-    drain_cv_.WaitFor(mu_, std::chrono::milliseconds(1));
-  }
+  // A wake that predates the drain still gets its pass; the packet retires
+  // after it, and only then is it free of the runtime.
+  task_->WaitRetired(stage_);
 }
 
 int64_t VacuumStage::passes() const {

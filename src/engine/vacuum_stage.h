@@ -35,7 +35,7 @@ class VacuumStage {
 
   /// Creates the "vacuum" stage on `runtime`. Must be called before the
   /// runtime serves its first packet (stage creation rule). `catalog` must
-  /// have MVCC enabled and must outlive this object.
+  /// have a timestamp authority and must outlive this object.
   VacuumStage(StageRuntime* runtime, catalog::Catalog* catalog,
               Options options, StagePoolSpec pool);
   ~VacuumStage();
@@ -71,12 +71,8 @@ class VacuumStage {
 
   mutable Mutex mu_;
   CondVar window_cv_;  // cut a batching window short (drain)
-  CondVar drain_cv_;   // Drain waits for the in-flight pass
   bool wake_pending_ GUARDED_BY(mu_) = false;
   bool draining_ GUARDED_BY(mu_) = false;
-  // A pass is running right now (outside mu_, inside the catalog).
-  bool vacuuming_ GUARDED_BY(mu_) = false;
-  bool task_enqueued_ GUARDED_BY(mu_) = false;
   int64_t passes_ GUARDED_BY(mu_) = 0;
   int64_t reclaimed_ GUARDED_BY(mu_) = 0;
   Status last_error_ GUARDED_BY(mu_);

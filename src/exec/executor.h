@@ -44,44 +44,10 @@ class OperatorTrace {
   std::vector<OperatorTraceEntry> entries_;
 };
 
-/// One logged catalog mutation, used to roll back SQL-level transactions.
-struct MutationRecord {
-  enum class Op { kInsert, kDelete };
-  catalog::TableInfo* table = nullptr;
-  Op op = Op::kInsert;
-  storage::Rid rid;
-  catalog::Tuple tuple;
-};
-
-/// Undo log for an explicit SQL transaction (BEGIN ... COMMIT/ROLLBACK).
-/// Catalog-level (indexes and statistics are maintained during undo); the
-/// storage-level TransactionManager provides the WAL/locking substrate.
-class MutationLog {
- public:
-  void LogInsert(catalog::TableInfo* table, const storage::Rid& rid,
-                 catalog::Tuple tuple) {
-    records_.push_back(
-        {table, MutationRecord::Op::kInsert, rid, std::move(tuple)});
-  }
-  void LogDelete(catalog::TableInfo* table, const storage::Rid& rid,
-                 catalog::Tuple tuple) {
-    records_.push_back(
-        {table, MutationRecord::Op::kDelete, rid, std::move(tuple)});
-  }
-  /// Applies inverse operations in reverse order through the catalog.
-  Status Rollback(catalog::Catalog* catalog);
-  size_t size() const { return records_.size(); }
-  void Clear() { records_.clear(); }
-
- private:
-  std::vector<MutationRecord> records_;
-};
-
 /// Receives row-level mutations for write-ahead logging. The DML executors
-/// call this after each successful catalog mutation (mirroring MutationLog's
-/// placement, so the log matches live state even on partial statement
-/// failure); the Database facade implements it over the storage WAL. Kept
-/// abstract so exec does not depend on the storage log.
+/// call this after each successful catalog mutation; the Database facade
+/// implements it over the storage WAL. Kept abstract so exec does not depend
+/// on the storage log.
 class WalSink {
  public:
   virtual ~WalSink() = default;
@@ -97,56 +63,49 @@ class WalSink {
 /// Per-query execution context.
 struct ExecContext {
   catalog::Catalog* catalog = nullptr;
-  OperatorTrace* trace = nullptr;        // optional (activity tracing)
-  MutationLog* mutation_log = nullptr;   // optional (active SQL transaction)
-  WalSink* wal = nullptr;                // optional (durable database)
-  /// MVCC transaction state when the catalog runs in snapshot mode: scans
-  /// filter versions through mvcc->View() and DML records its write set
-  /// here. Null on a snapshot-mode catalog means "no registered snapshot";
-  /// readers then fall back to last-committed visibility.
-  storage::MvccTxn* mvcc = nullptr;      // optional (snapshot concurrency)
+  OperatorTrace* trace = nullptr;  // optional (activity tracing)
+  WalSink* wal = nullptr;          // optional (durable database)
+  /// The statement's MVCC transaction: scans filter versions through
+  /// mvcc->View() and DML records its write set (the undo log) here. Null
+  /// means "no registered snapshot"; readers then fall back to
+  /// last-committed visibility and DML installs bootstrap versions.
+  storage::MvccTxn* mvcc = nullptr;
 };
 
 /// The visibility view for a scan: the context's transaction view when
-/// present, otherwise everything committed so far (internal readers such as
-/// index backfill or stats refresh that run without a registered snapshot).
+/// present, otherwise everything committed so far (internal readers that run
+/// without a registered snapshot). A catalog without a timestamp authority
+/// holds only bootstrap versions, which the view at timestamp 0 sees.
 inline storage::MvccReadView MvccViewFor(const ExecContext* ctx) {
   if (ctx != nullptr && ctx->mvcc != nullptr) return ctx->mvcc->View();
   if (ctx != nullptr && ctx->catalog != nullptr &&
-      ctx->catalog->mvcc_enabled()) {
-    return storage::MvccReadView{ctx->catalog->mvcc()->last_committed(), 0};
+      ctx->catalog->timestamp_authority() != nullptr) {
+    return storage::MvccReadView{
+        ctx->catalog->timestamp_authority()->last_committed(), 0};
   }
   return storage::MvccReadView{0, 0};
 }
 
-/// Decodes a heap record into `*out`, applying MVCC visibility when
-/// `mvcc_on`: invisible versions return false (skip), visible ones are
-/// decoded from the payload after the version header. Shared by the volcano
-/// executors and the staged scan drivers so both engines filter identically.
-inline StatusOr<bool> DecodeVisibleRecord(bool mvcc_on,
-                                          const storage::MvccReadView& view,
+/// Decodes a heap record into `*out` when its version is visible in `view`
+/// (returns false to skip it). Shared by the volcano executors and the
+/// staged scan drivers so both engines filter identically.
+inline StatusOr<bool> DecodeVisibleRecord(const storage::MvccReadView& view,
                                           const catalog::Schema& schema,
                                           std::string_view record,
                                           catalog::Tuple* out) {
-  if (mvcc_on) {
-    if (record.size() < storage::kVersionHeaderSize) {
-      return Status::Internal("record missing MVCC version header");
-    }
-    if (!storage::VersionVisible(storage::DecodeVersionHeader(record), view)) {
-      return false;
-    }
-    record = storage::RowPayload(record);
+  if (!storage::VersionVisible(storage::DecodeVersionHeader(record), view)) {
+    return false;
   }
-  auto tuple = catalog::DecodeTuple(schema, record);
+  auto tuple = catalog::DecodeTuple(schema, storage::RowPayload(record));
   if (!tuple.ok()) return tuple.status();
   *out = std::move(*tuple);
   return true;
 }
 
 /// Resolves one entry of `index` (`key` -> `head`) to the row version
-/// visible in `view`, returning its rid and tuple. Without MVCC the entry
-/// names the row itself; with it, `head` is the newest version of the key and
-/// the walk follows `prev` links to the (unique) visible version. A dangling
+/// visible in `view`, returning its rid and tuple. `head` is the newest
+/// version of the key; the walk follows `prev` links to the (unique) visible
+/// version. A dangling
 /// prev (vacuumed tail) ends the walk: deeper versions are strictly older
 /// than the vacuum horizon, hence invisible to us anyway. Key recheck: with
 /// several indexes a chain can cross keys (DESIGN.md §12), so a visible
@@ -154,7 +113,6 @@ inline StatusOr<bool> DecodeVisibleRecord(bool mvcc_on,
 /// volcano index scan, the staged iscan driver and the DML target collector.
 inline StatusOr<bool> FetchVisibleVersion(const catalog::TableInfo& table,
                                           const catalog::IndexInfo& index,
-                                          bool mvcc_on,
                                           const storage::MvccReadView& view,
                                           int64_t key, storage::Rid head,
                                           storage::Rid* rid_out,
@@ -165,20 +123,14 @@ inline StatusOr<bool> FetchVisibleVersion(const catalog::TableInfo& table,
     Status s = table.heap->Get(rid, &record);
     if (s.IsNotFound()) return false;  // deleted/vacuumed after lookup
     STAGEDB_RETURN_IF_ERROR(s);
-    std::string_view payload = record;
-    if (mvcc_on) {
-      if (record.size() < storage::kVersionHeaderSize) {
-        return Status::Internal("record missing MVCC version header");
-      }
-      const storage::VersionHeader h = storage::DecodeVersionHeader(record);
-      if (!storage::VersionVisible(h, view)) {
-        if (!h.has_prev()) return false;
-        rid = h.prev;
-        continue;
-      }
-      payload = storage::RowPayload(record);
+    const storage::VersionHeader h = storage::DecodeVersionHeader(record);
+    if (!storage::VersionVisible(h, view)) {
+      if (!h.has_prev()) return false;
+      rid = h.prev;
+      continue;
     }
-    auto tuple = catalog::DecodeTuple(table.schema, payload);
+    auto tuple =
+        catalog::DecodeTuple(table.schema, storage::RowPayload(record));
     if (!tuple.ok()) return tuple.status();
     const catalog::Value& v = (*tuple)[index.column];
     if (v.is_null() || v.int_value() != key) return false;

@@ -68,15 +68,13 @@ class SeqScanExec : public Executor {
     }
   }
   Status Init() override {
-    mvcc_on_ = ctx_->catalog != nullptr && ctx_->catalog->mvcc_enabled();
     view_ = MvccViewFor(ctx_);
     return Status::OK();
   }
   StatusOr<bool> Next(Tuple* out) override {
     if (ctx_->trace != nullptr) ctx_->trace->CountInvocation(trace_id_);
     while (iter_.Next()) {
-      auto visible = DecodeVisibleRecord(mvcc_on_, view_,
-                                         plan_->table->schema,
+      auto visible = DecodeVisibleRecord(view_, plan_->table->schema,
                                          iter_.record(), out);
       if (!visible.ok()) return visible.status();
       if (!*visible) continue;  // version outside our snapshot
@@ -91,7 +89,6 @@ class SeqScanExec : public Executor {
   const PhysicalPlan* plan_;
   ExecContext* ctx_;
   storage::HeapFile::Iterator iter_;
-  bool mvcc_on_ = false;
   storage::MvccReadView view_;
   size_t trace_id_ = 0;
 };
@@ -108,7 +105,6 @@ class IndexScanExec : public Executor {
     }
   }
   Status Init() override {
-    mvcc_on_ = ctx_->catalog != nullptr && ctx_->catalog->mvcc_enabled();
     view_ = MvccViewFor(ctx_);
     return plan_->index->tree->Scan(plan_->index_lo, plan_->index_hi,
                                     &matches_);
@@ -118,8 +114,8 @@ class IndexScanExec : public Executor {
     while (pos_ < matches_.size()) {
       const auto& [key, head] = matches_[pos_++];
       storage::Rid rid;
-      auto found = FetchVisibleVersion(*plan_->table, *plan_->index, mvcc_on_,
-                                       view_, key, head, &rid, out);
+      auto found = FetchVisibleVersion(*plan_->table, *plan_->index, view_,
+                                       key, head, &rid, out);
       if (!found.ok()) return found.status();
       if (!*found) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountTuple(trace_id_);
@@ -133,7 +129,6 @@ class IndexScanExec : public Executor {
   ExecContext* ctx_;
   std::vector<std::pair<int64_t, storage::Rid>> matches_;
   size_t pos_ = 0;
-  bool mvcc_on_ = false;
   storage::MvccReadView view_;
   size_t trace_id_ = 0;
 };
@@ -723,9 +718,6 @@ class InsertExec : public Executor {
       if (!*more) break;
       auto rid = ctx_->catalog->InsertTuple(plan_->table, t, ctx_->mvcc);
       if (!rid.ok()) return rid.status();
-      if (ctx_->mutation_log != nullptr) {
-        ctx_->mutation_log->LogInsert(plan_->table, *rid, t);
-      }
       if (ctx_->wal != nullptr) {
         STAGEDB_RETURN_IF_ERROR(ctx_->wal->LogInsert(plan_->table, t));
       }
@@ -764,7 +756,6 @@ struct DmlTarget {
 Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
                          std::vector<DmlTarget>* out) {
   const catalog::TableInfo& table = *plan->table;
-  const bool mvcc_on = ctx->catalog->mvcc_enabled();
   const storage::MvccReadView view = MvccViewFor(ctx);
   const auto keep = [&](const storage::Rid& rid, Tuple tuple) -> Status {
     if (plan->predicate) {
@@ -776,7 +767,7 @@ Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
     return Status::OK();
   };
   if (plan->index != nullptr) {
-    const bool walk_exact = !mvcc_on || table.indexes.size() == 1;
+    const bool walk_exact = table.indexes.size() == 1;
     std::vector<std::pair<int64_t, storage::Rid>> matches;
     STAGEDB_RETURN_IF_ERROR(
         plan->index->tree->Scan(plan->index_lo, plan->index_hi, &matches));
@@ -784,8 +775,8 @@ Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
     for (const auto& [key, head] : matches) {
       storage::Rid rid;
       Tuple tuple;
-      auto found = FetchVisibleVersion(table, *plan->index, mvcc_on, view, key,
-                                       head, &rid, &tuple);
+      auto found = FetchVisibleVersion(table, *plan->index, view, key, head,
+                                       &rid, &tuple);
       if (!found.ok()) return found.status();
       if (*found) {
         STAGEDB_RETURN_IF_ERROR(keep(rid, std::move(tuple)));
@@ -806,8 +797,7 @@ Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
   auto it = table.heap->Scan();
   while (it.Next()) {
     Tuple tuple;
-    auto visible =
-        DecodeVisibleRecord(mvcc_on, view, table.schema, it.record(), &tuple);
+    auto visible = DecodeVisibleRecord(view, table.schema, it.record(), &tuple);
     if (!visible.ok()) return visible.status();
     if (*visible) STAGEDB_RETURN_IF_ERROR(keep(it.rid(), std::move(tuple)));
   }
@@ -824,14 +814,11 @@ class DeleteExec : public Executor {
     done_ = true;
     std::vector<DmlTarget> victims;
     STAGEDB_RETURN_IF_ERROR(CollectDmlTargets(plan_, ctx_, &victims));
-    for (auto& [rid, tuple] : victims) {
+    for (const auto& [rid, tuple] : victims) {
       STAGEDB_RETURN_IF_ERROR(
           ctx_->catalog->DeleteTuple(plan_->table, rid, ctx_->mvcc));
       if (ctx_->wal != nullptr) {
         STAGEDB_RETURN_IF_ERROR(ctx_->wal->LogDelete(plan_->table, tuple));
-      }
-      if (ctx_->mutation_log != nullptr) {
-        ctx_->mutation_log->LogDelete(plan_->table, rid, std::move(tuple));
       }
     }
     *out = {Value::Int(static_cast<int64_t>(victims.size()))};
@@ -877,10 +864,10 @@ class UpdateExec : public Executor {
       updated.push_back(std::move(row));
     }
     for (size_t i = 0; i < targets.size(); ++i) {
-      DmlTarget& target = targets[i];
-      // Delete + reinsert keeps indexes and stats consistent. Under MVCC
-      // this marks the old version deleted and installs the new tuple as a
-      // fresh version, both stamped with the statement's transaction.
+      const DmlTarget& target = targets[i];
+      // Delete + reinsert keeps indexes and stats consistent: the old
+      // version is marked deleted and the new tuple installed as a fresh
+      // version, both stamped with the statement's transaction.
       STAGEDB_RETURN_IF_ERROR(
           ctx_->catalog->DeleteTuple(plan_->table, target.rid, ctx_->mvcc));
       auto new_rid =
@@ -891,12 +878,6 @@ class UpdateExec : public Executor {
         // before-image, undo restores it).
         STAGEDB_RETURN_IF_ERROR(
             ctx_->wal->LogUpdate(plan_->table, target.tuple, updated[i]));
-      }
-      if (ctx_->mutation_log != nullptr) {
-        ctx_->mutation_log->LogDelete(plan_->table, target.rid,
-                                      std::move(target.tuple));
-        ctx_->mutation_log->LogInsert(plan_->table, *new_rid,
-                                      std::move(updated[i]));
       }
     }
     *out = {Value::Int(static_cast<int64_t>(targets.size()))};

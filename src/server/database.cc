@@ -1,5 +1,7 @@
 #include "server/database.h"
 
+#include <utility>
+
 #include "catalog/tuple.h"
 #include "common/string_util.h"
 #include "engine/commit_stage.h"
@@ -177,18 +179,14 @@ class CatalogRecoveryApplier : public storage::RecoveryApplier {
   }
 
  private:
-  /// Logical identity across re-assigned rids: find the row by image. Under
-  /// MVCC the heap records carry a version header the WAL images do not, so
-  /// compare the payload bytes only. Replay installs one version per row and
-  /// index keys are unique, so on an indexed table the image's key names the
-  /// row; the heap scan remains for unindexed tables, a NULL key, or an
-  /// entry whose payload does not match.
+  /// Logical identity across re-assigned rids: find the row by image. Heap
+  /// records carry a version header the WAL images do not, so compare the
+  /// payload bytes only. Replay installs one version per row and index keys
+  /// are unique, so on an indexed table the image's key names the row; the
+  /// heap scan remains for unindexed tables, a NULL key, or an entry whose
+  /// payload does not match.
   StatusOr<storage::Rid> FindByImage(catalog::TableInfo* table,
                                      const std::string& image) {
-    const bool mvcc = db_->catalog_->mvcc_enabled();
-    const auto payload = [mvcc](std::string_view record) {
-      return mvcc ? storage::RowPayload(record) : record;
-    };
     if (!table->indexes.empty()) {
       const catalog::IndexInfo& index = *table->indexes.front();
       auto tuple = catalog::DecodeTuple(table->schema, image);
@@ -199,7 +197,7 @@ class CatalogRecoveryApplier : public storage::RecoveryApplier {
         if (rid.ok()) {
           std::string record;
           STAGEDB_RETURN_IF_ERROR(table->heap->Get(*rid, &record));
-          if (payload(record) == image) return *rid;
+          if (storage::RowPayload(record) == image) return *rid;
         } else if (!rid.status().IsNotFound()) {
           return rid.status();
         }
@@ -207,7 +205,7 @@ class CatalogRecoveryApplier : public storage::RecoveryApplier {
     }
     auto scan = table->heap->Scan();
     while (scan.Next()) {
-      if (payload(scan.record()) == image) return scan.rid();
+      if (storage::RowPayload(scan.record()) == image) return scan.rid();
     }
     STAGEDB_RETURN_IF_ERROR(scan.status());
     return Status::NotFound("recover: row image not found");
@@ -233,27 +231,22 @@ std::string QueryResult::ToString() const {
 // ----------------------------------------------------------- PendingQuery ---
 
 PendingQuery::~PendingQuery() {
-  if (wal_finalize_ == nullptr) return;
+  if (db_ == nullptr) return;
   // Abandoned without Await: the client never saw an ack, so the statement
   // must not commit. Wait out the in-flight query first — the engine still
   // holds the context this object owns.
-  if (query_ != nullptr) (void)query_->Await();
-  auto finalize = std::move(wal_finalize_);
-  wal_finalize_ = nullptr;
-  (void)finalize(false);
+  (void)query_->Await();
+  (void)std::exchange(db_, nullptr)->FinishStatement(&txn_, false);
 }
 
 StatusOr<QueryResult> PendingQuery::Await() {
   auto rows = query_->Await();
-  if (wal_finalize_) {
-    // Run the durable-commit epilogue exactly once: the statement does not
-    // ack until its commit record is synced (or its wal txn is aborted).
-    auto finalize = std::move(wal_finalize_);
-    wal_finalize_ = nullptr;
-    const Status commit = finalize(rows.ok());
-    if (rows.ok() && !commit.ok()) return commit;
-  }
+  // The statement does not ack until its commit is published and its commit
+  // record synced (or it is undone).
+  const Status commit =
+      std::exchange(db_, nullptr)->FinishStatement(&txn_, rows.ok());
   if (!rows.ok()) return rows.status();
+  if (!commit.ok()) return commit;
   QueryResult result;
   result.schema = schema_;
   result.plan_text = plan_text_;
@@ -274,7 +267,7 @@ Database::~Database() {
   // read), then the commit stage, then stop the volcano-mode runtime. The
   // staged engine drains its own commit stage; the volcano-mode commit
   // runtime is ours: drain while its workers are alive, then stop them.
-  if (vacuum_ != nullptr) vacuum_->Drain();
+  if (vacuum_ != nullptr) vacuum_->Drain();  // null only if Open failed
   if (own_group_commit_ != nullptr) own_group_commit_->Drain();
   if (commit_runtime_ != nullptr) commit_runtime_->Shutdown();
 }
@@ -297,11 +290,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
       std::make_unique<storage::TransactionManager>(db->wal_.get());
   db->txn_mgr_->lock_manager()->set_timeout_micros(
       db->options_.lock_timeout_micros);
-  if (db->options_.concurrency == ConcurrencyMode::kSnapshot) {
-    // Before recovery: replayed rows must be installed with version headers
-    // (begin = 0, committed-at-bootstrap) like every other MVCC record.
-    db->catalog_->EnableMvcc(db->txn_mgr_.get());
-  }
+  db->catalog_->SetTimestampAuthority(db->txn_mgr_.get());
   if (db->durable()) {
     // Replay the log before the engines exist: committed transactions are
     // redone through the catalog (rebuilding tables, indexes, statistics),
@@ -344,9 +333,9 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     // The volcano engine runs every node on the calling thread: parallel
     // plan shapes would only add a partial/merge hop it cannot execute.
     db->options_.planner.max_dop = 1;
+    db->commit_runtime_ = std::make_unique<engine::StageRuntime>(
+        engine::SchedulerPolicy::kFreeRun);
     if (group_commit) {
-      db->commit_runtime_ = std::make_unique<engine::StageRuntime>(
-          engine::SchedulerPolicy::kFreeRun);
       engine::GroupCommitStage::Options gc;
       gc.max_batch = db->options_.group_commit_max_batch;
       gc.max_wait_us = db->options_.group_commit_max_wait_us;
@@ -356,25 +345,15 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
       db->group_commit_ = db->own_group_commit_.get();
     }
   }
-  if (db->options_.concurrency == ConcurrencyMode::kSnapshot) {
-    // The vacuum stage rides the staged engine's runtime so "vacuum" shows
-    // up beside fscan/commit in the stage table; in volcano mode it shares
-    // the private commit runtime (created here if group commit did not).
-    engine::StageRuntime* vac_runtime;
-    if (db->options_.mode == ExecutionMode::kStaged) {
-      vac_runtime = db->staged_->engine.runtime();
-    } else {
-      if (db->commit_runtime_ == nullptr) {
-        db->commit_runtime_ = std::make_unique<engine::StageRuntime>(
-            engine::SchedulerPolicy::kFreeRun);
-      }
-      vac_runtime = db->commit_runtime_.get();
-    }
-    engine::VacuumStage::Options vo;
-    vo.window_us = db->options_.vacuum_window_us;
-    db->vacuum_ = std::make_unique<engine::VacuumStage>(
-        vac_runtime, db->catalog_.get(), vo, engine::StagePoolSpec{1, -1});
-  }
+  // The vacuum stage rides the staged engine's runtime so "vacuum" shows up
+  // beside fscan/commit in the stage table; in volcano mode it shares the
+  // private commit runtime.
+  engine::VacuumStage::Options vo;
+  vo.window_us = db->options_.vacuum_window_us;
+  db->vacuum_ = std::make_unique<engine::VacuumStage>(
+      db->staged_ != nullptr ? db->staged_->engine.runtime()
+                             : db->commit_runtime_.get(),
+      db->catalog_.get(), vo, engine::StagePoolSpec{1, -1});
   return db;
 }
 
@@ -419,42 +398,20 @@ Status Database::AppendDdl(storage::WalRecord record) {
   return wal_->Sync();
 }
 
-Status Database::FinishMvccTxn(storage::MvccTxn* txn, bool ok, int64_t* cts) {
-  *cts = 0;
-  Status st;
-  if (ok && !txn->writes.empty()) {
-    // Visibility before durability: the commit timestamp is allocated and
-    // published here; the caller then stamps it on the WAL COMMIT record.
-    const storage::Ts ts = txn_mgr_->AllocateCommitTs();
-    st = catalog_->MvccCommit(txn, ts);
-    if (st.ok()) *cts = ts;
-  } else if (!ok) {
-    st = catalog_->MvccAbort(txn);
-  }
-  if (txn->registered) {
-    txn_mgr_->ReleaseSnapshot(txn->snapshot);
-    txn->registered = false;
-  }
-  if (*cts != 0) MaybeWakeVacuum();
-  return st;
-}
-
-void Database::MaybeWakeVacuum() {
-  if (vacuum_ == nullptr) return;
-  if (txn_mgr_->dead_versions() >= options_.vacuum_dead_threshold) {
-    vacuum_->Wake();
-  }
-}
-
 StatusOr<int64_t> Database::VacuumNow() {
-  if (!snapshot_mode()) {
-    return Status::InvalidArgument("vacuum requires snapshot concurrency mode");
-  }
   txn_mgr_->ResetDeadVersions();
   return catalog_->MvccVacuum();
 }
 
 namespace {
+/// The one-row result of DDL and transaction control.
+QueryResult OkResult() {
+  QueryResult result;
+  result.schema = Schema({{"status", TypeId::kVarchar, ""}});
+  result.rows = {{catalog::Value::Varchar("ok")}};
+  return result;
+}
+
 bool IsDmlPlan(const PhysicalPlan* plan) {
   return plan->kind == optimizer::PlanKind::kInsert ||
          plan->kind == optimizer::PlanKind::kDelete ||
@@ -659,7 +616,6 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
   stats_.GetCounter("stage.parse.packets")->Add(1);
   const parser::Statement& stmt = **stmt_or;
 
-  QueryResult result;
   using Kind = parser::Statement::Kind;
   switch (stmt.kind) {
     case Kind::kCreateTable: {
@@ -680,9 +636,7 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
         r.after = schema_payload;
         STAGEDB_RETURN_IF_ERROR(AppendDdl(std::move(r)));
       }
-      result.schema = Schema({{"status", TypeId::kVarchar, ""}});
-      result.rows = {{catalog::Value::Varchar("ok")}};
-      return result;
+      return OkResult();
     }
     case Kind::kCreateIndex: {
       const auto& ci = static_cast<const parser::CreateIndexStmt&>(stmt);
@@ -697,9 +651,7 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
         r.after += ci.column;
         STAGEDB_RETURN_IF_ERROR(AppendDdl(std::move(r)));
       }
-      result.schema = Schema({{"status", TypeId::kVarchar, ""}});
-      result.rows = {{catalog::Value::Varchar("ok")}};
-      return result;
+      return OkResult();
     }
     case Kind::kDropTable: {
       const auto& dt = static_cast<const parser::DropTableStmt&>(stmt);
@@ -710,13 +662,11 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
         r.before = dt.table;
         STAGEDB_RETURN_IF_ERROR(AppendDdl(std::move(r)));
       }
-      result.schema = Schema({{"status", TypeId::kVarchar, ""}});
-      result.rows = {{catalog::Value::Varchar("ok")}};
-      return result;
+      return OkResult();
     }
     case Kind::kBegin: {
       MutexLock lock(txn_mu_);
-      if (active_txn_ != nullptr || active_mvcc_txn_ != nullptr) {
+      if (active_mvcc_txn_ != nullptr) {
         return Status::InvalidArgument("transaction already in progress");
       }
       if (durable()) {
@@ -724,72 +674,30 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
         if (!txn_or.ok()) return txn_or.status();
         active_wal_txn_ = *txn_or;
       }
-      if (snapshot_mode()) {
-        // The transaction's snapshot is fixed here: every statement inside
-        // the BEGIN reads the same commit point, and the MvccTxn's write set
-        // doubles as the undo log (no MutationLog).
-        active_mvcc_txn_ = std::make_unique<storage::MvccTxn>();
-        active_mvcc_txn_->id = txn_mgr_->AllocateTxnId();
-        active_mvcc_txn_->snapshot = txn_mgr_->BeginSnapshot();
-        active_mvcc_txn_->registered = true;
-      } else {
-        active_txn_ = std::make_unique<exec::MutationLog>();
-      }
-      result.schema = Schema({{"status", TypeId::kVarchar, ""}});
-      result.rows = {{catalog::Value::Varchar("ok")}};
-      return result;
+      // The transaction's snapshot is fixed here: every statement inside the
+      // BEGIN reads the same commit point, and its write set is the undo log.
+      active_mvcc_txn_ = std::make_unique<storage::MvccTxn>();
+      active_mvcc_txn_->id = txn_mgr_->AllocateTxnId();
+      active_mvcc_txn_->snapshot = txn_mgr_->BeginSnapshot();
+      active_mvcc_txn_->registered = true;
+      return OkResult();
     }
-    case Kind::kCommit: {
-      int64_t wal_txn = 0;
-      std::unique_ptr<storage::MvccTxn> mvcc_txn;
+    case Kind::kCommit:
+    case Kind::kRollback: {
+      OpenTxn txn;
       {
         MutexLock lock(txn_mu_);
-        if (active_txn_ == nullptr && active_mvcc_txn_ == nullptr) {
+        if (active_mvcc_txn_ == nullptr) {
           return Status::InvalidArgument("no transaction in progress");
         }
-        active_txn_.reset();
-        mvcc_txn = std::move(active_mvcc_txn_);
-        wal_txn = active_wal_txn_;
-        active_wal_txn_ = 0;
+        txn.mvcc = std::move(active_mvcc_txn_);
+        txn.wal_txn = std::exchange(active_wal_txn_, 0);
       }
-      int64_t cts = 0;
-      if (mvcc_txn != nullptr) {
-        const Status st = FinishMvccTxn(mvcc_txn.get(), true, &cts);
-        if (!st.ok()) {
-          if (wal_txn != 0) AbortWalTxn(wal_txn);
-          return st;
-        }
-      }
-      if (wal_txn != 0) {
-        // COMMIT does not ack until the log is durable (group-commit ticket
-        // or inline fsync). The MVCC commit timestamp rides the record.
-        STAGEDB_RETURN_IF_ERROR(CommitWalTxn(wal_txn, cts));
-      }
-      result.schema = Schema({{"status", TypeId::kVarchar, ""}});
-      result.rows = {{catalog::Value::Varchar("ok")}};
-      return result;
-    }
-    case Kind::kRollback: {
-      MutexLock lock(txn_mu_);
-      if (active_txn_ == nullptr && active_mvcc_txn_ == nullptr) {
-        return Status::InvalidArgument("no transaction in progress");
-      }
-      if (active_txn_ != nullptr) {
-        STAGEDB_RETURN_IF_ERROR(active_txn_->Rollback(catalog_.get()));
-        active_txn_.reset();
-      }
-      if (active_mvcc_txn_ != nullptr) {
-        auto mvcc_txn = std::move(active_mvcc_txn_);
-        int64_t cts = 0;
-        STAGEDB_RETURN_IF_ERROR(FinishMvccTxn(mvcc_txn.get(), false, &cts));
-      }
-      if (active_wal_txn_ != 0) {
-        AbortWalTxn(active_wal_txn_);
-        active_wal_txn_ = 0;
-      }
-      result.schema = Schema({{"status", TypeId::kVarchar, ""}});
-      result.rows = {{catalog::Value::Varchar("ok")}};
-      return result;
+      // COMMIT does not ack until the log is durable (group-commit ticket or
+      // inline fsync); ROLLBACK undoes the write set.
+      STAGEDB_RETURN_IF_ERROR(
+          FinishStatement(&txn, stmt.kind == Kind::kCommit));
+      return OkResult();
     }
     default:
       break;
@@ -805,7 +713,8 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
   return ExecutePlanned(plan.get());
 }
 
-StatusOr<QueryResult> Database::ExecutePlanned(const PhysicalPlan* plan) {
+Status Database::BeginStatement(const PhysicalPlan* plan,
+                                exec::ExecContext* ctx, OpenTxn* txn) {
   // A template must be instantiated first: the engines ignore parameterized
   // index bounds and unevaluated VALUES rows, so executing one would return
   // wrong results (full-range scans, zero-row inserts), not fail.
@@ -813,98 +722,97 @@ StatusOr<QueryResult> Database::ExecutePlanned(const PhysicalPlan* plan) {
     return Status::InvalidArgument(
         "statement contains '?' parameters; use Prepare/ExecutePrepared");
   }
-  QueryResult result;
-  result.schema = plan->schema;
-  result.plan_text = plan->ToString();
-
   // kTableLock: the blocking baseline. Locks are held for the statement's
-  // whole duration (through the commit), released on every exit path below.
-  int64_t lock_txn = 0;
+  // whole duration, through the commit.
   if (options_.concurrency == ConcurrencyMode::kTableLock) {
     auto lock_or = AcquireStatementLocks(plan);
     if (!lock_or.ok()) return lock_or.status();
-    lock_txn = *lock_or;
+    txn->lock_txn = *lock_or;
   }
-  const auto unlock = [this, lock_txn] {
-    if (lock_txn != 0) txn_mgr_->lock_manager()->ReleaseAll(lock_txn);
-  };
-
-  exec::ExecContext ctx;
-  ctx.catalog = catalog_.get();
-  // Durable DML runs under a wal transaction: a statement inside an explicit
-  // BEGIN logs under that txn id (committed at COMMIT time); a standalone
-  // statement auto-commits — BEGIN record, row records from the executors,
-  // then a durable COMMIT before the statement acks.
-  std::unique_ptr<DatabaseWalSink> sink;
-  std::unique_ptr<storage::MvccTxn> stmt_mvcc;
-  int64_t wal_txn = 0;
-  bool auto_commit = false;
+  ctx->catalog = catalog_.get();
+  const bool dml = IsDmlPlan(plan);
+  Status status;
   {
     MutexLock lock(txn_mu_);
-    ctx.mutation_log = active_txn_.get();
-    if (snapshot_mode()) {
-      // Inside an explicit BEGIN, statements share the transaction's
-      // snapshot and write set; standalone statements get their own
-      // MvccTxn, committed or aborted right after execution.
-      if (active_mvcc_txn_ != nullptr) {
-        ctx.mvcc = active_mvcc_txn_.get();
-      } else {
-        stmt_mvcc = std::make_unique<storage::MvccTxn>();
-        if (IsDmlPlan(plan)) stmt_mvcc->id = txn_mgr_->AllocateTxnId();
-        stmt_mvcc->snapshot = txn_mgr_->BeginSnapshot();
-        stmt_mvcc->registered = true;
-        ctx.mvcc = stmt_mvcc.get();
-      }
+    // Inside an explicit BEGIN, statements share the transaction's snapshot
+    // and write set; a standalone statement gets its own MvccTxn.
+    if (active_mvcc_txn_ != nullptr) {
+      ctx->mvcc = active_mvcc_txn_.get();
+    } else {
+      txn->mvcc = std::make_unique<storage::MvccTxn>();
+      if (dml) txn->mvcc->id = txn_mgr_->AllocateTxnId();
+      txn->mvcc->snapshot = txn_mgr_->BeginSnapshot();
+      txn->mvcc->registered = true;
+      ctx->mvcc = txn->mvcc.get();
     }
-    if (durable() && IsDmlPlan(plan)) {
-      const bool in_txn = active_txn_ != nullptr || active_mvcc_txn_ != nullptr;
-      if (in_txn && active_wal_txn_ != 0) {
-        wal_txn = active_wal_txn_;
-      } else {
+    // Durable DML runs under a wal transaction: inside an explicit BEGIN it
+    // logs under that txn id (committed at COMMIT time); a standalone
+    // statement auto-commits — BEGIN record, row records from the
+    // executors, then a durable COMMIT before the statement acks.
+    if (durable() && dml) {
+      int64_t wal_txn = active_wal_txn_;
+      if (active_mvcc_txn_ == nullptr) {
         auto txn_or = BeginWalTxn();
-        if (!txn_or.ok()) {
-          if (stmt_mvcc != nullptr && stmt_mvcc->registered) {
-            txn_mgr_->ReleaseSnapshot(stmt_mvcc->snapshot);
-          }
-          unlock();
-          return txn_or.status();
-        }
-        wal_txn = *txn_or;
-        auto_commit = true;
+        status = txn_or.status();
+        if (txn_or.ok()) wal_txn = txn->wal_txn = *txn_or;
       }
-      sink = std::make_unique<DatabaseWalSink>(this, wal_txn);
-      ctx.wal = sink.get();
+      if (status.ok()) {
+        txn->wal_sink = std::make_unique<DatabaseWalSink>(this, wal_txn);
+        ctx->wal = txn->wal_sink.get();
+      }
     }
   }
+  if (!status.ok()) (void)FinishStatement(txn, false);
+  return status;
+}
 
+Status Database::FinishStatement(OpenTxn* txn, bool ok) {
+  Status status;
+  storage::Ts cts = 0;
+  if (storage::MvccTxn* mvcc = txn->mvcc.get(); mvcc != nullptr) {
+    if (ok && !mvcc->writes.empty()) {
+      // Visibility before durability: the commit timestamp is allocated and
+      // published here, then stamped on the WAL COMMIT record below.
+      cts = txn_mgr_->AllocateCommitTs();
+      status = catalog_->MvccCommit(mvcc, cts);
+    } else if (!ok) {
+      status = catalog_->MvccAbort(mvcc);
+    }
+    if (mvcc->registered) {
+      txn_mgr_->ReleaseSnapshot(mvcc->snapshot);
+      mvcc->registered = false;
+    }
+    // Wake the vacuum stage once enough committed delete marks piled up.
+    if (status.ok() && cts != 0 &&
+        txn_mgr_->dead_versions() >= options_.vacuum_dead_threshold) {
+      vacuum_->Wake();
+    }
+  }
+  if (txn->wal_txn != 0) {
+    if (ok && status.ok()) {
+      status = CommitWalTxn(txn->wal_txn, cts);
+    } else {
+      AbortWalTxn(txn->wal_txn);
+    }
+  }
+  if (txn->lock_txn != 0) txn_mgr_->lock_manager()->ReleaseAll(txn->lock_txn);
+  return status;
+}
+
+StatusOr<QueryResult> Database::ExecutePlanned(const PhysicalPlan* plan) {
+  exec::ExecContext ctx;
+  OpenTxn txn;
+  STAGEDB_RETURN_IF_ERROR(BeginStatement(plan, &ctx, &txn));
   stats_.GetCounter("stage.execute.packets")->Add(1);
   auto rows = options_.mode == ExecutionMode::kStaged
                   ? staged_->engine.Execute(plan, &ctx)
                   : exec::ExecutePlan(plan, &ctx);
-  if (!rows.ok()) {
-    int64_t cts = 0;
-    if (stmt_mvcc != nullptr) (void)FinishMvccTxn(stmt_mvcc.get(), false, &cts);
-    if (auto_commit) AbortWalTxn(wal_txn);
-    unlock();
-    return rows.status();
-  }
-  int64_t cts = 0;
-  if (stmt_mvcc != nullptr) {
-    const Status st = FinishMvccTxn(stmt_mvcc.get(), true, &cts);
-    if (!st.ok()) {
-      if (auto_commit) AbortWalTxn(wal_txn);
-      unlock();
-      return st;
-    }
-  }
-  if (auto_commit) {
-    const Status st = CommitWalTxn(wal_txn, cts);
-    if (!st.ok()) {
-      unlock();
-      return st;
-    }
-  }
-  unlock();
+  const Status commit = FinishStatement(&txn, rows.ok());
+  if (!rows.ok()) return rows.status();
+  if (!commit.ok()) return commit;
+  QueryResult result;
+  result.schema = plan->schema;
+  result.plan_text = plan->ToString();
   result.rows = std::move(*rows);
   return result;
 }
@@ -915,85 +823,12 @@ StatusOr<std::shared_ptr<PendingQuery>> Database::SubmitPlanned(
     return Status::InvalidArgument(
         "SubmitPlanned requires staged execution mode");
   }
-  if (plan->IsTemplate()) {
-    return Status::InvalidArgument(
-        "statement contains '?' parameters; use Prepare/ExecutePrepared");
-  }
-  // kTableLock: acquired before submission, held across the asynchronous
-  // execution, released by the finalize epilogue (Await or the destructor).
-  int64_t lock_txn = 0;
-  if (options_.concurrency == ConcurrencyMode::kTableLock) {
-    auto lock_or = AcquireStatementLocks(plan);
-    if (!lock_or.ok()) return lock_or.status();
-    lock_txn = *lock_or;
-  }
-
   auto pending = std::make_shared<PendingQuery>();
+  STAGEDB_RETURN_IF_ERROR(BeginStatement(plan, &pending->ctx_, &pending->txn_));
+  // From here the statement is open until Await or ~PendingQuery finishes it.
+  pending->db_ = this;
   pending->schema_ = plan->schema;
   pending->plan_text_ = plan->ToString();
-  pending->ctx_.catalog = catalog_.get();
-  {
-    MutexLock lock(txn_mu_);
-    pending->ctx_.mutation_log = active_txn_.get();
-    if (snapshot_mode()) {
-      if (active_mvcc_txn_ != nullptr) {
-        pending->ctx_.mvcc = active_mvcc_txn_.get();
-      } else {
-        pending->mvcc_txn_ = std::make_unique<storage::MvccTxn>();
-        if (IsDmlPlan(plan)) {
-          pending->mvcc_txn_->id = txn_mgr_->AllocateTxnId();
-        }
-        pending->mvcc_txn_->snapshot = txn_mgr_->BeginSnapshot();
-        pending->mvcc_txn_->registered = true;
-        pending->ctx_.mvcc = pending->mvcc_txn_.get();
-      }
-    }
-    int64_t wal_txn = 0;
-    bool wal_auto = false;
-    if (durable() && IsDmlPlan(plan)) {
-      const bool in_txn = active_txn_ != nullptr || active_mvcc_txn_ != nullptr;
-      if (in_txn && active_wal_txn_ != 0) {
-        wal_txn = active_wal_txn_;
-      } else {
-        auto txn_or = BeginWalTxn();
-        if (!txn_or.ok()) {
-          if (pending->mvcc_txn_ != nullptr && pending->mvcc_txn_->registered) {
-            txn_mgr_->ReleaseSnapshot(pending->mvcc_txn_->snapshot);
-            pending->mvcc_txn_->registered = false;
-          }
-          if (lock_txn != 0) txn_mgr_->lock_manager()->ReleaseAll(lock_txn);
-          return txn_or.status();
-        }
-        wal_txn = *txn_or;
-        wal_auto = true;
-      }
-      auto sink = std::make_unique<DatabaseWalSink>(this, wal_txn);
-      pending->ctx_.wal = sink.get();
-      pending->wal_sink_ = std::move(sink);
-    }
-    // One epilogue finishes the statement: MVCC commit/abort, durable wal
-    // commit (or abort), lock release — in that order, so visibility is
-    // published before the durability wait and locks cover the whole
-    // statement. Runs exactly once, from Await or ~PendingQuery.
-    storage::MvccTxn* stmt_mvcc = pending->mvcc_txn_.get();
-    if (stmt_mvcc != nullptr || wal_auto || lock_txn != 0) {
-      pending->wal_finalize_ = [this, stmt_mvcc, wal_txn, wal_auto,
-                                lock_txn](bool ok) -> Status {
-        Status st;
-        int64_t cts = 0;
-        if (stmt_mvcc != nullptr) st = FinishMvccTxn(stmt_mvcc, ok, &cts);
-        if (wal_auto) {
-          if (!ok || !st.ok()) {
-            AbortWalTxn(wal_txn);
-          } else {
-            st = CommitWalTxn(wal_txn, cts);
-          }
-        }
-        if (lock_txn != 0) txn_mgr_->lock_manager()->ReleaseAll(lock_txn);
-        return st;
-      };
-    }
-  }
   stats_.GetCounter("stage.execute.packets")->Add(1);
   pending->query_ = staged_->engine.Submit(plan, &pending->ctx_);
   return pending;

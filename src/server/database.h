@@ -31,6 +31,8 @@ class VacuumStage;
 
 namespace stagedb::server {
 
+class Database;
+
 /// How SELECT plans are executed.
 enum class ExecutionMode {
   kVolcano,  ///< single-worker iterator model (the traditional baseline)
@@ -38,23 +40,25 @@ enum class ExecutionMode {
 };
 
 /// Statement-level concurrency control across concurrent Execute callers.
+/// Storage is always multi-versioned: every statement runs as (or inside) an
+/// MVCC transaction that reads a registered commit-ordered snapshot, installs
+/// new row versions instead of mutating in place, and is undone from its
+/// write set if it fails. A background vacuum stage reclaims versions older
+/// than the oldest live snapshot. The numeric values are fixed: gtest prints
+/// a value parameter's bytes in each case's ctest listing
+/// (`# GetParam() = 8-byte object <...>`), so renumbering would rename the
+/// MvccSqlTest cases in tests/mvcc_test.cc.
 enum class ConcurrencyMode {
-  /// The seed behaviour: no table locks, no version headers. Concurrent
-  /// statements rely on page latches only (readers may observe a concurrent
-  /// statement's partial effects).
-  kNone,
-  /// Shared/exclusive table locks per statement: scans lock their tables
-  /// shared, DML locks its target exclusive, for the statement's duration.
-  /// The measurable blocking baseline — an analytics scan stalls every
-  /// update on its table and vice versa.
-  kTableLock,
-  /// Multi-version snapshot isolation: every statement reads a registered
-  /// commit-ordered snapshot, updates install new row versions instead of
-  /// mutating in place, and a background vacuum stage reclaims versions
-  /// older than the oldest live snapshot. Readers never block writers and
-  /// never take table locks; write-write conflicts abort the second writer
+  /// Snapshot isolation plus shared/exclusive table locks per statement:
+  /// scans lock their tables shared, DML locks its target exclusive, for the
+  /// statement's duration. Kept only as the blocking baseline of
+  /// bench/ablation_snapshot_reads — an analytics scan stalls every update
+  /// on its table and vice versa.
+  kTableLock = 1,
+  /// Snapshot isolation. Readers never block writers and never take table
+  /// locks; write-write conflicts abort the second writer
   /// (first-updater-wins).
-  kSnapshot,
+  kSnapshot = 2,
 };
 
 struct DatabaseOptions {
@@ -107,18 +111,16 @@ struct DatabaseOptions {
   bool group_commit = true;
   int group_commit_max_batch = 64;
   int64_t group_commit_max_wait_us = 200;
-  /// Statement-level concurrency control. kNone keeps the seed semantics;
-  /// kTableLock and kSnapshot are the lock-based baseline and the MVCC
-  /// design compared by bench/ablation_snapshot_reads.
-  ConcurrencyMode concurrency = ConcurrencyMode::kNone;
+  /// Statement-level concurrency control (see ConcurrencyMode).
+  ConcurrencyMode concurrency = ConcurrencyMode::kSnapshot;
   /// kTableLock: how long a statement waits for a table lock before its
   /// acquisition times out (the deadlock-resolution policy).
   int64_t lock_timeout_micros = 200000;
-  /// kSnapshot: wake the vacuum stage once this many delete marks have
-  /// committed since the last pass (0 = wake after every committing delete).
+  /// Wake the vacuum stage once this many delete marks have committed since
+  /// the last pass (0 = wake after every committing delete).
   int64_t vacuum_dead_threshold = 64;
-  /// kSnapshot: batching window of the vacuum stage — a wake waits this long
-  /// so a burst of committing deletes coalesces into one pass.
+  /// Batching window of the vacuum stage — a wake waits this long so a burst
+  /// of committing deletes coalesces into one pass.
   int64_t vacuum_window_us = 1000;
 };
 
@@ -131,14 +133,30 @@ struct QueryResult {
   std::string ToString() const;
 };
 
+/// The transaction state one statement (or one explicit transaction) holds
+/// between Database::BeginStatement and Database::FinishStatement.
+struct OpenTxn {
+  /// The MVCC transaction this handle commits or aborts: the statement's own
+  /// (null for a statement inside an explicit BEGIN, which shares the
+  /// session's), or the explicit transaction at COMMIT/ROLLBACK.
+  std::unique_ptr<storage::MvccTxn> mvcc;
+  /// Wal transaction this handle commits or aborts (0 = none: no DML, no
+  /// WAL, or the statement logs under the explicit transaction's id).
+  int64_t wal_txn = 0;
+  /// Routes the executors' row records to the WAL (durable DML only).
+  std::unique_ptr<exec::WalSink> wal_sink;
+  /// kTableLock lock owner (0 = no locks held).
+  int64_t lock_txn = 0;
+};
+
 /// Handle on a query submitted asynchronously to the staged engine (see
 /// Database::SubmitPlanned). Owns the execution context for the query's
 /// lifetime; Await consumes the result and must be called at most once.
 class PendingQuery {
  public:
-  /// If the query was never awaited, finishes it and runs the finalize
-  /// epilogue with ok=false — an abandoned statement must not commit, leak
-  /// its wal transaction, or pin the vacuum horizon with its snapshot.
+  /// If the query was never awaited, waits for it and finishes it as failed:
+  /// an abandoned statement must not commit, leak its wal transaction, or
+  /// pin the vacuum horizon with its snapshot.
   ~PendingQuery();
 
   /// Blocks until the query completes and returns its result.
@@ -156,18 +174,11 @@ class PendingQuery {
   std::string plan_text_;
   exec::ExecContext ctx_;
   std::shared_ptr<engine::StagedQuery> query_;
-  /// Statement-finalize epilogue (set for DML on a WAL-backed database, and
-  /// for every statement under kTableLock/kSnapshot): runs exactly once in
-  /// Await (or the destructor) with whether execution succeeded, and
-  /// completes the commit — MVCC publish, group-commit ticket wait, lock
-  /// release — or aborts. Owns nothing beyond the capture; wal_sink_ keeps
-  /// the context's sink alive until then.
-  std::function<Status(bool)> wal_finalize_;
-  std::unique_ptr<exec::WalSink> wal_sink_;
-  /// Statement-scoped MVCC transaction (kSnapshot mode, no explicit BEGIN):
-  /// the context points at it for the query's lifetime; wal_finalize_
-  /// commits or aborts it.
-  std::unique_ptr<storage::MvccTxn> mvcc_txn_;
+  /// The statement's transaction state; the context points into it.
+  OpenTxn txn_;
+  /// Set once the statement began; cleared when Await (or the destructor)
+  /// runs Database::FinishStatement, so that runs exactly once.
+  Database* db_ = nullptr;
   /// Set by SubmitPrepared: the engine executes against the plan's nodes, so
   /// an instantiated-on-the-fly plan must live as long as the query.
   std::unique_ptr<optimizer::PhysicalPlan> owned_plan_;
@@ -299,18 +310,19 @@ class Database {
   /// Fault-injection passthrough to the WAL's log device (crash tests).
   void set_wal_fault_injector(storage::WriteFaultInjector* injector);
 
-  /// kSnapshot only: runs one synchronous vacuum pass on the caller's thread
-  /// and returns the number of versions physically reclaimed (tests and
-  /// benchmarks; production reclamation rides the vacuum stage).
+  /// Runs one synchronous vacuum pass on the caller's thread and returns the
+  /// number of versions physically reclaimed (tests and benchmarks;
+  /// production reclamation rides the vacuum stage).
   StatusOr<int64_t> VacuumNow();
-  /// The background vacuum stage (nullptr outside kSnapshot mode).
+  /// The background vacuum stage.
   engine::VacuumStage* vacuum_stage() { return vacuum_.get(); }
-  /// The transaction manager (timestamp authority in kSnapshot mode).
+  /// The transaction manager (the catalog's timestamp authority).
   storage::TransactionManager* txn_manager() { return txn_mgr_.get(); }
 
  private:
   friend class DatabaseWalSink;
   friend class CatalogRecoveryApplier;
+  friend class PendingQuery;
   explicit Database(DatabaseOptions options);
 
   /// Appends BEGIN for a fresh wal transaction and returns its id.
@@ -326,17 +338,17 @@ class Database {
   /// Appends + syncs a DDL record (auto-committed at append time).
   Status AppendDdl(storage::WalRecord record);
 
-  bool snapshot_mode() const {
-    return options_.concurrency == ConcurrencyMode::kSnapshot;
-  }
-  /// Finishes an MVCC transaction: on ok, allocates a commit timestamp and
-  /// publishes the write set (returned through `cts`; 0 when the txn wrote
-  /// nothing); on failure, undoes the write set. Always releases the
-  /// registered snapshot.
-  Status FinishMvccTxn(storage::MvccTxn* txn, bool ok, int64_t* cts);
-  /// Wakes the vacuum stage when the committed-delete counter crosses the
-  /// configured threshold.
-  void MaybeWakeVacuum();
+  /// Opens `plan`'s statement: kTableLock locks, then the MVCC transaction
+  /// (the explicit one when a BEGIN is open, else a fresh registered
+  /// snapshot), then — for durable DML — a wal transaction and sink. Points
+  /// `ctx` at the state it records in `txn`. On error nothing stays held.
+  Status BeginStatement(const optimizer::PhysicalPlan* plan,
+                        exec::ExecContext* ctx, OpenTxn* txn);
+  /// Closes what `txn` holds, in order: MVCC commit (or undo of the write
+  /// set when !ok) and snapshot release, durable wal commit (or abort), lock
+  /// release — so visibility is published before the durability wait and
+  /// locks cover the whole statement. Returns the first commit error.
+  Status FinishStatement(OpenTxn* txn, bool ok);
   /// kTableLock: walks the plan, takes shared locks on scanned tables and
   /// exclusive locks on DML targets under a fresh lock-owner id, and returns
   /// that id (0 = the plan touches no tables). The caller releases via
@@ -353,11 +365,9 @@ class Database {
   StatsRegistry stats_;
   storage::RecoveryStats recovery_stats_;
 
-  // Explicit SQL transaction state (single implicit session). kNone and
-  // kTableLock record undo in a MutationLog; kSnapshot carries an MvccTxn
-  // instead (its write set is the undo log).
+  // Explicit SQL transaction state (single implicit session): the MvccTxn
+  // every statement inside the BEGIN shares (its write set is the undo log).
   Mutex txn_mu_;
-  std::unique_ptr<exec::MutationLog> active_txn_ GUARDED_BY(txn_mu_);
   std::unique_ptr<storage::MvccTxn> active_mvcc_txn_ GUARDED_BY(txn_mu_);
   // wal txn id of the open BEGIN (0 = none).
   int64_t active_wal_txn_ GUARDED_BY(txn_mu_) = 0;
@@ -365,19 +375,19 @@ class Database {
   // Staged engine instance (created lazily in staged mode).
   std::unique_ptr<class StagedEngineHandle> staged_;
 
-  // Volcano-mode commit path: a private free-run runtime hosting just the
-  // commit stage (in staged mode the stage rides the engine's runtime).
-  // Declaration order matters: own_group_commit_ is destroyed before
-  // commit_runtime_, while the runtime's workers are still alive to serve
-  // the drain.
+  // Volcano mode: a private free-run runtime hosting the vacuum stage and
+  // (with group commit) the commit stage; in staged mode both ride the
+  // engine's runtime. Declaration order matters: own_group_commit_ is
+  // destroyed before commit_runtime_, while the runtime's workers are still
+  // alive to serve the drain.
   std::unique_ptr<engine::StageRuntime> commit_runtime_;
   std::unique_ptr<engine::GroupCommitStage> own_group_commit_;
   engine::GroupCommitStage* group_commit_ = nullptr;  // whichever exists
 
-  // kSnapshot: the vacuum stage rides the staged engine's runtime (staged
-  // mode) or commit_runtime_ (volcano mode; created even without group
-  // commit). Declared last so it drains — while the host runtime's workers
-  // are still alive — before either runtime is destroyed.
+  // The vacuum stage rides the staged engine's runtime (staged mode) or
+  // commit_runtime_ (volcano mode). Declared last so it drains — while the
+  // host runtime's workers are still alive — before either runtime is
+  // destroyed.
   std::unique_ptr<engine::VacuumStage> vacuum_;
 };
 

@@ -2,8 +2,7 @@
 // visibility rules, and the bookkeeping a transaction carries between the
 // executor and TransactionManager.
 //
-// When a Database runs with ConcurrencyMode::kSnapshot, every heap record is
-// prefixed with a fixed 24-byte version header:
+// Every heap record is prefixed with a fixed 24-byte version header:
 //
 //   [ begin_ts : int64 | end_ts : int64 | prev_page : int32 |
 //     prev_slot : uint16 | pad : uint16 ]
@@ -23,6 +22,7 @@
 #ifndef STAGEDB_STORAGE_MVCC_H_
 #define STAGEDB_STORAGE_MVCC_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -44,7 +44,7 @@ using Ts = int64_t;
 /// end_ts of a live (not yet superseded) version.
 inline constexpr Ts kMaxTs = INT64_MAX;
 
-/// Size of the version header prepended to every heap record in MVCC mode.
+/// Size of the version header prepended to every heap record.
 inline constexpr size_t kVersionHeaderSize =
     sizeof(int64_t) * 2 + sizeof(int32_t) + sizeof(uint16_t) * 2;
 
@@ -73,8 +73,9 @@ inline std::string EncodeVersionHeader(const VersionHeader& h) {
 }
 
 /// Decodes the header from the front of a record. The caller guarantees
-/// `record.size() >= kVersionHeaderSize` (every MVCC insert prepends one).
+/// `record.size() >= kVersionHeaderSize` (every catalog insert prepends one).
 inline VersionHeader DecodeVersionHeader(std::string_view record) {
+  assert(record.size() >= kVersionHeaderSize);
   VersionHeader h;
   std::memcpy(&h.begin, record.data(), sizeof(h.begin));
   std::memcpy(&h.end, record.data() + 8, sizeof(h.end));

@@ -148,7 +148,7 @@ class TransactionManager {
 
   // --- MVCC (snapshot isolation) -----------------------------------------
   //
-  // The manager is the timestamp authority for ConcurrencyMode::kSnapshot:
+  // The manager is the catalog's timestamp authority:
   // AllocateCommitTs hands out commit timestamps in commit order and marks
   // them pending; FinalizeCommit publishes them strictly oldest-first, so
   // last_committed() (the value snapshots are built from) never exposes a

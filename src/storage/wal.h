@@ -48,7 +48,7 @@ struct WalRecord {
   Rid rid;
   std::string before;
   std::string after;
-  /// MVCC commit timestamp (kCommit records under snapshot mode); recovery
+  /// MVCC commit timestamp (kCommit records of writing transactions); recovery
   /// restores the timestamp high-water mark from the max over these. 0 for
   /// pre-MVCC logs and non-commit records (the field is a trailing optional
   /// in the frame encoding, so old logs decode cleanly).

@@ -1,6 +1,11 @@
 // Tests for types, values, schemas, tuples, stats, symbol table, catalog.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "catalog/symbol_table.h"
@@ -165,6 +170,40 @@ TEST(TableStatsTest, NullsCounted) {
   EXPECT_EQ(stats.row_count(), 2);
 }
 
+// DML records inserts and deletes while the planner reads the count and the
+// selectivities (the TSan leg runs this): the stats must stay race-free and
+// the count exact.
+TEST(TableStatsTest, ConcurrentWritersAndPlannerReads) {
+  TableStats stats(2);
+  constexpr int kWriters = 2;
+  constexpr int kRowsPerWriter = 2000;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_GE(stats.row_count(), 0);
+      EXPECT_GT(stats.EqSelectivity(0), 0.0);
+      EXPECT_GE(stats.RangeSelectivity(0, Value::Int(0), Value::Int(99)), 0.0);
+      EXPECT_GE(stats.column(1).num_distinct, 0);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&stats, w] {
+      for (int i = 0; i < kRowsPerWriter; ++i) {
+        stats.RecordInsert({Value::Int(w * kRowsPerWriter + i),
+                            Value::Varchar("v" + std::to_string(i % 7))});
+        if (i % 2 == 1) stats.RecordDelete();
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(stats.row_count(), kWriters * kRowsPerWriter / 2);
+  EXPECT_EQ(stats.column(0).num_distinct, kWriters * kRowsPerWriter);
+  EXPECT_EQ(stats.column(1).num_distinct, 7);
+}
+
 // ----------------------------------------------------------- SymbolTable ---
 
 TEST(SymbolTableTest, InternIsStable) {
@@ -258,6 +297,22 @@ TEST_F(CatalogTest, IndexBackfillAndMaintenance) {
   // FindIndexOn resolves it.
   EXPECT_EQ(catalog_->FindIndexOn((*t)->id, 0), *idx);
   EXPECT_EQ(catalog_->FindIndexOn((*t)->id, 1), nullptr);
+}
+
+// Two live rows sharing a key cannot back a unique index: the backfill
+// fails and leaves no index behind.
+TEST_F(CatalogTest, IndexBackfillRejectsDuplicateLiveKeys) {
+  auto t = catalog_->CreateTable("users", TestSchema());
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(
+      catalog_->InsertTuple(*t, {Value::Int(1), Value::Varchar("a")}).ok());
+  ASSERT_TRUE(
+      catalog_->InsertTuple(*t, {Value::Int(1), Value::Varchar("b")}).ok());
+  EXPECT_EQ(catalog_->CreateIndex("users_id", "users", "id").status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_TRUE(catalog_->GetIndex("users_id").status().IsNotFound());
+  EXPECT_EQ(catalog_->FindIndexOn((*t)->id, 0), nullptr);
+  EXPECT_TRUE((*t)->indexes.empty());
 }
 
 TEST_F(CatalogTest, IndexRequiresIntegerColumn) {

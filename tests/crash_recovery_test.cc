@@ -54,16 +54,5 @@ TEST(CrashRecoveryTest, TornWriteTailNeverLosesAckedCommits) {
   EXPECT_EQ(tools::RunCrashHarness(options), 0);
 }
 
-// Snapshot (MVCC) mode: same ack contract, plus recovery must restore the
-// commit-timestamp high-water mark so post-restart snapshots cover every
-// acked commit (checked inside the harness).
-TEST(CrashRecoveryTest, SnapshotModeSurvivesKillAndRestoresHighWater) {
-  if (RunningUnderTsan()) GTEST_SKIP() << "fork unsupported under TSan";
-  auto options = BaseOptions("snap");
-  options.mode = tools::CrashHarnessOptions::Mode::kMix;
-  options.snapshot = true;
-  EXPECT_EQ(tools::RunCrashHarness(options), 0);
-}
-
 }  // namespace
 }  // namespace stagedb

@@ -57,7 +57,7 @@ class MvccCatalogTest : public ::testing::Test {
     catalog_ = std::make_unique<Catalog>(pool_.get());
     wal_ = std::make_unique<storage::WriteAheadLog>();
     txn_mgr_ = std::make_unique<storage::TransactionManager>(wal_.get());
-    catalog_->EnableMvcc(txn_mgr_.get());
+    catalog_->SetTimestampAuthority(txn_mgr_.get());
     auto table = catalog_->CreateTable(
         "t", Schema({{"id", TypeId::kInt64, ""}, {"v", TypeId::kInt64, ""}}));
     ASSERT_TRUE(table.ok());
@@ -298,6 +298,33 @@ TEST_F(MvccCatalogTest, VacuumRemovesIndexHeadOfDeadChain) {
   EXPECT_TRUE(head.status().IsNotFound());
 }
 
+// An update in flight when the index is built leaves two heads with one key:
+// the old version carries the updater's delete mark, the new one is live.
+// The live one owns the key, so the index reaches the row either way the
+// updater ends.
+TEST_F(MvccCatalogTest, IndexBackfillKeysLiveVersionOverInFlightDelete) {
+  MvccTxn setup = BeginTxn();
+  auto old_rid = Insert(&setup, 5, 50);
+  ASSERT_TRUE(old_rid.ok());
+  ASSERT_TRUE(Finish(&setup, true).ok());
+
+  MvccTxn updater = BeginTxn();
+  ASSERT_TRUE(catalog_->DeleteTuple(table_, *old_rid, &updater).ok());
+  auto new_rid = Insert(&updater, 5, 51);
+  ASSERT_TRUE(new_rid.ok());
+  auto index = catalog_->CreateIndex("t_id", "t", "id");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto head = (*index)->tree->Get(5);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(*head, *new_rid);
+  ASSERT_TRUE(Finish(&updater, true).ok());
+
+  // A second live row with the same key is a genuine duplicate.
+  MvccTxn dup = BeginTxn();
+  EXPECT_EQ(Insert(&dup, 5, 52).status().code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(Finish(&dup, false).ok());
+}
+
 TEST_F(MvccCatalogTest, IndexedUpdateOnStaleSnapshotAbortsThenRetryWins) {
   ASSERT_TRUE(catalog_->CreateIndex("t_id", "t", "id").ok());
   MvccTxn setup = BeginTxn();
@@ -462,6 +489,67 @@ TEST_P(MvccSqlTest, ExplicitTransactionCommitAndRollback) {
   QueryResult r = Exec("SELECT a FROM t");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].int_value(), 3);
+}
+
+// A statement that fails midway leaves no trace, with default options too:
+// the key-shifting UPDATE rewrites row 1 to id 2, then collides with row 2's
+// live key, and must be undone as a whole — in the heap, the unique index,
+// and the log replayed on reopen.
+TEST_P(MvccSqlTest, FailedStatementLeavesNoTrace) {
+  EXPECT_EQ(DatabaseOptions{}.concurrency, ConcurrencyMode::kSnapshot);
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  DatabaseOptions options;
+  options.wal_path = ::testing::TempDir() + "/mvcc_" + name + ".wal";
+  std::remove(options.wal_path.c_str());
+  Open(options);
+  Exec("CREATE TABLE t (id INTEGER, v INTEGER)");
+  Exec("CREATE INDEX t_id ON t (id)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
+  auto failed = db_->Execute("UPDATE t SET id = id + 1");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kAlreadyExists)
+      << failed.status().ToString();
+
+  const auto expect_untouched = [this](const char* when) {
+    SCOPED_TRACE(when);
+    QueryResult ids = Exec("SELECT id FROM t ORDER BY id");
+    ASSERT_EQ(ids.rows.size(), 3u);
+    for (int64_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(ids.rows[i][0].int_value(), i + 1);
+    }
+    QueryResult point = Exec("SELECT v FROM t WHERE id = 2");
+    ASSERT_EQ(point.rows.size(), 1u);
+    EXPECT_EQ(point.rows[0][0].int_value(), 20);
+  };
+  expect_untouched("after the failed statement");
+  db_.reset();
+  Open(options);
+  expect_untouched("after reopening from the WAL");
+  db_.reset();
+  std::remove(options.wal_path.c_str());
+}
+
+// A unique index cannot be built over duplicate live keys. The failed
+// CREATE INDEX leaves no index: the duplicates stay reachable by a point
+// query and a third copy of the key still inserts.
+TEST_P(MvccSqlTest, CreateIndexOverDuplicateLiveKeysFails) {
+  Open();
+  Exec("CREATE TABLE t (id INTEGER)");
+  Exec("INSERT INTO t VALUES (1), (1)");
+  auto created = db_->Execute("CREATE INDEX t_id ON t (id)");
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kAlreadyExists)
+      << created.status().ToString();
+  EXPECT_TRUE(db_->catalog()->GetIndex("t_id").status().IsNotFound());
+  EXPECT_EQ(Exec("SELECT id FROM t WHERE id = 1").rows.size(), 2u);
+  Exec("INSERT INTO t VALUES (1)");
+  EXPECT_EQ(Exec("SELECT id FROM t WHERE id = 1").rows.size(), 3u);
+  EXPECT_EQ(Exec("DELETE FROM t WHERE id = 1").rows[0][0].int_value(), 3);
+  EXPECT_EQ(Exec("SELECT id FROM t").rows.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

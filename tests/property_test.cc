@@ -440,17 +440,16 @@ TEST(SqlRandomProperty, JoinCardinalityMatchesModel) {
 // ------------------------------------- randomized DML differential sweep ---
 //
 // Random DML scripts (inserts/updates/deletes, some inside explicit
-// transactions that commit or roll back) run against five databases:
-// volcano, staged, staged backed by a WAL file, staged under MVCC snapshot
-// isolation, and snapshot + WAL. The WAL-backed ones are then closed and
-// reopened so their state is rebuilt purely from log replay (the snapshot
-// one additionally restores the commit-timestamp high-water mark). All
-// final states must agree. The script is fully determined by its seed,
-// which is printed on failure for replay.
+// transactions that commit or roll back) run against three databases:
+// volcano, staged with vacuum racing the script, and the same staged setup
+// backed by a WAL file. The WAL-backed one is then closed and reopened so its
+// state is rebuilt purely from log replay, commit-timestamp high-water mark
+// included. All final states must agree. The script is fully determined by
+// its seed, which is printed on failure for replay.
 //
 // Two script families: an unindexed table filtered on a non-key column, and
 // a table with a unique index on `id`, whose UPDATE/DELETE statements find
-// their targets through the B+-tree. The indexed family runs a sixth
+// their targets through the B+-tree. The indexed family runs a fourth
 // database with index scans disabled as the heap-scan oracle.
 
 /// Runs one script statement, recording a test failure (and clearing *ok)
@@ -621,35 +620,23 @@ void ExpectScriptsAgree(DmlScript script, uint64_t base_seed, int scripts,
                         bool heap_scan_oracle) {
   const std::string wal_path = testing::TempDir() + "/stagedb_prop_wal_" +
                                std::to_string(::getpid());
-  const std::string snap_wal_path = wal_path + "_snap";
   for (int i = 0; i < scripts; ++i) {
     const uint64_t seed = base_seed + static_cast<uint64_t>(i);
     SCOPED_TRACE("seed=" + std::to_string(seed));
     std::remove(wal_path.c_str());
-    std::remove(snap_wal_path.c_str());
 
     server::DatabaseOptions volcano_opts;
     auto volcano = server::Database::Open(volcano_opts);
     ASSERT_TRUE(volcano.ok());
     server::DatabaseOptions staged_opts;
     staged_opts.mode = server::ExecutionMode::kStaged;
+    staged_opts.vacuum_dead_threshold = 1;  // vacuum races the script
     auto staged = server::Database::Open(staged_opts);
     ASSERT_TRUE(staged.ok());
-    server::DatabaseOptions durable_opts;
-    durable_opts.mode = server::ExecutionMode::kStaged;
+    server::DatabaseOptions durable_opts = staged_opts;
     durable_opts.wal_path = wal_path;
     auto durable = server::Database::Open(durable_opts);
     ASSERT_TRUE(durable.ok());
-    server::DatabaseOptions snapshot_opts;
-    snapshot_opts.mode = server::ExecutionMode::kStaged;
-    snapshot_opts.concurrency = server::ConcurrencyMode::kSnapshot;
-    snapshot_opts.vacuum_dead_threshold = 1;  // vacuum races the script
-    auto snapshot = server::Database::Open(snapshot_opts);
-    ASSERT_TRUE(snapshot.ok());
-    server::DatabaseOptions snap_durable_opts = snapshot_opts;
-    snap_durable_opts.wal_path = snap_wal_path;
-    auto snap_durable = server::Database::Open(snap_durable_opts);
-    ASSERT_TRUE(snap_durable.ok());
 
     bool ok = true;
     script(volcano->get(), seed, &ok);
@@ -658,15 +645,9 @@ void ExpectScriptsAgree(DmlScript script, uint64_t base_seed, int scripts,
     if (!ok) break;
     script(durable->get(), seed, &ok);
     if (!ok) break;
-    script(snapshot->get(), seed, &ok);
-    if (!ok) break;
-    script(snap_durable->get(), seed, &ok);
-    if (!ok) break;
     const auto v = FinalRows(volcano->get());
     EXPECT_EQ(v, FinalRows(staged->get()));
     EXPECT_EQ(v, FinalRows(durable->get()));
-    EXPECT_EQ(v, FinalRows(snapshot->get())) << "snapshot mode diverged";
-    EXPECT_EQ(v, FinalRows(snap_durable->get())) << "snapshot+wal diverged";
     if (heap_scan_oracle) {
       server::DatabaseOptions oracle_opts;
       oracle_opts.planner.enable_index_scan = false;
@@ -677,27 +658,20 @@ void ExpectScriptsAgree(DmlScript script, uint64_t base_seed, int scripts,
       EXPECT_EQ(v, FinalRows(oracle->get())) << "heap-scan oracle diverged";
     }
 
-    // Restart the WAL-backed databases: state must be rebuilt from the log.
+    // Restart the WAL-backed database: state must be rebuilt from the log,
+    // and the commit-timestamp high-water mark restored so post-replay DML
+    // still orders after the replayed history.
+    const storage::Ts high_water =
+        (*durable)->txn_manager()->last_committed();
     durable->reset();
     auto reopened = server::Database::Open(durable_opts);
     ASSERT_TRUE(reopened.ok());
     EXPECT_EQ(v, FinalRows(reopened->get())) << "recovery diverged";
-
-    // The snapshot-mode recovery additionally restores the commit-timestamp
-    // high-water mark: post-replay DML must still be visible/orderable.
-    const storage::Ts high_water =
-        (*snap_durable)->txn_manager()->last_committed();
-    snap_durable->reset();
-    auto snap_reopened = server::Database::Open(snap_durable_opts);
-    ASSERT_TRUE(snap_reopened.ok());
-    EXPECT_EQ(v, FinalRows(snap_reopened->get())) << "snapshot recovery "
-                                                     "diverged";
-    EXPECT_GE((*snap_reopened)->txn_manager()->last_committed(), high_water)
+    EXPECT_GE((*reopened)->txn_manager()->last_committed(), high_water)
         << "timestamp high-water not restored";
     if (::testing::Test::HasFailure()) break;
   }
   std::remove(wal_path.c_str());
-  std::remove(snap_wal_path.c_str());
 }
 
 TEST(DmlDifferentialProperty, EnginesAndRecoveryAgreeOnRandomScripts) {

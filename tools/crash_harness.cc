@@ -184,9 +184,6 @@ IterationConfig MakeConfig(Rng* rng, const CrashHarnessOptions& options,
   db_opts.group_commit = cfg.group_commit;
   db_opts.group_commit_max_batch = cfg.max_batch;
   db_opts.group_commit_max_wait_us = cfg.max_wait_us;
-  if (options.snapshot) {
-    db_opts.concurrency = server::ConcurrencyMode::kSnapshot;
-  }
   auto db_or = server::Database::Open(db_opts);
   if (!db_or.ok()) _exit(3);
   auto db = std::move(*db_or);
@@ -398,7 +395,6 @@ bool RunIteration(const CrashHarnessOptions& options, int iteration,
 
   server::DatabaseOptions ro;
   ro.wal_path = wal_path;
-  if (options.snapshot) ro.concurrency = server::ConcurrencyMode::kSnapshot;
   auto db = server::Database::Open(ro);
   if (!db.ok()) {
     std::fprintf(stderr,
@@ -409,24 +405,22 @@ bool RunIteration(const CrashHarnessOptions& options, int iteration,
   }
 
   bool ok = true;
-  if (options.snapshot) {
-    // Every acked insert committed with its own commit timestamp, so the
-    // recovered high-water mark must cover at least that many commits;
-    // otherwise a snapshot taken now could miss acked rows.
-    int64_t acked_inserts = 0;
-    for (const auto& [t, ops] : journal.per_thread) {
-      for (const auto& op : ops) acked_inserts += op.acked && op.op == 'I';
-    }
-    const int64_t high_water = (*db)->txn_manager()->last_committed();
-    if (high_water < acked_inserts) {
-      std::fprintf(stderr,
-                   "[crash_harness] iter %d (seed %llu): recovered commit "
-                   "high-water %lld below acked insert count %lld\n",
-                   iteration, static_cast<unsigned long long>(iter_seed),
-                   static_cast<long long>(high_water),
-                   static_cast<long long>(acked_inserts));
-      ok = false;
-    }
+  // Every acked insert committed with its own commit timestamp, so the
+  // recovered high-water mark must cover at least that many commits;
+  // otherwise a snapshot taken now could miss acked rows.
+  int64_t acked_inserts = 0;
+  for (const auto& [t, ops] : journal.per_thread) {
+    for (const auto& op : ops) acked_inserts += op.acked && op.op == 'I';
+  }
+  const int64_t high_water = (*db)->txn_manager()->last_committed();
+  if (high_water < acked_inserts) {
+    std::fprintf(stderr,
+                 "[crash_harness] iter %d (seed %llu): recovered commit "
+                 "high-water %lld below acked insert count %lld\n",
+                 iteration, static_cast<unsigned long long>(iter_seed),
+                 static_cast<long long>(high_water),
+                 static_cast<long long>(acked_inserts));
+    ok = false;
   }
   for (int t = 0; t < options.threads; ++t) {
     auto it = journal.per_thread.find(t);
@@ -450,11 +444,11 @@ bool RunIteration(const CrashHarnessOptions& options, int iteration,
     std::fprintf(
         stderr,
         "[crash_harness] iter %d seed=%llu mode=%s engine=%s "
-        "group_commit=%d snapshot=%d child=%s ops=%lld acked=%lld tail=%lld "
+        "group_commit=%d child=%s ops=%lld acked=%lld tail=%lld "
         "-> %s\n",
         iteration, static_cast<unsigned long long>(iter_seed),
         cfg.fault_mode ? "fault" : "clean", cfg.staged ? "staged" : "volcano",
-        cfg.group_commit ? 1 : 0, options.snapshot ? 1 : 0,
+        cfg.group_commit ? 1 : 0,
         finished ? "finished" : "killed",
         static_cast<long long>(total), static_cast<long long>(acked),
         static_cast<long long>((*db)->wal()->truncated_tail_bytes()),
@@ -500,7 +494,7 @@ bool ParseCrashHarnessArgs(int argc, char** argv,
     std::fprintf(stderr,
                  "usage: %s [--iterations N] [--seed N] [--dir PATH] "
                  "[--mode clean|fault|mix] [--threads N] [--ops N] "
-                 "[--snapshot] [--verbose]\n",
+                 "[--verbose]\n",
                  argv[0]);
     return false;
   };
@@ -511,7 +505,7 @@ bool ParseCrashHarnessArgs(int argc, char** argv,
     if (eq != std::string::npos) {
       value = arg.substr(eq + 1);
       arg = arg.substr(0, eq);
-    } else if (arg != "--verbose" && arg != "--snapshot" && i + 1 < argc) {
+    } else if (arg != "--verbose" && i + 1 < argc) {
       value = argv[++i];
     }
     if (arg == "--iterations") {
@@ -534,8 +528,6 @@ bool ParseCrashHarnessArgs(int argc, char** argv,
       options->threads = std::atoi(value.c_str());
     } else if (arg == "--ops") {
       options->ops_per_thread = std::atoi(value.c_str());
-    } else if (arg == "--snapshot") {
-      options->snapshot = true;
     } else if (arg == "--verbose") {
       options->verbose = true;
     } else {

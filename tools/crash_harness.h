@@ -7,7 +7,9 @@
 // The invariant under test is the group-commit ack contract: an operation the
 // child observed as successful (journaled "A" after Execute returned OK) must
 // survive the crash; an operation in flight at the kill (journaled "B" with no
-// "A") may have committed or not, but nothing else may differ.
+// "A") may have committed or not, but nothing else may differ. Recovery must
+// also restore the commit-timestamp high-water mark, so snapshots taken after
+// the restart see everything the crashed process acked.
 #ifndef STAGEDB_TOOLS_CRASH_HARNESS_H_
 #define STAGEDB_TOOLS_CRASH_HARNESS_H_
 
@@ -32,11 +34,6 @@ struct CrashHarnessOptions {
   Mode mode = Mode::kMix;
   int threads = 3;
   int ops_per_thread = 400;
-  /// Run the child and the recovery database with ConcurrencyMode::kSnapshot
-  /// (MVCC). Adds a post-recovery check that the commit-timestamp high-water
-  /// mark covers every acked insert, so snapshots taken after a restart see
-  /// everything the crashed process acked.
-  bool snapshot = false;
   bool verbose = false;
 };
 
