@@ -6,20 +6,24 @@
 // so any reader with a consistent view must see the two rows equal. Writer
 // threads hammer their own pair ranges while analytics threads run
 // full-table scans, checking every pair and timing every scan. The sweep is
-// writer concurrency {1, 4, 8} x ConcurrencyMode {kTableLock, kSnapshot}:
-// under table locks the scan queues behind every writer's exclusive lock;
-// under snapshot isolation it reads a registered snapshot and never waits.
+// writer concurrency {1, 4, 8} x {lock, snap}. Both cells run the default
+// (snapshot-isolated) database. The lock cell is the blocking baseline: the
+// bench wraps every Execute in a table lock of its own (shared for a scan,
+// exclusive for an update), so the scan queues behind every writer. The snap
+// cell takes no bench lock; the scan reads a registered snapshot and never
+// waits.
 //
 // Correctness gates (CI fails on a nonzero value, see bench_compare.py):
 //   * scan_anomaly_count - torn pairs observed by any concurrent scan
 //     (unequal v within a pair, or a pair missing/duplicated rows). Zero in
-//     BOTH modes: locks serialize, snapshots isolate.
+//     BOTH cells: locks serialize, snapshots isolate.
 //   * post_vacuum_mismatches - after the writers drain and VacuumNow()
 //     reclaims dead versions, every pair must read back exactly
 //     ops_per_writer / pairs_per_writer; anything else means a lost or
 //     double-applied update.
-//   * execute_errors - statements that failed outright (lock timeouts are
-//     configured generously; MVCC writers never conflict across pairs).
+//   * execute_errors - statements that failed outright, including bench lock
+//     timeouts (configured generously; MVCC writers never conflict across
+//     pairs).
 //   * snapshot_latency_failures - 1 if at the highest writer tier the
 //     snapshot-mode scan p99 is not at least 2x better than the lock-mode
 //     p99 (the "analytics never block DML" claim, stated as p99_snapshot
@@ -39,12 +43,15 @@
 
 #include "bench_util.h"
 #include "server/database.h"
+#include "storage/txn.h"
 
 namespace stagedb {
 namespace {
 
 constexpr int kPairsPerWriter = 8;
 constexpr int kReaderThreads = 2;
+// The lock cell's one lock-table key: every statement touches only acct.
+constexpr int32_t kAcctLock = 0;
 
 struct CellResult {
   int64_t scans = 0;
@@ -65,10 +72,42 @@ double Percentile(std::vector<double>* v, double p) {
   return (*v)[std::min(idx, v->size() - 1)];
 }
 
+/// The lock cell's blocking baseline: each Execute holds the bench's table
+/// lock for its whole duration. storage::LockManager, not a shared_mutex:
+/// its writer preference keeps a stream of overlapping scans from starving
+/// the updates. Disabled (the snap cell), it runs the statement bare.
+class StatementLocks {
+ public:
+  explicit StatementLocks(bool enabled) {
+    // A 30 s timeout: the cell measures contention, not failure.
+    if (enabled) locks_ = std::make_unique<storage::LockManager>(30'000'000);
+  }
+
+  StatusOr<server::QueryResult> Execute(server::Database* db,
+                                        const std::string& sql,
+                                        bool exclusive) {
+    if (locks_ == nullptr) return db->Execute(sql);
+    const int64_t owner = next_owner_.fetch_add(1);
+    const Status acquired = exclusive
+                                ? locks_->AcquireExclusive(owner, kAcctLock)
+                                : locks_->AcquireShared(owner, kAcctLock);
+    if (!acquired.ok()) return acquired;
+    auto result = db->Execute(sql);
+    locks_->ReleaseAll(owner);
+    return result;
+  }
+
+ private:
+  std::unique_ptr<storage::LockManager> locks_;
+  std::atomic<int64_t> next_owner_{1};
+};
+
 /// One full-table scan; returns false on an execution error. Adds to
 /// `anomalies` for every pair that is torn (rows unequal or not exactly 2).
-bool ScanOnce(server::Database* db, int64_t* anomalies) {
-  auto result = db->Execute("SELECT pair_id, v FROM acct");
+bool ScanOnce(server::Database* db, StatementLocks* locks,
+              int64_t* anomalies) {
+  auto result = locks->Execute(db, "SELECT pair_id, v FROM acct",
+                               /*exclusive=*/false);
   if (!result.ok()) return false;
   // pair_id -> (row count, first v seen, torn?)
   std::map<int64_t, std::pair<int64_t, int64_t>> pairs;  // count, v
@@ -89,12 +128,9 @@ bool ScanOnce(server::Database* db, int64_t* anomalies) {
   return true;
 }
 
-CellResult RunCell(server::ConcurrencyMode mode, int writers,
-                   int ops_per_writer) {
+CellResult RunCell(bool lock, int writers, int ops_per_writer) {
   server::DatabaseOptions opts;
   opts.mode = server::ExecutionMode::kStaged;
-  opts.concurrency = mode;
-  opts.lock_timeout_micros = 30'000'000;  // contention, not failure
   opts.vacuum_dead_threshold = 64;
   auto db_or = server::Database::Open(opts);
   if (!db_or.ok()) {
@@ -105,6 +141,7 @@ CellResult RunCell(server::ConcurrencyMode mode, int writers,
   auto db = std::move(*db_or);
 
   CellResult cell;
+  StatementLocks locks(lock);
   const int pairs = writers * kPairsPerWriter;
   {
     auto r = db->Execute("CREATE TABLE acct (pair_id INTEGER, v INTEGER)");
@@ -133,8 +170,10 @@ CellResult RunCell(server::ConcurrencyMode mode, int writers,
       const int base = t * kPairsPerWriter;
       for (int i = 0; i < ops_per_writer; ++i) {
         const int p = base + i % kPairsPerWriter;
-        auto r = db->Execute("UPDATE acct SET v = v + 1 WHERE pair_id = " +
-                             std::to_string(p));
+        auto r = locks.Execute(
+            db.get(),
+            "UPDATE acct SET v = v + 1 WHERE pair_id = " + std::to_string(p),
+            /*exclusive=*/true);
         if (!r.ok()) errors.fetch_add(1);
       }
     });
@@ -144,7 +183,7 @@ CellResult RunCell(server::ConcurrencyMode mode, int writers,
       while (true) {
         const bool last = done.load(std::memory_order_acquire);
         const auto start = std::chrono::steady_clock::now();
-        if (!ScanOnce(db.get(), &reader_anomalies[t])) {
+        if (!ScanOnce(db.get(), &locks, &reader_anomalies[t])) {
           errors.fetch_add(1);
         } else {
           const auto end = std::chrono::steady_clock::now();
@@ -176,7 +215,7 @@ CellResult RunCell(server::ConcurrencyMode mode, int writers,
           .count();
   cell.errors = errors.load();
 
-  // Quiesced verification: reclaim every dead version (both modes run on
+  // Quiesced verification: reclaim every dead version (both cells run on
   // versioned storage), then require each pair to read back exactly the
   // number of updates its writer applied.
   auto reclaimed = db->VacuumNow();
@@ -221,10 +260,8 @@ int main(int argc, char** argv) {
   double lock_top_p99 = 0, snap_top_p99 = 0;
   const std::vector<int> tiers = {1, 4, 8};
   for (int writers : tiers) {
-    for (const auto mode : {stagedb::server::ConcurrencyMode::kTableLock,
-                            stagedb::server::ConcurrencyMode::kSnapshot}) {
-      const bool snap = mode == stagedb::server::ConcurrencyMode::kSnapshot;
-      const auto cell = stagedb::RunCell(mode, writers, ops);
+    for (const bool snap : {false, true}) {
+      const auto cell = stagedb::RunCell(/*lock=*/!snap, writers, ops);
       const std::string tag =
           std::string(snap ? "_snap" : "_lock") + "_w" +
           std::to_string(writers);

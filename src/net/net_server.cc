@@ -881,9 +881,10 @@ std::function<void()> NetServer::MakeDispatch(
       }
       // The callback fires on a lifecycle-stage worker (or right here if the
       // pipeline is draining); it must not block.
-      req->NotifyOnDone([this, conn, slot_id, req]() {
-        FinishQuery(conn, slot_id, req->Await());
-      });
+      req->NotifyOnDone(
+          [this, conn, slot_id](const StatusOr<server::QueryResult>& result) {
+            FinishQuery(conn, slot_id, result);
+          });
     };
   }
   return [this, conn, slot_id = work.slot_id, stmt = std::move(work.stmt),

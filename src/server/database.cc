@@ -128,9 +128,7 @@ class CatalogRecoveryApplier : public storage::RecoveryApplier {
         if (!cols.ok()) return cols.status();
         auto table =
             db_->catalog_->CreateTable(r.before, Schema(std::move(*cols)));
-        if (!table.ok()) return table.status();
-        db_->txn_mgr_->RegisterTable((*table)->id, (*table)->heap.get());
-        return Status::OK();
+        return table.ok() ? Status::OK() : table.status();
       }
       case storage::WalRecord::Type::kCreateIndex: {
         const size_t sep = r.after.find(kUnitSep);
@@ -288,8 +286,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   }
   db->txn_mgr_ =
       std::make_unique<storage::TransactionManager>(db->wal_.get());
-  db->txn_mgr_->lock_manager()->set_timeout_micros(
-      db->options_.lock_timeout_micros);
   db->catalog_->SetTimestampAuthority(db->txn_mgr_.get());
   if (db->durable()) {
     // Replay the log before the engines exist: committed transactions are
@@ -309,9 +305,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     engine::StagedEngineOptions opts;
     opts.exchange_capacity_pages = db->options_.exchange_buffer_pages;
     opts.tuples_per_page = db->options_.tuples_per_page;
-    opts.spsc_exchange = db->options_.spsc_exchange;
     opts.threads_per_stage = db->options_.threads_per_stage;
-    opts.shared_scans = db->options_.shared_scans;
     opts.scheduler = db->options_.scheduler;
     opts.scheduler_gate_rounds = db->options_.scheduler_gate_rounds;
     opts.stage_pools = db->options_.stage_pools;
@@ -417,42 +411,7 @@ bool IsDmlPlan(const PhysicalPlan* plan) {
          plan->kind == optimizer::PlanKind::kDelete ||
          plan->kind == optimizer::PlanKind::kUpdate;
 }
-
-/// Table-lock requests of a plan: table id -> needs exclusive. The DML node
-/// itself locks exclusive; every other table-bearing node (the scans,
-/// including the scan feeding a DELETE/UPDATE of the same table) is shared —
-/// the map keeps the strongest mode per table.
-void CollectLockRequests(const PhysicalPlan* plan,
-                         std::map<int32_t, bool>* out) {
-  if (plan->table != nullptr) {
-    const bool exclusive = IsDmlPlan(plan);
-    auto [it, inserted] = out->emplace(plan->table->id, exclusive);
-    if (!inserted && exclusive) it->second = true;
-  }
-  for (const auto& child : plan->children) {
-    CollectLockRequests(child.get(), out);
-  }
-}
 }  // namespace
-
-StatusOr<int64_t> Database::AcquireStatementLocks(const PhysicalPlan* plan) {
-  std::map<int32_t, bool> requests;
-  CollectLockRequests(plan, &requests);
-  if (requests.empty()) return 0;
-  const int64_t lock_txn = txn_mgr_->AllocateTxnId();
-  storage::LockManager* lm = txn_mgr_->lock_manager();
-  // std::map iteration = ascending table id: every statement acquires in the
-  // same global order, so timeouts fire only under true contention pile-ups.
-  for (const auto& [table_id, exclusive] : requests) {
-    const Status s = exclusive ? lm->AcquireExclusive(lock_txn, table_id)
-                               : lm->AcquireShared(lock_txn, table_id);
-    if (!s.ok()) {
-      lm->ReleaseAll(lock_txn);
-      return s;
-    }
-  }
-  return lock_txn;
-}
 
 engine::StageRuntime::StatsSnapshot Database::EngineStats() const {
   engine::StageRuntime::StatsSnapshot snap;
@@ -627,7 +586,6 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
       const std::string schema_payload = SerializeSchema(cols);
       auto table = catalog_->CreateTable(ct.table, Schema(std::move(cols)));
       if (!table.ok()) return table.status();
-      txn_mgr_->RegisterTable((*table)->id, (*table)->heap.get());
       if (durable()) {
         storage::WalRecord r;
         r.type = storage::WalRecord::Type::kCreateTable;
@@ -640,28 +598,30 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
     }
     case Kind::kCreateIndex: {
       const auto& ci = static_cast<const parser::CreateIndexStmt&>(stmt);
-      auto index = catalog_->CreateIndex(ci.index, ci.table, ci.column);
-      if (!index.ok()) return index.status();
-      if (durable()) {
+      STAGEDB_RETURN_IF_ERROR(RunDdlExclusive(ci.table, [&]() -> Status {
+        auto index = catalog_->CreateIndex(ci.index, ci.table, ci.column);
+        if (!index.ok()) return index.status();
+        if (!durable()) return Status::OK();
         storage::WalRecord r;
         r.type = storage::WalRecord::Type::kCreateIndex;
         r.before = ci.index;
         r.after = ci.table;
         r.after.push_back(kUnitSep);
         r.after += ci.column;
-        STAGEDB_RETURN_IF_ERROR(AppendDdl(std::move(r)));
-      }
+        return AppendDdl(std::move(r));
+      }));
       return OkResult();
     }
     case Kind::kDropTable: {
       const auto& dt = static_cast<const parser::DropTableStmt&>(stmt);
-      STAGEDB_RETURN_IF_ERROR(catalog_->DropTable(dt.table));
-      if (durable()) {
+      STAGEDB_RETURN_IF_ERROR(RunDdlExclusive(dt.table, [&]() -> Status {
+        STAGEDB_RETURN_IF_ERROR(catalog_->DropTable(dt.table));
+        if (!durable()) return Status::OK();
         storage::WalRecord r;
         r.type = storage::WalRecord::Type::kDropTable;
         r.before = dt.table;
-        STAGEDB_RETURN_IF_ERROR(AppendDdl(std::move(r)));
-      }
+        return AppendDdl(std::move(r));
+      }));
       return OkResult();
     }
     case Kind::kBegin: {
@@ -722,13 +682,6 @@ Status Database::BeginStatement(const PhysicalPlan* plan,
     return Status::InvalidArgument(
         "statement contains '?' parameters; use Prepare/ExecutePrepared");
   }
-  // kTableLock: the blocking baseline. Locks are held for the statement's
-  // whole duration, through the commit.
-  if (options_.concurrency == ConcurrencyMode::kTableLock) {
-    auto lock_or = AcquireStatementLocks(plan);
-    if (!lock_or.ok()) return lock_or.status();
-    txn->lock_txn = *lock_or;
-  }
   ctx->catalog = catalog_.get();
   const bool dml = IsDmlPlan(plan);
   Status status;
@@ -761,6 +714,12 @@ Status Database::BeginStatement(const PhysicalPlan* plan,
         ctx->wal = txn->wal_sink.get();
       }
     }
+  }
+  // The DDL barrier: no CREATE INDEX or DROP TABLE on the target lands while
+  // this write is uncommitted. Taken outside txn_mu_, so a wait here never
+  // stalls other statements.
+  if (status.ok() && dml) {
+    status = ddl_locks_.AcquireShared(ctx->mvcc->id, plan->table->id);
   }
   if (!status.ok()) (void)FinishStatement(txn, false);
   return status;
@@ -795,7 +754,29 @@ Status Database::FinishStatement(OpenTxn* txn, bool ok) {
       AbortWalTxn(txn->wal_txn);
     }
   }
-  if (txn->lock_txn != 0) txn_mgr_->lock_manager()->ReleaseAll(txn->lock_txn);
+  // Only the handle that owns the MVCC transaction ends it: a standalone
+  // writer here, an explicit transaction at COMMIT/ROLLBACK.
+  if (txn->mvcc != nullptr && txn->mvcc->id != 0) {
+    ddl_locks_.ReleaseAll(txn->mvcc->id);
+  }
+  return status;
+}
+
+Status Database::RunDdlExclusive(const std::string& table,
+                                 const std::function<Status()>& ddl) {
+  {
+    MutexLock lock(txn_mu_);
+    if (active_mvcc_txn_ != nullptr) {
+      return Status::InvalidArgument(
+          "CREATE INDEX and DROP TABLE are not allowed inside a transaction");
+    }
+  }
+  auto info = catalog_->GetTable(table);
+  if (!info.ok()) return info.status();
+  const int64_t owner = txn_mgr_->AllocateTxnId();
+  STAGEDB_RETURN_IF_ERROR(ddl_locks_.AcquireExclusive(owner, (*info)->id));
+  const Status status = ddl();
+  ddl_locks_.ReleaseAll(owner);
   return status;
 }
 

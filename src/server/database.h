@@ -39,25 +39,19 @@ enum class ExecutionMode {
   kStaged,   ///< the paper's staged engine (operator stages + packets)
 };
 
-/// Statement-level concurrency control across concurrent Execute callers.
-/// Storage is always multi-versioned: every statement runs as (or inside) an
-/// MVCC transaction that reads a registered commit-ordered snapshot, installs
-/// new row versions instead of mutating in place, and is undone from its
-/// write set if it fails. A background vacuum stage reclaims versions older
-/// than the oldest live snapshot. The numeric values are fixed: gtest prints
-/// a value parameter's bytes in each case's ctest listing
-/// (`# GetParam() = 8-byte object <...>`), so renumbering would rename the
-/// MvccSqlTest cases in tests/mvcc_test.cc.
+/// Concurrency control across concurrent Execute callers. Storage is always
+/// multi-versioned: every statement runs as (or inside) an MVCC transaction
+/// that reads a registered commit-ordered snapshot, installs new row
+/// versions instead of mutating in place, and is undone from its write set
+/// if it fails. Readers never block writers; write-write conflicts abort the
+/// second writer (first-updater-wins). A background vacuum stage reclaims
+/// versions older than the oldest live snapshot.
+///
+/// The enum has one value and the option no reader; both stay because the
+/// benchmark harness (stagedb_bench/src/child.cc) sets them. kSnapshot keeps
+/// its old value 2: ctest names each MvccSqlTest case with gtest's byte dump
+/// of a parameter holding it (tests/mvcc_test.cc).
 enum class ConcurrencyMode {
-  /// Snapshot isolation plus shared/exclusive table locks per statement:
-  /// scans lock their tables shared, DML locks its target exclusive, for the
-  /// statement's duration. Kept only as the blocking baseline of
-  /// bench/ablation_snapshot_reads — an analytics scan stalls every update
-  /// on its table and vice versa.
-  kTableLock = 1,
-  /// Snapshot isolation. Readers never block writers and never take table
-  /// locks; write-write conflicts abort the second writer
-  /// (first-updater-wins).
   kSnapshot = 2,
 };
 
@@ -70,13 +64,7 @@ struct DatabaseOptions {
   /// Staged engine knobs (ignored in volcano mode).
   size_t exchange_buffer_pages = 4;
   size_t tuples_per_page = 64;
-  /// Lock-free SPSC ring on single-producer exchange edges (see
-  /// StagedEngineOptions::spsc_exchange). False = every edge uses the mutex
-  /// buffer, the pre-ring wiring.
-  bool spsc_exchange = true;
   int threads_per_stage = 1;
-  /// Cooperative shared scans at the fscan stages (§5.4 run-time sharing).
-  bool shared_scans = true;
   /// Global scheduling policy across the engine's operator stages (the
   /// Figure-5 family; see engine/runtime.h) and the T-gated(k) round bound.
   engine::SchedulerPolicy scheduler = engine::SchedulerPolicy::kFreeRun;
@@ -111,11 +99,8 @@ struct DatabaseOptions {
   bool group_commit = true;
   int group_commit_max_batch = 64;
   int64_t group_commit_max_wait_us = 200;
-  /// Statement-level concurrency control (see ConcurrencyMode).
+  /// Unread; see ConcurrencyMode.
   ConcurrencyMode concurrency = ConcurrencyMode::kSnapshot;
-  /// kTableLock: how long a statement waits for a table lock before its
-  /// acquisition times out (the deadlock-resolution policy).
-  int64_t lock_timeout_micros = 200000;
   /// Wake the vacuum stage once this many delete marks have committed since
   /// the last pass (0 = wake after every committing delete).
   int64_t vacuum_dead_threshold = 64;
@@ -145,8 +130,6 @@ struct OpenTxn {
   int64_t wal_txn = 0;
   /// Routes the executors' row records to the WAL (durable DML only).
   std::unique_ptr<exec::WalSink> wal_sink;
-  /// kTableLock lock owner (0 = no locks held).
-  int64_t lock_txn = 0;
 };
 
 /// Handle on a query submitted asynchronously to the staged engine (see
@@ -338,22 +321,27 @@ class Database {
   /// Appends + syncs a DDL record (auto-committed at append time).
   Status AppendDdl(storage::WalRecord record);
 
-  /// Opens `plan`'s statement: kTableLock locks, then the MVCC transaction
-  /// (the explicit one when a BEGIN is open, else a fresh registered
-  /// snapshot), then — for durable DML — a wal transaction and sink. Points
-  /// `ctx` at the state it records in `txn`. On error nothing stays held.
+  /// Opens `plan`'s statement: the MVCC transaction (the explicit one when a
+  /// BEGIN is open, else a fresh registered snapshot), then — for durable
+  /// DML — a wal transaction and sink, then — for DML — the DDL barrier's
+  /// shared lock on the target table, owned by the MVCC transaction's id.
+  /// Points `ctx` at the state it records in `txn`. On error the statement
+  /// holds nothing (an explicit transaction keeps the locks it already had).
   Status BeginStatement(const optimizer::PhysicalPlan* plan,
                         exec::ExecContext* ctx, OpenTxn* txn);
   /// Closes what `txn` holds, in order: MVCC commit (or undo of the write
-  /// set when !ok) and snapshot release, durable wal commit (or abort), lock
-  /// release — so visibility is published before the durability wait and
-  /// locks cover the whole statement. Returns the first commit error.
+  /// set when !ok) and snapshot release, durable wal commit (or abort), then
+  /// the DDL barrier locks of the MVCC transaction it owns — so visibility
+  /// is published before the durability wait and no DDL lands between a
+  /// write and its commit. Returns the first commit error.
   Status FinishStatement(OpenTxn* txn, bool ok);
-  /// kTableLock: walks the plan, takes shared locks on scanned tables and
-  /// exclusive locks on DML targets under a fresh lock-owner id, and returns
-  /// that id (0 = the plan touches no tables). The caller releases via
-  /// LockManager::ReleaseAll when the statement finishes.
-  StatusOr<int64_t> AcquireStatementLocks(const optimizer::PhysicalPlan* plan);
+  /// Runs CREATE INDEX / DROP TABLE work on `table` (the catalog call and its
+  /// WAL append) holding the DDL barrier exclusive: it waits out every
+  /// statement and open transaction that writes the table, and their new
+  /// DML waits for it. InvalidArgument inside an explicit BEGIN, because DDL
+  /// auto-commits and ROLLBACK could not undo it.
+  Status RunDdlExclusive(const std::string& table,
+                         const std::function<Status()>& ddl);
 
   DatabaseOptions options_;
   std::unique_ptr<storage::MemDiskManager> disk_;
@@ -364,6 +352,10 @@ class Database {
   std::unique_ptr<frontend::PlanCache> plan_cache_;
   StatsRegistry stats_;
   storage::RecoveryStats recovery_stats_;
+  // The DDL barrier: DML holds its target table shared until its MVCC
+  // transaction ends; CREATE INDEX and DROP TABLE take it exclusive.
+  // Readers never touch it.
+  storage::LockManager ddl_locks_;
 
   // Explicit SQL transaction state (single implicit session): the MvccTxn
   // every statement inside the BEGIN shares (its write set is the undo log).

@@ -20,36 +20,44 @@ using engine::StageTask;
 StatusOr<QueryResult> Request::Await() {
   MutexLock lock(mu_);
   cv_.Wait(mu_, [&]() REQUIRES(mu_) { return done_; });
-  if (!status_.ok()) return status_;
   return result_;
 }
 
+// result_ is never written after completed_ is set, so the callback reads it
+// through a pointer taken under the lock.
+
 void Request::Complete(StatusOr<QueryResult> result) {
-  std::function<void()> callback;
+  DoneCallback callback;
+  const StatusOr<QueryResult>* final_result;
   {
     MutexLock lock(mu_);
-    done_ = true;
-    if (result.ok()) {
-      result_ = std::move(*result);
-    } else {
-      status_ = result.status();
-    }
+    result_ = std::move(result);
+    completed_ = true;
+    final_result = &result_;
     callback = std::move(callback_);
     callback_ = nullptr;
   }
-  cv_.NotifyAll();
-  if (callback) callback();
-}
-
-void Request::NotifyOnDone(std::function<void()> callback) {
+  // Await waits for the callback: a caller that registered one and then
+  // awaits sees its effects.
+  if (callback) callback(*final_result);
   {
     MutexLock lock(mu_);
-    if (!done_) {
+    done_ = true;
+  }
+  cv_.NotifyAll();
+}
+
+void Request::NotifyOnDone(DoneCallback callback) {
+  const StatusOr<QueryResult>* final_result;
+  {
+    MutexLock lock(mu_);
+    if (!completed_) {
       callback_ = std::move(callback);
       return;
     }
+    final_result = &result_;
   }
-  callback();
+  callback(*final_result);
 }
 
 // ---------------------------------------------------------- LifecycleTask ---

@@ -33,17 +33,20 @@ namespace stagedb::server {
 /// One client request travelling through a server.
 class Request {
  public:
+  using DoneCallback = std::function<void(const StatusOr<QueryResult>&)>;
+
   explicit Request(std::string sql) : sql_(std::move(sql)) {}
 
-  /// Blocks until the request completes.
+  /// Blocks until the request completes and a NotifyOnDone callback
+  /// registered before completion has returned.
   StatusOr<QueryResult> Await();
 
-  /// Fires `callback` exactly once when the request completes (immediately,
-  /// on the calling thread, if it already has). Used by the network
-  /// front-end to deliver responses without blocking a stage worker in
-  /// Await; the callback runs on whichever thread calls Complete and must
-  /// not block.
-  void NotifyOnDone(std::function<void()> callback);
+  /// Fires `callback` exactly once with the request's result when it
+  /// completes (immediately, on the calling thread, if it already has). Used
+  /// by the network front-end to deliver responses without blocking a stage
+  /// worker in Await; the callback runs on whichever thread calls Complete,
+  /// must not block, and must not call Await.
+  void NotifyOnDone(DoneCallback callback);
 
   const std::string& sql() const { return sql_; }
 
@@ -54,10 +57,11 @@ class Request {
   std::string sql_;
   Mutex mu_;
   CondVar cv_;
-  bool done_ GUARDED_BY(mu_) = false;
-  Status status_ GUARDED_BY(mu_);
-  QueryResult result_ GUARDED_BY(mu_);
-  std::function<void()> callback_ GUARDED_BY(mu_);
+  bool completed_ GUARDED_BY(mu_) = false;  // result_ is final
+  bool done_ GUARDED_BY(mu_) = false;       // ...and the callback returned
+  StatusOr<QueryResult> result_ GUARDED_BY(mu_){
+      Status::Internal("request not completed")};
+  DoneCallback callback_ GUARDED_BY(mu_);
 };
 
 struct ServerOptions {

@@ -6,7 +6,7 @@ namespace stagedb::storage {
 
 // Latching protocol: every access to a page's bytes happens between FetchPage
 // and Unpin with the frame latch held — shared for readers (Get, scans,
-// ReadPage), exclusive for mutators (Insert, Delete, Update). The pin is what
+// ReadPage), exclusive for mutators (Insert, Delete, OverwritePrefix). The pin is what
 // keeps the frame from being recycled while the latch is held.
 
 StatusOr<std::unique_ptr<HeapFile>> HeapFile::Create(BufferPool* pool) {
@@ -123,36 +123,6 @@ Status HeapFile::Delete(const Rid& rid) {
   STAGEDB_RETURN_IF_ERROR(pool_->Unpin(rid.page_id, s.ok()));
   if (s.ok()) BumpVersion();
   return s;
-}
-
-StatusOr<Rid> HeapFile::Update(const Rid& rid, std::string_view record) {
-  auto page_or = pool_->FetchPage(rid.page_id);
-  if (!page_or.ok()) return page_or.status();
-  Page* page = *page_or;
-  SlottedPage sp(page);
-  Status s;
-  {
-    ExclusiveLock latch(page->latch());
-    s = sp.UpdateInPlace(rid.slot, record);
-  }
-  if (s.ok()) {
-    STAGEDB_RETURN_IF_ERROR(pool_->Unpin(rid.page_id, true));
-    BumpVersion();
-    return rid;
-  }
-  if (!s.IsResourceExhausted()) {
-    STAGEDB_RETURN_IF_ERROR(pool_->Unpin(rid.page_id, false));
-    return s;
-  }
-  // Record grew: delete here, re-insert at the tail.
-  {
-    ExclusiveLock latch(page->latch());
-    s = sp.Delete(rid.slot);
-  }
-  STAGEDB_RETURN_IF_ERROR(s);
-  STAGEDB_RETURN_IF_ERROR(pool_->Unpin(rid.page_id, true));
-  BumpVersion();
-  return Insert(record);
 }
 
 Status HeapFile::OverwritePrefix(const Rid& rid, std::string_view prefix) {

@@ -32,8 +32,6 @@ class HeapFile {
   Status Get(const Rid& rid, std::string* out) const;
   /// Deletes a record (Rids of other records stay valid).
   Status Delete(const Rid& rid);
-  /// Updates a record; may relocate it. Returns the (possibly new) Rid.
-  StatusOr<Rid> Update(const Rid& rid, std::string_view record);
 
   /// Overwrites the first `prefix.size()` bytes of the record at `rid` in
   /// place (exclusive page latch; the record must be at least that long).
@@ -44,7 +42,7 @@ class HeapFile {
   PageId first_page() const { return first_page_; }
 
   /// Monotone *data* mutation counter, bumped by every successful Insert /
-  /// Delete / Update / OverwritePrefix. Lets page-content caches (the
+  /// Delete / OverwritePrefix. Lets page-content caches (the
   /// shared-scan reuse window in engine/shared_scan.cc) detect that a cached
   /// copy may predate a mutation and fall back to the pool.
   ///

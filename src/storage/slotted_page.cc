@@ -72,20 +72,6 @@ Status SlottedPage::Delete(uint16_t slot_id) {
   return Status::OK();
 }
 
-Status SlottedPage::UpdateInPlace(uint16_t slot_id, std::string_view record) {
-  if (slot_id >= num_slots()) {
-    return Status::NotFound(StrFormat("slot %u out of range", slot_id));
-  }
-  Slot* s = slot(slot_id);
-  if (s->length == 0) return Status::NotFound("slot deleted");
-  if (record.size() > s->length) {
-    return Status::ResourceExhausted("record grew; relocate");
-  }
-  std::memcpy(page_->data() + s->offset, record.data(), record.size());
-  s->length = static_cast<uint16_t>(record.size());
-  return Status::OK();
-}
-
 Status SlottedPage::OverwritePrefix(uint16_t slot_id,
                                     std::string_view prefix) {
   if (slot_id >= num_slots()) {

@@ -35,10 +35,6 @@ class SlottedPage {
   /// Marks the slot deleted.
   Status Delete(uint16_t slot);
 
-  /// Overwrites in place when the new record fits in the old space; otherwise
-  /// returns ResourceExhausted and the caller relocates the record.
-  Status UpdateInPlace(uint16_t slot, std::string_view record);
-
   /// Overwrites the first `prefix.size()` bytes of a live record in place
   /// (InvalidArgument if the record is shorter). MVCC uses this to rewrite
   /// the version header without relocating the row.

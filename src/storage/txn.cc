@@ -1,6 +1,5 @@
 #include "storage/txn.h"
 
-#include <algorithm>
 #include <chrono>
 
 namespace stagedb::storage {
@@ -75,190 +74,6 @@ size_t LockManager::locked_tables() const {
 
 // ----------------------------------------------------- TransactionManager ---
 
-void TransactionManager::RegisterTable(int32_t table_id, HeapFile* file) {
-  MutexLock lock(mu_);
-  tables_[table_id] = file;
-}
-
-HeapFile* TransactionManager::FindTable(int32_t table_id) const {
-  MutexLock lock(mu_);
-  auto it = tables_.find(table_id);
-  return it == tables_.end() ? nullptr : it->second;
-}
-
-StatusOr<Transaction*> TransactionManager::Begin() {
-  MutexLock lock(mu_);
-  auto txn = std::make_unique<Transaction>();
-  txn->id = next_txn_++;
-  Transaction* ptr = txn.get();
-  txns_[ptr->id] = std::move(txn);
-  txn_log_[ptr->id] = {};
-  WalRecord r;
-  r.txn_id = ptr->id;
-  r.type = WalRecord::Type::kBegin;
-  auto lsn_or = wal_->Append(std::move(r));
-  if (!lsn_or.ok()) return lsn_or.status();
-  return ptr;
-}
-
-Status TransactionManager::Commit(Transaction* txn) {
-  if (txn->state != TxnState::kActive) {
-    return Status::InvalidArgument("commit of non-active transaction");
-  }
-  WalRecord r;
-  r.txn_id = txn->id;
-  r.type = WalRecord::Type::kCommit;
-  {
-    auto lsn_or = wal_->Append(std::move(r));
-    if (!lsn_or.ok()) return lsn_or.status();
-  }
-  txn->state = TxnState::kCommitted;
-  locks_.ReleaseAll(txn->id);
-  MutexLock lock(mu_);
-  txn_log_.erase(txn->id);
-  return Status::OK();
-}
-
-namespace {
-
-// Resolves the row holding `image`, trying `hint` first. The logged rid can
-// go stale within a transaction: a later update may have relocated the row
-// (HeapFile::Update re-inserts when the new image does not fit in place), and
-// undo of that later update restores the image at a fresh rid. Falling back
-// to an image scan keeps undo correct across relocation.
-StatusOr<Rid> FindRowByImage(HeapFile* file, const Rid& hint,
-                             const std::string& image) {
-  std::string row;
-  if (file->Get(hint, &row).ok() && row == image) return hint;
-  auto scan = file->Scan();
-  while (scan.Next()) {
-    if (scan.record() == image) return scan.rid();
-  }
-  STAGEDB_RETURN_IF_ERROR(scan.status());
-  return Status::NotFound("undo: row image not found");
-}
-
-}  // namespace
-
-Status TransactionManager::Undo(const WalRecord& record) {
-  HeapFile* file = FindTable(record.table_id);
-  if (file == nullptr) return Status::NotFound("undo: unregistered table");
-  switch (record.type) {
-    case WalRecord::Type::kInsert: {
-      auto rid_or = FindRowByImage(file, record.rid, record.after);
-      if (!rid_or.ok()) return rid_or.status();
-      return file->Delete(*rid_or);
-    }
-    case WalRecord::Type::kDelete: {
-      // Re-insert the before image. The Rid may change; logical undo.
-      auto rid_or = file->Insert(record.before);
-      return rid_or.ok() ? Status::OK() : rid_or.status();
-    }
-    case WalRecord::Type::kUpdate: {
-      auto rid_or = FindRowByImage(file, record.rid, record.after);
-      if (!rid_or.ok()) return rid_or.status();
-      auto new_rid_or = file->Update(*rid_or, record.before);
-      return new_rid_or.ok() ? Status::OK() : new_rid_or.status();
-    }
-    default:
-      return Status::Internal("undo of non-data record");
-  }
-}
-
-Status TransactionManager::Abort(Transaction* txn) {
-  if (txn->state != TxnState::kActive) {
-    return Status::InvalidArgument("abort of non-active transaction");
-  }
-  std::vector<WalRecord> ops;
-  {
-    MutexLock lock(mu_);
-    ops = txn_log_[txn->id];
-  }
-  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    STAGEDB_RETURN_IF_ERROR(Undo(*it));
-  }
-  WalRecord r;
-  r.txn_id = txn->id;
-  r.type = WalRecord::Type::kAbort;
-  {
-    auto lsn_or = wal_->Append(std::move(r));
-    if (!lsn_or.ok()) return lsn_or.status();
-  }
-  txn->state = TxnState::kAborted;
-  locks_.ReleaseAll(txn->id);
-  MutexLock lock(mu_);
-  txn_log_.erase(txn->id);
-  return Status::OK();
-}
-
-StatusOr<Rid> TransactionManager::Insert(Transaction* txn, int32_t table_id,
-                                         std::string_view row) {
-  STAGEDB_RETURN_IF_ERROR(locks_.AcquireExclusive(txn->id, table_id));
-  HeapFile* file = FindTable(table_id);
-  if (file == nullptr) return Status::NotFound("unregistered table");
-  WalRecord r;
-  r.txn_id = txn->id;
-  r.type = WalRecord::Type::kInsert;
-  r.table_id = table_id;
-  r.after.assign(row.data(), row.size());
-  // Write-ahead: log first, then mutate; fill in the rid afterwards for undo.
-  auto rid_or = file->Insert(row);
-  if (!rid_or.ok()) return rid_or.status();
-  r.rid = *rid_or;
-  {
-    auto lsn_or = wal_->Append(r);
-    if (!lsn_or.ok()) return lsn_or.status();
-  }
-  MutexLock lock(mu_);
-  txn_log_[txn->id].push_back(std::move(r));
-  return *rid_or;
-}
-
-Status TransactionManager::Delete(Transaction* txn, int32_t table_id,
-                                  const Rid& rid) {
-  STAGEDB_RETURN_IF_ERROR(locks_.AcquireExclusive(txn->id, table_id));
-  HeapFile* file = FindTable(table_id);
-  if (file == nullptr) return Status::NotFound("unregistered table");
-  WalRecord r;
-  r.txn_id = txn->id;
-  r.type = WalRecord::Type::kDelete;
-  r.table_id = table_id;
-  r.rid = rid;
-  STAGEDB_RETURN_IF_ERROR(file->Get(rid, &r.before));
-  {
-    auto lsn_or = wal_->Append(r);
-    if (!lsn_or.ok()) return lsn_or.status();
-  }
-  STAGEDB_RETURN_IF_ERROR(file->Delete(rid));
-  MutexLock lock(mu_);
-  txn_log_[txn->id].push_back(std::move(r));
-  return Status::OK();
-}
-
-StatusOr<Rid> TransactionManager::Update(Transaction* txn, int32_t table_id,
-                                         const Rid& rid,
-                                         std::string_view new_row) {
-  STAGEDB_RETURN_IF_ERROR(locks_.AcquireExclusive(txn->id, table_id));
-  HeapFile* file = FindTable(table_id);
-  if (file == nullptr) return Status::NotFound("unregistered table");
-  WalRecord r;
-  r.txn_id = txn->id;
-  r.type = WalRecord::Type::kUpdate;
-  r.table_id = table_id;
-  r.rid = rid;
-  STAGEDB_RETURN_IF_ERROR(file->Get(rid, &r.before));
-  r.after.assign(new_row.data(), new_row.size());
-  {
-    auto lsn_or = wal_->Append(r);
-    if (!lsn_or.ok()) return lsn_or.status();
-  }
-  auto new_rid_or = file->Update(rid, new_row);
-  if (!new_rid_or.ok()) return new_rid_or.status();
-  MutexLock lock(mu_);
-  txn_log_[txn->id].push_back(std::move(r));
-  return *new_rid_or;
-}
-
 TxnId TransactionManager::AllocateTxnId() {
   MutexLock lock(mu_);
   return next_txn_++;
@@ -286,7 +101,7 @@ Status TransactionManager::Recover(RecoveryApplier* applier,
         begun.insert(r.txn_id);
         return Status::OK();
       case WalRecord::Type::kCommit:
-        // Snapshot-mode COMMIT records carry the MVCC commit timestamp; the
+        // COMMIT records carry the MVCC commit timestamp; the
         // high-water mark is restored below so post-restart commits (and the
         // begin=0 bootstrap versions installed by replay) order correctly.
         if (r.ts > max_ts) max_ts = r.ts;
@@ -300,7 +115,7 @@ Status TransactionManager::Recover(RecoveryApplier* applier,
         // schema exists before the row records that reference it.
         ++local.ddl_records;
         ++local.applied_records;
-        return applier != nullptr ? applier->ApplyDdl(r) : Status::OK();
+        return applier->ApplyDdl(r);
       case WalRecord::Type::kInsert:
       case WalRecord::Type::kDelete:
       case WalRecord::Type::kUpdate:
@@ -308,34 +123,14 @@ Status TransactionManager::Recover(RecoveryApplier* applier,
     }
     if (committed.count(r.txn_id) == 0) return Status::OK();  // loser
     ++local.applied_records;
-    if (applier != nullptr) {
-      switch (r.type) {
-        case WalRecord::Type::kInsert:
-          return applier->ApplyInsert(r.table_id, r.after);
-        case WalRecord::Type::kDelete:
-          return applier->ApplyDelete(r.table_id, r.before);
-        default:
-          return applier->ApplyUpdate(r.table_id, r.before, r.after);
-      }
+    switch (r.type) {
+      case WalRecord::Type::kInsert:
+        return applier->ApplyInsert(r.table_id, r.after);
+      case WalRecord::Type::kDelete:
+        return applier->ApplyDelete(r.table_id, r.before);
+      default:
+        return applier->ApplyUpdate(r.table_id, r.before, r.after);
     }
-    HeapFile* file = FindTable(r.table_id);
-    if (file == nullptr) return Status::NotFound("recover: table");
-    if (r.type == WalRecord::Type::kInsert) {
-      auto rid_or = file->Insert(r.after);
-      return rid_or.ok() ? Status::OK() : rid_or.status();
-    }
-    // Logical redo over re-assigned rids: find the row by before-image.
-    auto scan = file->Scan();
-    while (scan.Next()) {
-      if (scan.record() == r.before) {
-        if (r.type == WalRecord::Type::kDelete) {
-          return file->Delete(scan.rid());
-        }
-        auto rid_or = file->Update(scan.rid(), r.after);
-        return rid_or.ok() ? Status::OK() : rid_or.status();
-      }
-    }
-    return scan.status();
   });
   STAGEDB_RETURN_IF_ERROR(replay);
   for (TxnId id : begun) {
@@ -461,15 +256,6 @@ void TransactionManager::RestoreTimestampHighWater(Ts ts) {
   MutexLock lock(mvcc_mu_);
   if (ts > next_cts_) next_cts_ = ts;
   if (ts > last_committed_) last_committed_ = ts;
-}
-
-int64_t TransactionManager::active_transactions() const {
-  MutexLock lock(mu_);
-  int64_t n = 0;
-  for (const auto& [id, txn] : txns_) {
-    if (txn->state == TxnState::kActive) ++n;
-  }
-  return n;
 }
 
 }  // namespace stagedb::storage

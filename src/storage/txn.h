@@ -1,6 +1,8 @@
-// Transactions: strict two-phase locking at table granularity with
-// timeout-based deadlock resolution, WAL-backed undo on abort, and logical
-// redo at recovery.
+// Transaction support for the multi-version storage: transaction ids, the
+// commit-timestamp authority that snapshots are built from, logical redo of
+// the WAL at recovery, and a table-granularity shared/exclusive lock manager.
+// Row undo is not here: a failed statement or ROLLBACK undoes its MvccTxn's
+// write set through the catalog (Catalog::MvccAbort).
 #ifndef STAGEDB_STORAGE_TXN_H_
 #define STAGEDB_STORAGE_TXN_H_
 
@@ -8,10 +10,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
-#include <unordered_map>
-#include <vector>
+#include <string>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -21,27 +21,15 @@
 
 namespace stagedb::storage {
 
-enum class TxnState { kActive, kCommitted, kAborted };
-
-/// Handle to an in-flight transaction.
-struct Transaction {
-  TxnId id = 0;
-  TxnState state = TxnState::kActive;
-};
-
 /// Table-granularity shared/exclusive lock manager. Deadlocks are resolved by
 /// timing out the waiter (the caller aborts its transaction), the same policy
-/// family as SHORE's timeout-based detection.
+/// family as SHORE's timeout-based detection. Database uses it as the DDL
+/// barrier: DML holds its target table shared until its transaction ends, and
+/// CREATE INDEX / DROP TABLE take it exclusive.
 class LockManager {
  public:
   explicit LockManager(int64_t timeout_micros = 200000)
       : timeout_micros_(timeout_micros) {}
-
-  /// Reconfigures the wait timeout. Call during setup, before concurrent
-  /// acquires are in flight (the field is read without the lock held).
-  void set_timeout_micros(int64_t timeout_micros) {
-    timeout_micros_ = timeout_micros;
-  }
 
   Status AcquireShared(TxnId txn, int32_t table_id);
   Status AcquireExclusive(TxnId txn, int32_t table_id);
@@ -71,16 +59,15 @@ class LockManager {
     return (l.exclusive == -1 || l.exclusive == txn) && only_self_shared;
   }
 
-  int64_t timeout_micros_;
+  const int64_t timeout_micros_;
   mutable Mutex mu_;
   CondVar cv_;
   std::map<int32_t, TableLock> locks_ GUARDED_BY(mu_);
 };
 
-/// Receives replayed operations during recovery. The default path applies
-/// them to the registered HeapFiles directly; Database supplies an applier
-/// that routes through the catalog so indexes and statistics stay consistent
-/// (and DDL records can rebuild the schema before row replay).
+/// Receives replayed operations during recovery. Database supplies an
+/// applier that routes through the catalog so indexes and statistics stay
+/// consistent (and DDL records can rebuild the schema before row replay).
 class RecoveryApplier {
  public:
   virtual ~RecoveryApplier() = default;
@@ -101,50 +88,25 @@ struct RecoveryStats {
   int64_t ddl_records = 0;
 };
 
-/// Coordinates transactions over a set of registered heap files.
-///
-/// All row mutations go through this manager so that before/after images reach
-/// the WAL before the change is visible (write-ahead rule), undo is possible
-/// on abort, and recovery can replay committed work.
+/// Hands out transaction ids, is the catalog's commit-timestamp authority,
+/// and replays the WAL at startup. Statements and explicit transactions are
+/// MvccTxns; the WAL records they log are written by the SQL layer.
 class TransactionManager {
  public:
   explicit TransactionManager(WriteAheadLog* wal) : wal_(wal) {}
 
-  /// Makes `table_id` known; mutations and undo/redo resolve through it.
-  void RegisterTable(int32_t table_id, HeapFile* file);
-
-  StatusOr<Transaction*> Begin();
-  Status Commit(Transaction* txn);
-  /// Rolls back every logged operation of the transaction (reverse order).
-  Status Abort(Transaction* txn);
-
-  /// Logged mutations (acquire the exclusive table lock first).
-  StatusOr<Rid> Insert(Transaction* txn, int32_t table_id,
-                       std::string_view row);
-  Status Delete(Transaction* txn, int32_t table_id, const Rid& rid);
-  StatusOr<Rid> Update(Transaction* txn, int32_t table_id, const Rid& rid,
-                       std::string_view new_row);
-
-  LockManager* lock_manager() { return &locks_; }
-
-  /// Hands out a fresh transaction id without creating a Transaction handle
-  /// (the SQL layer logs BEGIN/COMMIT frames itself via the group-commit
-  /// stage but still needs ids disjoint from recovery's).
+  /// Hands out a fresh transaction id, disjoint from every id in the
+  /// replayed log.
   TxnId AllocateTxnId();
 
-  /// Logical redo: replays committed transactions' operations into the
-  /// registered (empty) tables. Insert Rids are re-assigned; per-row identity
-  /// is the row image, which is sufficient for logical recovery. Losers
-  /// (begun, never committed) are simply not replayed.
+  /// Logical redo: replays committed transactions' operations through
+  /// `applier` (required), and fills `stats` when non-null. DDL records are
+  /// always replayed; row records only for committed transactions; losers
+  /// (begun, never committed) are skipped.
   ///
   /// Idempotent: a second call is a no-op returning OK, so "recover twice"
   /// equals "recover once" even if startup paths overlap.
-  Status Recover() { return Recover(nullptr, nullptr); }
-  /// As above, routing through `applier` when non-null and filling `stats`
-  /// when non-null.
   Status Recover(RecoveryApplier* applier, RecoveryStats* stats);
-
-  int64_t active_transactions() const;
 
   // --- MVCC (snapshot isolation) -----------------------------------------
   //
@@ -199,19 +161,10 @@ class TransactionManager {
   }
 
  private:
-  Status Undo(const WalRecord& record);
-  /// Locked lookup of a registered table (nullptr if unknown).
-  HeapFile* FindTable(int32_t table_id) const EXCLUDES(mu_);
-
   WriteAheadLog* wal_;
-  LockManager locks_;
-  mutable Mutex mu_;
+  Mutex mu_;
   TxnId next_txn_ GUARDED_BY(mu_) = 1;
   bool recovery_done_ GUARDED_BY(mu_) = false;
-  std::map<TxnId, std::unique_ptr<Transaction>> txns_ GUARDED_BY(mu_);
-  // Per-txn undo chain.
-  std::map<TxnId, std::vector<WalRecord>> txn_log_ GUARDED_BY(mu_);
-  std::unordered_map<int32_t, HeapFile*> tables_ GUARDED_BY(mu_);
 
   // MVCC state. mvcc_mu_ is held across header check-and-stamp sequences
   // (MarkDeleteVersion, FinalizeCommit's rewrites), so two writers can never

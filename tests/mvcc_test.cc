@@ -3,9 +3,9 @@
 //  * storage/catalog level — deterministic interleavings of MvccTxn objects
 //    against the Catalog and TransactionManager (visibility, first-updater-
 //    wins conflicts, commit-publish ordering, the vacuum horizon);
-//  * SQL level — the Database facade with ConcurrencyMode::kSnapshot and
-//    kTableLock, in both execution modes, including the vacuum stage and
-//    recovery of the commit-timestamp high-water mark.
+//  * SQL level — the Database facade in both execution modes, including the
+//    vacuum stage, recovery of the commit-timestamp high-water mark, and the
+//    DDL barrier that keeps CREATE INDEX / DROP TABLE off uncommitted writes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -423,16 +423,37 @@ TEST_F(MvccCatalogTest, MultiIndexInconclusiveChainFallsBackToHeapScan) {
 
 // --------------------------------------------------------------- SQL level --
 
+// ctest names each case after gtest's byte dump of this struct, so
+// `concurrency` (never read) keeps the names the cases had when there was a
+// second concurrency mode.
 struct SqlModeParam {
   ExecutionMode mode;
   ConcurrencyMode concurrency;
 };
 
+/// Every row a heap scan of `t` returns is reached through the index on
+/// `column` (a point IndexScan finds exactly that row), so the index and the
+/// heap agree.
+void ExpectIndexMatchesHeap(Database* db, const std::string& column) {
+  auto heap = db->Execute("SELECT id, " + column + " FROM t");
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  ASSERT_FALSE(heap->rows.empty());
+  for (const Tuple& row : heap->rows) {
+    const std::string sql = "SELECT id FROM t WHERE " + column + " = " +
+                            std::to_string(row[1].int_value());
+    auto point = db->Execute(sql);
+    ASSERT_TRUE(point.ok()) << sql << " -> " << point.status().ToString();
+    EXPECT_NE(point->plan_text.find("IndexScan"), std::string::npos)
+        << point->plan_text;
+    ASSERT_EQ(point->rows.size(), 1u) << sql;
+    EXPECT_EQ(point->rows[0][0].int_value(), row[0].int_value()) << sql;
+  }
+}
+
 class MvccSqlTest : public ::testing::TestWithParam<SqlModeParam> {
  protected:
   void Open(DatabaseOptions options = {}) {
     options.mode = GetParam().mode;
-    options.concurrency = GetParam().concurrency;
     auto db = Database::Open(options);
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
@@ -496,7 +517,6 @@ TEST_P(MvccSqlTest, ExplicitTransactionCommitAndRollback) {
 // live key, and must be undone as a whole — in the heap, the unique index,
 // and the log replayed on reopen.
 TEST_P(MvccSqlTest, FailedStatementLeavesNoTrace) {
-  EXPECT_EQ(DatabaseOptions{}.concurrency, ConcurrencyMode::kSnapshot);
   std::string name =
       ::testing::UnitTest::GetInstance()->current_test_info()->name();
   for (char& c : name) {
@@ -552,26 +572,102 @@ TEST_P(MvccSqlTest, CreateIndexOverDuplicateLiveKeysFails) {
   EXPECT_EQ(Exec("SELECT id FROM t").rows.size(), 0u);
 }
 
+// The DDL barrier inside a transaction. CREATE INDEX auto-commits and
+// ROLLBACK cannot undo it, so it used to index the transaction's
+// uncommitted version of row 1; after ROLLBACK the point query through the
+// index found no row while a heap scan still saw both. DDL inside BEGIN now
+// fails, and the index built after ROLLBACK agrees with the heap.
+TEST_P(MvccSqlTest, DdlInsideTransactionFailsAndIndexMatchesHeap) {
+  Open();
+  Exec("CREATE TABLE t (id INTEGER, v INTEGER)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20)");
+  Exec("BEGIN");
+  Exec("UPDATE t SET v = 11 WHERE id = 1");
+  for (const char* ddl : {"CREATE INDEX t_id ON t (id)", "DROP TABLE t"}) {
+    auto refused = db_->Execute(ddl);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << ddl << " -> " << refused.status().ToString();
+  }
+  Exec("ROLLBACK");
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 2);
+  Exec("CREATE INDEX t_id ON t (id)");
+  ExpectIndexMatchesHeap(db_.get(), "id");
+  QueryResult point = Exec("SELECT v FROM t WHERE id = 1");
+  ASSERT_EQ(point.rows.size(), 1u);
+  EXPECT_EQ(point.rows[0][0].int_value(), 10);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, MvccSqlTest,
     ::testing::Values(
         SqlModeParam{ExecutionMode::kVolcano, ConcurrencyMode::kSnapshot},
-        SqlModeParam{ExecutionMode::kStaged, ConcurrencyMode::kSnapshot},
-        SqlModeParam{ExecutionMode::kVolcano, ConcurrencyMode::kTableLock},
-        SqlModeParam{ExecutionMode::kStaged, ConcurrencyMode::kTableLock}),
+        SqlModeParam{ExecutionMode::kStaged, ConcurrencyMode::kSnapshot}),
     [](const ::testing::TestParamInfo<SqlModeParam>& info) {
-      std::string name = info.param.mode == ExecutionMode::kStaged
+      return std::string(info.param.mode == ExecutionMode::kStaged
                              ? "Staged"
-                             : "Volcano";
-      name += info.param.concurrency == ConcurrencyMode::kSnapshot
-                  ? "Snapshot"
-                  : "TableLock";
-      return name;
+                             : "Volcano") +
+             "Snapshot";
     });
+
+// The DDL barrier across threads: a standalone UPDATE submitted to the
+// staged engine and not yet awaited holds its table against DDL. CREATE
+// INDEX on another thread waits until Await finishes the statement — by
+// committing it or by undoing it — and then indexes what it left behind.
+// SubmitPrepared exists only in staged mode, so this case has no volcano
+// variant.
+TEST(MvccDdlBarrierTest, CreateIndexWaitsForUnawaitedUpdate) {
+  DatabaseOptions options;
+  options.mode = ExecutionMode::kStaged;
+  auto db_or = Database::Open(options);
+  ASSERT_TRUE(db_or.ok());
+  auto db = std::move(*db_or);
+  for (const char* sql : {"CREATE TABLE t (id INTEGER, v INTEGER, w INTEGER)",
+                          "CREATE INDEX t_id ON t (id)",
+                          "INSERT INTO t VALUES (1, 10, 100), (2, 20, 200), "
+                          "(3, 30, 300)"}) {
+    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+  }
+  struct Case {
+    const char* update;
+    bool commits;
+    const char* ddl;
+    const char* column;
+  };
+  for (const Case& c : {
+           Case{"UPDATE t SET v = v + 1 WHERE id = 1", true,
+                "CREATE INDEX t_v ON t (v)", "v"},
+           // Shifting every key collides with the next row's live key.
+           Case{"UPDATE t SET id = id + 1", false,
+                "CREATE INDEX t_w ON t (w)", "w"},
+       }) {
+    SCOPED_TRACE(c.update);
+    auto stmt = db->Prepare(c.update);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto pending = db->SubmitPrepared(**stmt);
+    ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+    std::atomic<bool> ddl_done{false};
+    Status ddl_status;
+    std::thread ddl([&] {
+      ddl_status = db->Execute(c.ddl).status();
+      ddl_done.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_FALSE(ddl_done.load()) << "DDL ran beside an unfinished UPDATE";
+    auto updated = (*pending)->Await();
+    EXPECT_EQ(updated.ok(), c.commits) << updated.status().ToString();
+    ddl.join();
+    EXPECT_TRUE(ddl_status.ok()) << ddl_status.ToString();
+    ExpectIndexMatchesHeap(db.get(), "id");
+    ExpectIndexMatchesHeap(db.get(), c.column);
+  }
+  auto v1 = db->Execute("SELECT v FROM t WHERE id = 1");
+  ASSERT_TRUE(v1.ok());
+  ASSERT_EQ(v1->rows.size(), 1u);
+  EXPECT_EQ(v1->rows[0][0].int_value(), 11);
+}
 
 TEST(MvccVacuumSqlTest, VacuumNowReclaimsDeadVersions) {
   DatabaseOptions options;
-  options.concurrency = ConcurrencyMode::kSnapshot;
   auto db_or = Database::Open(options);
   ASSERT_TRUE(db_or.ok());
   auto db = std::move(*db_or);
@@ -594,7 +690,6 @@ TEST(MvccVacuumSqlTest, VacuumNowReclaimsDeadVersions) {
 TEST(MvccVacuumSqlTest, VacuumStageWakesOnCommittedDeletes) {
   DatabaseOptions options;
   options.mode = ExecutionMode::kStaged;
-  options.concurrency = ConcurrencyMode::kSnapshot;
   options.vacuum_dead_threshold = 1;
   options.vacuum_window_us = 0;
   auto db_or = Database::Open(options);
@@ -618,7 +713,6 @@ TEST(MvccRecoveryTest, RecoveryRestoresRowsAndTimestampHighWater) {
       ::testing::TempDir() + "/mvcc_recovery_test.wal";
   std::remove(wal_path.c_str());
   DatabaseOptions options;
-  options.concurrency = ConcurrencyMode::kSnapshot;
   options.wal_path = wal_path;
   Ts high_water = 0;
   {
@@ -653,10 +747,8 @@ TEST(MvccRecoveryTest, RecoveryRestoresRowsAndTimestampHighWater) {
 TEST(MvccConcurrencyTest, ScannersNeverSeeTornUpdatesWhileVacuumRaces) {
   DatabaseOptions options;
   options.mode = ExecutionMode::kStaged;
-  options.concurrency = ConcurrencyMode::kSnapshot;
   options.vacuum_dead_threshold = 1;  // vacuum constantly
   options.vacuum_window_us = 0;
-  options.shared_scans = true;
   auto db_or = Database::Open(options);
   ASSERT_TRUE(db_or.ok());
   auto db = std::move(*db_or);

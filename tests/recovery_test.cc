@@ -1,6 +1,7 @@
 // Durability & recovery tests (PR 6): WAL framing (torn-tail tolerance, CRC
 // detection), write-fault injection, the group-commit stage's batching and
-// ack-ordering invariants, TransactionManager recovery edge cases, and
+// ack-ordering invariants, TransactionManager recovery edge cases (WAL
+// records replayed into a recording applier), and
 // whole-Database restart/replay through DatabaseOptions::wal_path.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -8,16 +9,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/commit_stage.h"
+#include "recording_applier.h"
 #include "server/database.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/heap_file.h"
 #include "storage/txn.h"
 #include "storage/wal.h"
 
@@ -280,86 +280,40 @@ TEST(GroupCommitTest, DrainFlushesPendingAndRejectsNew) {
 
 // ------------------------------------------- TransactionManager edge cases ---
 
+// Each case appends WAL records directly and recovers them into a recording
+// applier, the same interface Database's catalog applier implements.
 class TxnRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    disk_ = std::make_unique<storage::MemDiskManager>();
-    pool_ = std::make_unique<storage::BufferPool>(disk_.get(), 64);
-    auto file = storage::HeapFile::Create(pool_.get());
-    ASSERT_TRUE(file.ok());
-    file_ = std::move(*file);
-    wal_ = std::make_unique<WriteAheadLog>();
-    mgr_ = std::make_unique<storage::TransactionManager>(wal_.get());
-    mgr_->RegisterTable(0, file_.get());
+  void Append(WriteAheadLog* wal, std::initializer_list<WalRecord> records) {
+    for (const WalRecord& r : records) ASSERT_TRUE(wal->Append(r).ok());
   }
 
-  int64_t CountRows() {
-    auto n = file_->CountRecords();
-    EXPECT_TRUE(n.ok());
-    return n.ok() ? *n : -1;
-  }
-
-  std::unique_ptr<storage::MemDiskManager> disk_;
-  std::unique_ptr<storage::BufferPool> pool_;
-  std::unique_ptr<storage::HeapFile> file_;
-  std::unique_ptr<WriteAheadLog> wal_;
-  std::unique_ptr<storage::TransactionManager> mgr_;
+  WriteAheadLog wal_;
+  test::RecordingApplier applier_;
+  storage::RecoveryStats stats_;
 };
 
 TEST_F(TxnRecoveryTest, AbortWithoutBeginRecordIsHarmless) {
-  // A hand-made active transaction that never went through Begin: abort
-  // undoes nothing and logs the marker.
-  storage::Transaction orphan;
-  orphan.id = 999;
-  EXPECT_TRUE(mgr_->Abort(&orphan).ok());
-  EXPECT_EQ(orphan.state, storage::TxnState::kAborted);
-  // And a log with ABORT but no BEGIN replays to nothing.
-  storage::RecoveryStats stats;
-  storage::TransactionManager fresh(wal_.get());
-  fresh.RegisterTable(0, file_.get());
-  EXPECT_TRUE(fresh.Recover(nullptr, &stats).ok());
-  EXPECT_EQ(stats.applied_records, 0);
-  EXPECT_EQ(CountRows(), 0);
+  // An ABORT (and a stray row record) for a transaction that never logged
+  // BEGIN replays to nothing and is not counted as a loser.
+  Append(&wal_, {MakeInsert(999, 0, "orphan"),
+                 test::TxnRecord(WalRecord::Type::kAbort, 999)});
+  storage::TransactionManager fresh(&wal_);
+  ASSERT_TRUE(fresh.Recover(&applier_, &stats_).ok());
+  EXPECT_TRUE(applier_.ops.empty());
+  EXPECT_EQ(stats_.applied_records, 0);
+  EXPECT_EQ(stats_.committed_txns, 0);
+  EXPECT_EQ(stats_.loser_txns, 0);
 }
 
 TEST_F(TxnRecoveryTest, CommitOfEmptyTxnReplaysNothing) {
-  auto txn = mgr_->Begin();
-  ASSERT_TRUE(txn.ok());
-  ASSERT_TRUE(mgr_->Commit(*txn).ok());
-  storage::RecoveryStats stats;
-  storage::TransactionManager fresh(wal_.get());
-  fresh.RegisterTable(0, file_.get());
-  EXPECT_TRUE(fresh.Recover(nullptr, &stats).ok());
-  EXPECT_EQ(stats.committed_txns, 1);
-  EXPECT_EQ(stats.applied_records, 0);
-  EXPECT_EQ(CountRows(), 0);
-}
-
-TEST_F(TxnRecoveryTest, InterleavedUpdateUndoRestoresBeforeImages) {
-  // Committed baseline row, then a transaction that updates it twice (the
-  // second update relocates the row by growing it) and inserts another.
-  auto setup = mgr_->Begin();
-  ASSERT_TRUE(setup.ok());
-  auto rid = mgr_->Insert(*setup, 0, "v1");
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(mgr_->Commit(*setup).ok());
-
-  auto txn = mgr_->Begin();
-  ASSERT_TRUE(txn.ok());
-  auto rid2 = mgr_->Update(*txn, 0, *rid, "v2-somewhat-longer");
-  ASSERT_TRUE(rid2.ok());
-  const std::string big(300, 'x');
-  auto rid3 = mgr_->Update(*txn, 0, *rid2, big);  // likely relocates
-  ASSERT_TRUE(rid3.ok());
-  ASSERT_TRUE(mgr_->Insert(*txn, 0, "extra").ok());
-  ASSERT_TRUE(mgr_->Abort(*txn).ok());
-
-  // Undo ran in reverse over the stale-rid chain: only the original image
-  // remains.
-  EXPECT_EQ(CountRows(), 1);
-  auto scan = file_->Scan();
-  ASSERT_TRUE(scan.Next());
-  EXPECT_EQ(scan.record(), "v1");
+  Append(&wal_, {test::TxnRecord(WalRecord::Type::kBegin, 1),
+                 test::TxnRecord(WalRecord::Type::kCommit, 1)});
+  storage::TransactionManager fresh(&wal_);
+  ASSERT_TRUE(fresh.Recover(&applier_, &stats_).ok());
+  EXPECT_EQ(stats_.committed_txns, 1);
+  EXPECT_EQ(stats_.applied_records, 0);
+  EXPECT_TRUE(applier_.ops.empty());
 }
 
 TEST_F(TxnRecoveryTest, RecoverTwiceEqualsRecoverOnce) {
@@ -368,41 +322,36 @@ TEST_F(TxnRecoveryTest, RecoverTwiceEqualsRecoverOnce) {
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_TRUE(wal.ok());
-    storage::TransactionManager mgr(wal->get());
-    auto live = storage::HeapFile::Create(pool_.get());
-    ASSERT_TRUE(live.ok());
-    mgr.RegisterTable(0, live->get());
-    auto txn = mgr.Begin();
-    ASSERT_TRUE(txn.ok());
-    ASSERT_TRUE(mgr.Insert(*txn, 0, "a").ok());
-    ASSERT_TRUE(mgr.Insert(*txn, 0, "b").ok());
-    ASSERT_TRUE(mgr.Commit(*txn).ok());
+    Append(wal->get(), {test::TxnRecord(WalRecord::Type::kBegin, 1),
+                        MakeInsert(1, 0, "a"), MakeInsert(1, 0, "b"),
+                        test::TxnRecord(WalRecord::Type::kCommit, 1)});
     ASSERT_TRUE((*wal)->Sync().ok());
   }
   auto wal = WriteAheadLog::Open(path);
   ASSERT_TRUE(wal.ok());
   storage::TransactionManager fresh(wal->get());
-  fresh.RegisterTable(0, file_.get());
-  storage::RecoveryStats first, second;
-  ASSERT_TRUE(fresh.Recover(nullptr, &first).ok());
-  EXPECT_EQ(first.applied_records, 2);
-  EXPECT_EQ(CountRows(), 2);
+  storage::RecoveryStats second;
+  ASSERT_TRUE(fresh.Recover(&applier_, &stats_).ok());
+  EXPECT_EQ(stats_.applied_records, 2);
+  EXPECT_EQ(applier_.ops,
+            (std::vector<std::string>{"insert 0 a", "insert 0 b"}));
   // Second pass is the guarded no-op.
-  ASSERT_TRUE(fresh.Recover(nullptr, &second).ok());
+  ASSERT_TRUE(fresh.Recover(&applier_, &second).ok());
   EXPECT_EQ(second.applied_records, 0);
-  EXPECT_EQ(CountRows(), 2);
+  EXPECT_EQ(applier_.ops.size(), 2u);
   std::remove(path.c_str());
 }
 
 TEST_F(TxnRecoveryTest, RecoverAdvancesTxnIds) {
-  auto txn = mgr_->Begin();
-  ASSERT_TRUE(txn.ok());
-  const int64_t used = (*txn)->id;
-  ASSERT_TRUE(mgr_->Commit(*txn).ok());
-  storage::TransactionManager fresh(wal_.get());
-  fresh.RegisterTable(0, file_.get());
-  ASSERT_TRUE(fresh.Recover().ok());
-  EXPECT_GT(fresh.AllocateTxnId(), used);
+  // New ids and commit timestamps continue above the highest in the log.
+  WalRecord commit = test::TxnRecord(WalRecord::Type::kCommit, 41);
+  commit.ts = 7;
+  Append(&wal_, {test::TxnRecord(WalRecord::Type::kBegin, 41), commit});
+  storage::TransactionManager fresh(&wal_);
+  ASSERT_TRUE(fresh.Recover(&applier_, &stats_).ok());
+  EXPECT_GT(fresh.AllocateTxnId(), 41);
+  EXPECT_EQ(fresh.last_committed(), 7);
+  EXPECT_GT(fresh.AllocateCommitTs(), 7);
 }
 
 // --------------------------------------------------------- Database-level ---

@@ -227,13 +227,35 @@ TEST_F(ServerTest, NotifyOnDoneFiresOnceEvenIfRegisteredLate) {
   StagedServer server(db_.get());
   std::atomic<int> fired{0};
   auto request = server.Submit("SELECT COUNT(*) FROM t");
-  request->NotifyOnDone([&] { fired.fetch_add(1); });
+  request->NotifyOnDone([&](const auto& result) {
+    EXPECT_TRUE(result.ok());
+    fired.fetch_add(1);
+  });
   ASSERT_TRUE(request->Await().ok());
   // Registering after completion must fire immediately, not never.
   std::atomic<int> late{0};
-  request->NotifyOnDone([&] { late.fetch_add(1); });
+  request->NotifyOnDone([&](const auto& result) {
+    EXPECT_TRUE(result.ok());
+    late.fetch_add(1);
+  });
   EXPECT_EQ(fired.load(), 1);
   EXPECT_EQ(late.load(), 1);
+}
+
+// Await returns only after a callback registered before completion has
+// returned, however slow it is; otherwise a caller that registers and then
+// awaits can miss the callback's effects.
+TEST(RequestTest, AwaitWaitsForSlowCallback) {
+  Request request("SELECT 1");
+  std::atomic<int> fired{0};
+  request.NotifyOnDone([&](const auto&...) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fired.fetch_add(1);
+  });
+  std::thread completer([&] { request.Complete(QueryResult{}); });
+  EXPECT_TRUE(request.Await().ok());
+  EXPECT_EQ(fired.load(), 1);
+  completer.join();
 }
 
 TEST_F(ServerTest, TrySubmitShedsAtCapacityInsteadOfBlocking) {

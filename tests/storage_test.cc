@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "recording_applier.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -234,18 +235,6 @@ TEST(SlottedPageTest, FillsUntilResourceExhausted) {
   EXPECT_LT(inserted, 82);
 }
 
-TEST(SlottedPageTest, UpdateInPlaceAndGrowth) {
-  Page page;
-  SlottedPage sp(&page);
-  sp.Init();
-  auto s = sp.Insert("abcdef");
-  ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(sp.UpdateInPlace(*s, "xyz").ok());
-  EXPECT_EQ(*sp.Get(*s), "xyz");
-  // Growth beyond the original footprint must be refused.
-  EXPECT_TRUE(sp.UpdateInPlace(*s, "0123456789").IsResourceExhausted());
-}
-
 // --------------------------------------------------------------- HeapFile ---
 
 TEST(HeapFileTest, InsertGetDeleteRoundTrip) {
@@ -306,27 +295,6 @@ TEST(HeapFileTest, ScanVisitsAllLiveRecordsInOrder) {
   EXPECT_EQ(seen.size(), 18u);
   EXPECT_EQ(seen[0], "rec0");
   EXPECT_EQ(seen[3], "rec4");  // rec3 deleted
-}
-
-TEST(HeapFileTest, UpdateMayRelocate) {
-  MemDiskManager disk;
-  BufferPool pool(&disk, 32);
-  auto file_or = HeapFile::Create(&pool);
-  ASSERT_TRUE(file_or.ok());
-  auto& file = *file_or;
-  auto rid = file->Insert("short");
-  ASSERT_TRUE(rid.ok());
-  // Fill the page so in-place growth is impossible.
-  while (true) {
-    auto r = file->Insert(std::string(500, 'f'));
-    ASSERT_TRUE(r.ok());
-    if (r->page_id != rid->page_id) break;
-  }
-  auto new_rid = file->Update(*rid, std::string(600, 'u'));
-  ASSERT_TRUE(new_rid.ok());
-  std::string out;
-  ASSERT_TRUE(file->Get(*new_rid, &out).ok());
-  EXPECT_EQ(out, std::string(600, 'u'));
 }
 
 TEST(HeapFileTest, OpenFindsExistingChain) {
@@ -550,86 +518,23 @@ TEST(WalTest, FileBackedSurvivesReopen) {
 
 // ----------------------------------------------------------- Transactions ---
 
-class TxnTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    disk_ = std::make_unique<MemDiskManager>();
-    pool_ = std::make_unique<BufferPool>(disk_.get(), 64);
-    auto f = HeapFile::Create(pool_.get());
-    ASSERT_TRUE(f.ok());
-    file_ = std::move(*f);
-    wal_ = std::make_unique<WriteAheadLog>();
-    tm_ = std::make_unique<TransactionManager>(wal_.get());
-    tm_->RegisterTable(0, file_.get());
-  }
-  std::unique_ptr<MemDiskManager> disk_;
-  std::unique_ptr<BufferPool> pool_;
-  std::unique_ptr<HeapFile> file_;
-  std::unique_ptr<WriteAheadLog> wal_;
-  std::unique_ptr<TransactionManager> tm_;
-};
-
-TEST_F(TxnTest, CommitMakesChangesDurable) {
-  auto txn = tm_->Begin();
-  ASSERT_TRUE(txn.ok());
-  auto rid = tm_->Insert(*txn, 0, "row1");
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(tm_->Commit(*txn).ok());
-  std::string out;
-  ASSERT_TRUE(file_->Get(*rid, &out).ok());
-  EXPECT_EQ(out, "row1");
-  EXPECT_EQ(tm_->active_transactions(), 0);
-}
-
-TEST_F(TxnTest, AbortUndoesInsert) {
-  auto txn = tm_->Begin();
-  ASSERT_TRUE(txn.ok());
-  auto rid = tm_->Insert(*txn, 0, "ghost");
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(tm_->Abort(*txn).ok());
-  std::string out;
-  EXPECT_TRUE(file_->Get(*rid, &out).IsNotFound());
-}
-
-TEST_F(TxnTest, AbortUndoesDeleteAndUpdate) {
-  auto setup = tm_->Begin();
-  auto rid1 = tm_->Insert(*setup, 0, "keep-me");
-  auto rid2 = tm_->Insert(*setup, 0, "original");
-  ASSERT_TRUE(rid1.ok() && rid2.ok());
-  ASSERT_TRUE(tm_->Commit(*setup).ok());
-
-  auto txn = tm_->Begin();
-  ASSERT_TRUE(tm_->Delete(*txn, 0, *rid1).ok());
-  ASSERT_TRUE(tm_->Update(*txn, 0, *rid2, "modified").ok());
-  ASSERT_TRUE(tm_->Abort(*txn).ok());
-
-  // Both rows are back with their original contents.
-  int keep = 0, orig = 0;
-  auto it = file_->Scan();
-  while (it.Next()) {
-    if (it.record() == "keep-me") ++keep;
-    if (it.record() == "original") ++orig;
-  }
-  EXPECT_EQ(keep, 1);
-  EXPECT_EQ(orig, 1);
-}
-
-TEST_F(TxnTest, ExclusiveLockBlocksSecondWriter) {
-  auto t1 = tm_->Begin();
-  auto t2 = tm_->Begin();
-  ASSERT_TRUE(tm_->Insert(*t1, 0, "locked").ok());
-  // t2 cannot write the same table until t1 finishes; with the default
-  // timeout this surfaces as Aborted.
+TEST(TxnTest, ExclusiveLockBlocksSecondWriter) {
   LockManager lm(/*timeout_micros=*/20000);
   ASSERT_TRUE(lm.AcquireExclusive(1, 0).ok());
+  // While txn 1 holds table 0, txn 2 can neither write nor read it; the wait
+  // times out as Aborted (the caller's deadlock resolution).
   EXPECT_TRUE(lm.AcquireExclusive(2, 0).IsAborted());
+  EXPECT_TRUE(lm.AcquireShared(2, 0).IsAborted());
+  // Locks are per table.
+  ASSERT_TRUE(lm.AcquireExclusive(2, 1).ok());
   lm.ReleaseAll(1);
   EXPECT_TRUE(lm.AcquireExclusive(2, 0).ok());
-  ASSERT_TRUE(tm_->Commit(*t1).ok());
-  ASSERT_TRUE(tm_->Commit(*t2).ok());
+  EXPECT_EQ(lm.locked_tables(), 2u);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.locked_tables(), 0u);
 }
 
-TEST_F(TxnTest, SharedLocksCoexistExclusiveWaits) {
+TEST(TxnTest, SharedLocksCoexistExclusiveWaits) {
   LockManager lm(/*timeout_micros=*/20000);
   ASSERT_TRUE(lm.AcquireShared(1, 5).ok());
   ASSERT_TRUE(lm.AcquireShared(2, 5).ok());
@@ -642,14 +547,14 @@ TEST_F(TxnTest, SharedLocksCoexistExclusiveWaits) {
   EXPECT_EQ(lm.locked_tables(), 0u);
 }
 
-TEST_F(TxnTest, SharedToExclusiveUpgrade) {
+TEST(TxnTest, SharedToExclusiveUpgrade) {
   LockManager lm(/*timeout_micros=*/20000);
   ASSERT_TRUE(lm.AcquireShared(1, 0).ok());
   ASSERT_TRUE(lm.AcquireExclusive(1, 0).ok());  // self-upgrade
   lm.ReleaseAll(1);
 }
 
-TEST_F(TxnTest, ExclusiveReleaseWakesWaiter) {
+TEST(TxnTest, ExclusiveReleaseWakesWaiter) {
   LockManager lm(/*timeout_micros=*/2000000);
   ASSERT_TRUE(lm.AcquireExclusive(1, 0).ok());
   std::atomic<bool> acquired{false};
@@ -663,7 +568,7 @@ TEST_F(TxnTest, ExclusiveReleaseWakesWaiter) {
   EXPECT_TRUE(acquired.load());
 }
 
-TEST_F(TxnTest, WaitingWriterBlocksNewReaders) {
+TEST(TxnTest, WaitingWriterBlocksNewReaders) {
   // Writer preference: once a writer is queued, fresh shared requests must
   // wait behind it, or overlapping scans starve DML forever.
   LockManager lm(/*timeout_micros=*/5000000);
@@ -692,26 +597,30 @@ TEST_F(TxnTest, WaitingWriterBlocksNewReaders) {
   EXPECT_EQ(lm.locked_tables(), 0u);
 }
 
-TEST_F(TxnTest, RecoveryReplaysOnlyCommittedTransactions) {
-  auto committed = tm_->Begin();
-  ASSERT_TRUE(tm_->Insert(*committed, 0, "durable-row").ok());
-  ASSERT_TRUE(tm_->Commit(*committed).ok());
-  auto uncommitted = tm_->Begin();
-  ASSERT_TRUE(tm_->Insert(*uncommitted, 0, "in-flight-row").ok());
-  // Crash: rebuild an empty table and replay the same WAL.
-  auto fresh_file = HeapFile::Create(pool_.get());
-  ASSERT_TRUE(fresh_file.ok());
-  TransactionManager recovered(wal_.get());
-  recovered.RegisterTable(0, fresh_file->get());
-  ASSERT_TRUE(recovered.Recover().ok());
-  int durable = 0, inflight = 0;
-  auto it = (*fresh_file)->Scan();
-  while (it.Next()) {
-    if (it.record() == "durable-row") ++durable;
-    if (it.record() == "in-flight-row") ++inflight;
+TEST(TxnTest, RecoveryReplaysOnlyCommittedTransactions) {
+  using Type = WalRecord::Type;
+  using test::TxnRecord;
+  WriteAheadLog wal;
+  // Txn 1 commits an insert, an update and a delete; txn 2 is still in
+  // flight at the crash.
+  for (WalRecord r :
+       {TxnRecord(Type::kBegin, 1), TxnRecord(Type::kInsert, 1, "", "a"),
+        TxnRecord(Type::kBegin, 2), TxnRecord(Type::kInsert, 2, "", "ghost"),
+        TxnRecord(Type::kUpdate, 1, "a", "b"),
+        TxnRecord(Type::kDelete, 1, "old"), TxnRecord(Type::kCommit, 1),
+        TxnRecord(Type::kDelete, 2, "b")}) {
+    ASSERT_TRUE(wal.Append(std::move(r)).ok());
   }
-  EXPECT_EQ(durable, 1);
-  EXPECT_EQ(inflight, 0);
+  TransactionManager recovered(&wal);
+  test::RecordingApplier applier;
+  RecoveryStats stats;
+  ASSERT_TRUE(recovered.Recover(&applier, &stats).ok());
+  EXPECT_EQ(applier.ops,
+            (std::vector<std::string>{"insert 0 a", "update 0 a -> b",
+                                      "delete 0 old"}));
+  EXPECT_EQ(stats.committed_txns, 1);
+  EXPECT_EQ(stats.loser_txns, 1);
+  EXPECT_EQ(stats.applied_records, 3);
 }
 
 }  // namespace

@@ -26,6 +26,12 @@ code blocks are skipped entirely (they show commands and output, not
 references); inline code spans are only scanned for path tokens, never for
 links.
 
+It also keeps the knob reference in docs/OPERATIONS.md in step with the
+options structs it documents (KNOB_TABLES): every data member of each
+struct needs a row in its table, and every backticked name in a row's
+first cell must be a member. A row may name several members
+(`host` / `port`).
+
 Usage:  check_doc_links.py [--root DIR]
 Prints findings as `path:line: message` and exits non-zero if any exist.
 """
@@ -47,6 +53,17 @@ HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 # `path:123` / `path:123-456` line references: strip before existence check.
 LINE_REF = re.compile(r":\d+(?:-\d+)?$")
 ROOT_DOC = re.compile(r"^[A-Za-z0-9_.-]+\.md$")
+
+# (struct, header declaring it): each has a table under the
+# "### `<ns>::<struct>` (`<header>`)" heading of OPERATIONS_DOC.
+OPERATIONS_DOC = "docs/OPERATIONS.md"
+KNOB_TABLES = (
+    ("DatabaseOptions", "src/server/database.h"),
+    ("ServerOptions", "src/server/server.h"),
+    ("NetServerOptions", "src/net/net_server.h"),
+)
+TABLE_ROW = re.compile(r"^\|([^|]*)\|")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def slugify(heading):
@@ -153,6 +170,80 @@ def check_file(root, doc, findings):
             check_link(root, doc, lineno, target, findings)
 
 
+def struct_fields(header, struct):
+    """Data members of `struct <struct> { ... };` in a C++ header.
+
+    Good enough for plain aggregates like the options structs: comments are
+    stripped, nested braces (brace initializers, nested types) are skipped,
+    and each top-level `...;` declaration without a parenthesis yields the
+    identifier before its initializer. Returns None if the struct is absent.
+    """
+    with open(header, encoding="utf-8") as f:
+        text = re.sub(r"//[^\n]*", "", f.read())
+    m = re.search(r"\bstruct\s+%s\s*\{" % re.escape(struct), text)
+    if not m:
+        return None
+    fields, depth, decl = [], 0, ""
+    for ch in text[m.end():]:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0:
+            if ch == ";":
+                head = decl.split("=")[0].strip()
+                if head and "(" not in head and not head.startswith(
+                        ("using ", "friend ", "static ")):
+                    fields.append(IDENTIFIER.findall(head)[-1])
+                decl = ""
+            else:
+                decl += ch
+    return fields
+
+
+def knob_rows(doc, struct):
+    """(heading line, {name: lineno}) for `struct`'s knob table; the names
+    are the backticked ones in each row's first cell. Line 0 = no heading."""
+    heading = re.compile(r"^#{2,6}\s+`(?:\w+::)*%s`" % re.escape(struct))
+    heading_line, rows, in_section = 0, {}, False
+    for lineno, line in strip_fences(doc):
+        if HEADING.match(line):
+            in_section = bool(heading.match(line))
+            if in_section:
+                heading_line = lineno
+            continue
+        row = TABLE_ROW.match(line) if in_section else None
+        if row:
+            for name in INLINE_CODE.findall(row.group(1)):
+                rows.setdefault(name, lineno)
+    return heading_line, rows
+
+
+def check_knob_tables(findings):
+    for struct, header in KNOB_TABLES:
+        fields = struct_fields(header, struct)
+        if fields is None:
+            findings.append((header, 1, "struct %s not found" % struct))
+            continue
+        heading_line, rows = knob_rows(OPERATIONS_DOC, struct)
+        if not heading_line:
+            findings.append((OPERATIONS_DOC, 1,
+                             "no knob table for %s" % struct))
+            continue
+        for field in fields:
+            if field not in rows:
+                findings.append((OPERATIONS_DOC, heading_line,
+                                 "%s::%s (%s) has no knob row"
+                                 % (struct, field, header)))
+        for name, lineno in sorted(rows.items(), key=lambda kv: kv[1]):
+            if name not in fields:
+                findings.append((OPERATIONS_DOC, lineno,
+                                 "knob row names %s, not a field of %s"
+                                 % (name, struct)))
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=None,
@@ -169,6 +260,7 @@ def main(argv):
     findings = []
     for doc in docs:
         check_file(".", doc, findings)
+    check_knob_tables(findings)
 
     for doc, lineno, message in findings:
         print("%s:%d: %s" % (doc, lineno, message))
