@@ -138,7 +138,15 @@ void Stage::Enqueue(StageTask* task) {
     MutexLock lock(*run_mu_);
     PushLocked(task);
   }
-  runtime_->cv_.NotifyAll();
+  Wake();
+}
+
+void Stage::Wake() {
+  if (runtime_->free_run_) {
+    cv_.NotifyOne();
+  } else {
+    runtime_->cv_.NotifyAll();
+  }
 }
 
 void Stage::Activate(StageTask* task) {
@@ -166,7 +174,7 @@ void Stage::Activate(StageTask* task) {
     MutexLock lock(*run_mu_);
     PushLocked(task);
   }
-  runtime_->cv_.NotifyAll();
+  Wake();
 }
 
 void ServiceTask::Activate(Stage* stage) {
@@ -239,6 +247,7 @@ void StageRuntime::Shutdown() {
     shutdown_ = true;
   }
   cv_.NotifyAll();
+  for (const auto& stage : stages_) stage->cv_.NotifyAll();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
@@ -309,6 +318,7 @@ StageTask* StageRuntime::WaitForTask(Stage* stage) {
   // mu_ IS stage->run_mu_; the analysis cannot equate the two spellings, so
   // restate the held lock under the stage's name for its guarded fields.
   stage->run_mu_->AssertHeld();
+  bool woken = false;
   while (true) {
     if (shutdown_) return nullptr;
     bool allowed = free_run_;
@@ -334,7 +344,10 @@ StageTask* StageRuntime::WaitForTask(Stage* stage) {
       task->service_start_micros_ = now;
       return task;
     }
-    cv_.Wait(mu_);
+    if (woken) ++stage->spurious_wakeups_;
+    (free_run_ ? stage->cv_ : cv_).Wait(mu_);
+    woken = true;
+    ++stage->wakeups_;
   }
 }
 
@@ -355,13 +368,17 @@ void StageRuntime::FinishTask(Stage* stage, StageTask* task,
       // last access in the runtime.
       task->OnRetired();
       task = nullptr;
-      // The inflight decrement above may have ended the visit; the other
-      // outcomes rotate inside their (Push|Enqueue) calls.
-      {
-        MutexLock lock(mu_);
-        MaybeRotateLocked();
+      // Under a gated policy the inflight decrement above may have ended
+      // the visit; the other outcomes rotate inside their (Push|Enqueue)
+      // calls. Free-run has no rotation, and a retirement gives no other
+      // worker anything new to run, so it wakes no one.
+      if (!free_run_) {
+        {
+          MutexLock lock(mu_);
+          MaybeRotateLocked();
+        }
+        cv_.NotifyAll();
       }
-      cv_.NotifyAll();
       break;
     }
     case RunOutcome::kYield:
@@ -388,12 +405,14 @@ void StageRuntime::FinishTask(Stage* stage, StageTask* task,
       // that ends in kYield/kMoved survives to the next park and causes at
       // most one spurious requeue — benign, the packet just re-blocks.)
       const bool can_progress = task->CanMakeProgress();
+      bool requeued = false;
       {
         MutexLock lock(mu_);
         stage->run_mu_->AssertHeld();  // mu_ under the stage's spelling
         const bool woken =
             task->wake_pending_.exchange(false, std::memory_order_relaxed);
-        if (can_progress || woken) {
+        requeued = can_progress || woken;
+        if (requeued) {
           task->state_.store(StageTask::State::kQueued);
           stage->PushLocked(task);
         } else {
@@ -401,7 +420,13 @@ void StageRuntime::FinishTask(Stage* stage, StageTask* task,
           MaybeRotateLocked();
         }
       }
-      cv_.NotifyAll();
+      // A park gives a free-run worker nothing to run; under a gated policy
+      // it may have ended the visit, so the rotation's next stage must wake.
+      if (requeued) {
+        stage->Wake();
+      } else if (!free_run_) {
+        cv_.NotifyAll();
+      }
       break;
     }
   }
@@ -440,6 +465,8 @@ StageRuntime::StatsSnapshot StageRuntime::Stats() const {
     s.visits = stage->visits_;
     s.gate_rounds = stage->gate_rounds_;
     s.pops = stage->pops_;
+    s.wakeups = stage->wakeups_;
+    s.spurious_wakeups = stage->spurious_wakeups_;
     s.wait_micros = stage->wait_micros_;
     s.service_micros = stage->service_micros_;
     snap.stages.push_back(std::move(s));
@@ -454,11 +481,14 @@ std::string StageRuntime::StatsSnapshot::ToString() const {
   for (const StageStats& s : stages) {
     out += StrFormat(
         "  %-12s workers=%d%s depth=%zu pops=%lld visits=%lld "
-        "pkts/visit=%.1f wait_p50=%.0fus wait_p95=%.0fus svc_p50=%.0fus\n",
+        "pkts/visit=%.1f wakeups=%lld spurious=%lld wait_p50=%.0fus "
+        "wait_p95=%.0fus svc_p50=%.0fus\n",
         s.name.c_str(), s.num_workers,
         s.pinned_cpu >= 0 ? StrFormat("@cpu%d", s.pinned_cpu).c_str() : "",
         s.queue_depth, static_cast<long long>(s.pops),
         static_cast<long long>(s.visits), s.PacketsPerVisit(),
+        static_cast<long long>(s.wakeups),
+        static_cast<long long>(s.spurious_wakeups),
         s.wait_micros.Percentile(50), s.wait_micros.Percentile(95),
         s.service_micros.Percentile(50));
     if (s.parallel_packets > 0) {

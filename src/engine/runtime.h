@@ -242,6 +242,10 @@ class Stage {
 
   /// Appends an already-kQueued packet (caller holds the runtime mutex).
   void PushLocked(StageTask* task) REQUIRES(*run_mu_);
+  /// Wakes a worker that may now serve this stage's queue: one of this
+  /// stage's own workers under free-run, every worker under a gated policy
+  /// (the rotation decides which stage may dequeue). Call after unlocking.
+  void Wake();
 
   StageRuntime* const runtime_;
   /// The runtime's scheduler mutex (always &runtime_->mu_), duplicated here
@@ -256,6 +260,10 @@ class Stage {
   const StagePoolSpec spec_;
   std::deque<StageTask*> queue_ GUARDED_BY(*run_mu_);
   int inflight_ GUARDED_BY(*run_mu_) = 0;  // workers running a packet
+  /// Free-run only: this stage's workers wait here, so a packet move wakes
+  /// one worker of the stage that has work rather than every worker of the
+  /// runtime. Gated policies wait on the runtime-wide cv instead.
+  CondVar cv_;
   std::atomic<int64_t> processed_{0};
   std::atomic<int64_t> yielded_{0};
   std::atomic<int64_t> blocked_{0};
@@ -266,6 +274,9 @@ class Stage {
   int64_t visits_ GUARDED_BY(*run_mu_) = 0;  // rotation arrivals (0 free-run)
   int64_t gate_rounds_ GUARDED_BY(*run_mu_) = 0;  // gate rounds served
   int64_t pops_ GUARDED_BY(*run_mu_) = 0;  // packets dequeued for service
+  int64_t wakeups_ GUARDED_BY(*run_mu_) = 0;  // worker returns from a wait
+  // Wake-ups that found nothing this stage could run.
+  int64_t spurious_wakeups_ GUARDED_BY(*run_mu_) = 0;
   Histogram wait_micros_ GUARDED_BY(*run_mu_);     // enqueue -> dequeue
   Histogram service_micros_ GUARDED_BY(*run_mu_);  // one Run() invocation
 };
@@ -290,6 +301,10 @@ class StageRuntime {
     int64_t visits = 0;
     int64_t gate_rounds = 0;
     int64_t pops = 0;
+    /// Times one of this stage's workers returned from waiting for work,
+    /// and how many of those found nothing it could run.
+    int64_t wakeups = 0;
+    int64_t spurious_wakeups = 0;
     Histogram wait_micros;
     Histogram service_micros;
     /// Mean batch size per rotation arrival (the Figure-5 x-axis analogue).
@@ -375,7 +390,7 @@ class StageRuntime {
   const std::unique_ptr<SchedulingPolicy> policy_;
   const bool free_run_;
   mutable Mutex mu_;
-  CondVar cv_;
+  CondVar cv_;  // gated policies only; free-run waits on Stage::cv_
   bool shutdown_ GUARDED_BY(mu_) = false;
   // Cohort rotation state. While a visit is open only the active stage's
   // workers may dequeue, and only while the gate admits.

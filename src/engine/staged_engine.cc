@@ -103,6 +103,16 @@ class OperatorInstance : public StageTask {
                    const PhysicalPlan* plan)
       : engine_(engine), query_(query), plan_(plan) {
     set_query_id(query->id);
+    // Scans report rows read and rows qualified to an activity trace, as
+    // the volcano scans do. Registered here, before any packet runs; each
+    // packet then touches only its own entry.
+    trace_ = query->exec_ctx->trace;
+    if (trace_ != nullptr && (plan->kind == PlanKind::kSeqScan ||
+                              plan->kind == PlanKind::kIndexScan)) {
+      trace_id_ = trace_->Register(plan->kind, plan->table->name);
+    } else {
+      trace_ = nullptr;
+    }
   }
 
   std::vector<ExchangeBuffer*> inputs_;
@@ -364,6 +374,16 @@ class OperatorInstance : public StageTask {
     return Status::OK();
   }
 
+  /// A scan's fused predicate on one visible row it read (the qualification
+  /// the qual stage would otherwise do one exchange hop later). On an
+  /// evaluation error the caller fails the query.
+  StatusOr<bool> QualifyScanRow(const Tuple& row) {
+    if (trace_ != nullptr) trace_->CountRead(trace_id_);
+    auto pass = exec::ScanQualifies(*plan_, row);
+    if (trace_ != nullptr && pass.ok() && *pass) trace_->CountTuple(trace_id_);
+    return pass;
+  }
+
   RunOutcome RunSeqScan();
   RunOutcome RunSharedSeqScan();
   RunOutcome RunIndexScan();
@@ -384,6 +404,8 @@ class OperatorInstance : public StageTask {
   StagedEngine* engine_;
   StagedQuery* query_;
   const PhysicalPlan* plan_;
+  exec::OperatorTrace* trace_ = nullptr;  // scans under an activity trace
+  size_t trace_id_ = 0;
 
   InputCursor cursors_[2];
   std::vector<RowBatch> out_batches_;  // one staging batch per output
@@ -496,12 +518,14 @@ RunOutcome OperatorInstance::RunSeqScan() {
   int budget = quantum_tuples();
   RowBatch morsel;
   while (budget > 0) {
-    // Fill one page-sized morsel and hand it downstream whole (fscan emits
-    // morsels, not tuples).
+    // Read one page-sized morsel's worth of visible rows and hand the ones
+    // that qualify downstream (fscan emits morsels, not tuples; a partial
+    // morsel waits in the output staging batch until a page fills).
     morsel.clear();
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
     morsel.reserve(target);
-    while (morsel.size() < target) {
+    size_t read = 0;
+    while (read < target) {
       if (!scan_iter_->Next()) {
         if (!scan_iter_->status().ok()) {
           query_->Fail(scan_iter_->status());
@@ -519,9 +543,15 @@ RunOutcome OperatorInstance::RunSeqScan() {
         return FinishEarly();
       }
       if (!*visible) continue;
-      morsel.push_back(std::move(tuple));
+      ++read;
+      auto pass = QualifyScanRow(tuple);
+      if (!pass.ok()) {
+        query_->Fail(pass.status());
+        return FinishEarly();
+      }
+      if (*pass) morsel.push_back(std::move(tuple));
     }
-    budget -= static_cast<int>(morsel.size());
+    budget -= static_cast<int>(read);
     if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
   }
   return RunOutcome::kYield;
@@ -551,8 +581,8 @@ RunOutcome OperatorInstance::RunSharedSeqScan() {
       const size_t target =
           std::min(page_size(), static_cast<size_t>(budget));
       morsel.reserve(target);
-      while (morsel.size() < target &&
-             shared_page_pos_ < shared_page_->size()) {
+      size_t read = 0;
+      while (read < target && shared_page_pos_ < shared_page_->size()) {
         Tuple tuple;
         auto visible = exec::DecodeVisibleRecord(
             view, plan_->table->schema, (*shared_page_)[shared_page_pos_],
@@ -563,9 +593,15 @@ RunOutcome OperatorInstance::RunSharedSeqScan() {
           return FinishEarly();
         }
         if (!*visible) continue;
-        morsel.push_back(std::move(tuple));
+        ++read;
+        auto pass = QualifyScanRow(tuple);
+        if (!pass.ok()) {
+          query_->Fail(pass.status());
+          return FinishEarly();
+        }
+        if (*pass) morsel.push_back(std::move(tuple));
       }
-      budget -= static_cast<int>(morsel.size());
+      budget -= static_cast<int>(read);
       if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
       continue;
     }
@@ -600,7 +636,8 @@ RunOutcome OperatorInstance::RunIndexScan() {
     morsel.clear();
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
     morsel.reserve(target);
-    while (morsel.size() < target && index_pos_ < index_matches_.size()) {
+    size_t read = 0;
+    while (read < target && index_pos_ < index_matches_.size()) {
       const auto& [key, head] = index_matches_[index_pos_++];
       storage::Rid rid;
       Tuple tuple;
@@ -610,9 +647,16 @@ RunOutcome OperatorInstance::RunIndexScan() {
         query_->Fail(found.status());
         return FinishEarly();
       }
-      if (*found) morsel.push_back(std::move(tuple));
+      if (!*found) continue;
+      ++read;
+      auto pass = QualifyScanRow(tuple);
+      if (!pass.ok()) {
+        query_->Fail(pass.status());
+        return FinishEarly();
+      }
+      if (*pass) morsel.push_back(std::move(tuple));
     }
-    budget -= static_cast<int>(std::max<size_t>(1, morsel.size()));
+    budget -= static_cast<int>(std::max<size_t>(1, read));
     if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
     if (index_pos_ >= index_matches_.size()) return Finish();
   }

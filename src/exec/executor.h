@@ -27,16 +27,20 @@ struct OperatorTraceEntry {
   std::string detail;     // e.g. table name
   int64_t tuples_out = 0;
   int64_t invocations = 0;
+  /// Scans only: visible rows decoded, before the scan's own predicate
+  /// drops any (tuples_out counts the survivors).
+  int64_t rows_read = 0;
 };
 
 /// Collects operator activity for one query execution.
 class OperatorTrace {
  public:
   size_t Register(optimizer::PlanKind kind, std::string detail) {
-    entries_.push_back({kind, std::move(detail), 0, 0});
+    entries_.push_back({kind, std::move(detail), 0, 0, 0});
     return entries_.size() - 1;
   }
   void CountTuple(size_t id) { ++entries_[id].tuples_out; }
+  void CountRead(size_t id) { ++entries_[id].rows_read; }
   void CountInvocation(size_t id) { ++entries_[id].invocations; }
   const std::vector<OperatorTraceEntry>& entries() const { return entries_; }
 
@@ -100,6 +104,16 @@ inline StatusOr<bool> DecodeVisibleRecord(const storage::MvccReadView& view,
   if (!tuple.ok()) return tuple.status();
   *out = std::move(*tuple);
   return true;
+}
+
+/// A scan node's fused predicate applied to one visible row: true keeps
+/// it. NULL and false both drop the row (SQL's three-valued WHERE), and an
+/// evaluation error fails the query. Shared by the volcano scans and the
+/// staged scan drivers so both engines qualify rows identically.
+inline StatusOr<bool> ScanQualifies(const optimizer::PhysicalPlan& scan,
+                                    const catalog::Tuple& row) {
+  if (scan.predicate == nullptr) return true;
+  return optimizer::EvalPredicate(*scan.predicate, row);
 }
 
 /// Resolves one entry of `index` (`key` -> `head`) to the row version

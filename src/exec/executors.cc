@@ -78,6 +78,10 @@ class SeqScanExec : public Executor {
                                          iter_.record(), out);
       if (!visible.ok()) return visible.status();
       if (!*visible) continue;  // version outside our snapshot
+      if (ctx_->trace != nullptr) ctx_->trace->CountRead(trace_id_);
+      auto pass = ScanQualifies(*plan_, *out);
+      if (!pass.ok()) return pass.status();
+      if (!*pass) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountTuple(trace_id_);
       return true;
     }
@@ -118,6 +122,10 @@ class IndexScanExec : public Executor {
                                        key, head, &rid, out);
       if (!found.ok()) return found.status();
       if (!*found) continue;
+      if (ctx_->trace != nullptr) ctx_->trace->CountRead(trace_id_);
+      auto pass = ScanQualifies(*plan_, *out);
+      if (!pass.ok()) return pass.status();
+      if (!*pass) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountTuple(trace_id_);
       return true;
     }

@@ -106,7 +106,9 @@ struct PhysicalPlan {
   int index_lo_adjust = 0;
   int index_hi_adjust = 0;
 
-  // kFilter / join residual predicates / kDelete / kUpdate condition.
+  // kFilter / scan and join residual predicates / kDelete / kUpdate
+  // condition. A scan evaluates its predicate on every visible row it reads
+  // and emits only the rows that qualify.
   std::unique_ptr<BoundExpr> predicate;
 
   // kProject expressions; kHashAggregate group-by; kUpdate SET values

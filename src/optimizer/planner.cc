@@ -217,7 +217,7 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanBaseRelation(
   // literal (folded into the static lo/hi) or a '?' parameter of INTEGER
   // normalized type (recorded as a parameterized bound that
   // frontend::InstantiatePlan resolves; at most one parameter per side —
-  // further parameterized conjuncts stay in the residual filter).
+  // further parameterized conjuncts stay in the scan's residual predicate).
   catalog::IndexInfo* best_index = nullptr;
   int64_t lo = INT64_MIN, hi = INT64_MAX;
   int lo_param = -1, hi_param = -1;
@@ -376,7 +376,9 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanBaseRelation(
   }
 
   if (!remaining.empty()) {
-    // AND the remaining conjuncts into one filter predicate.
+    // AND the remaining conjuncts into the access node's own predicate: the
+    // scan qualifies each row it reads, so only survivors leave the scan
+    // stage (no separate filter hop).
     std::unique_ptr<BoundExpr> pred;
     double sel = 1.0;
     for (const Expr* conjunct : remaining) {
@@ -389,15 +391,9 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanBaseRelation(
                                       std::move(*bound))
                   : std::move(*bound);
     }
-    auto filter = std::make_unique<PhysicalPlan>();
-    filter->kind = PlanKind::kFilter;
-    filter->schema = plan->schema;
-    filter->predicate = std::move(pred);
-    filter->estimated_rows = std::max(1.0, plan->estimated_rows * sel);
-    filter->estimated_cost =
-        plan->estimated_cost + plan->estimated_rows * kCpuPerTuple;
-    filter->children.push_back(std::move(plan));
-    plan = std::move(filter);
+    plan->predicate = std::move(pred);
+    plan->estimated_cost += plan->estimated_rows * kCpuPerTuple;
+    plan->estimated_rows = std::max(1.0, plan->estimated_rows * sel);
   }
   return plan;
 }
@@ -1072,7 +1068,6 @@ Status Planner::ChooseDmlAccessPath(const Expr* where, PhysicalPlan* node) {
   auto scan = PlanBaseRelation(rel, std::move(conjuncts));
   if (!scan.ok()) return scan.status();
   const PhysicalPlan* access = scan->get();
-  if (access->kind == PlanKind::kFilter) access = access->children[0].get();
   if (access->kind != PlanKind::kIndexScan) return Status::OK();
   node->index = access->index;
   node->index_lo = access->index_lo;

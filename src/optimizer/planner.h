@@ -78,8 +78,9 @@ class Planner {
   StatusOr<std::unique_ptr<PhysicalPlan>> PlanUpdate(
       const parser::UpdateStmt& stmt);
 
-  /// Builds the scan (+filter) plan for one relation given its local
-  /// predicates; consumes usable predicates for an index range when possible.
+  /// Builds the access node for one relation given its local predicates:
+  /// consumes usable predicates for an index range when possible and ANDs
+  /// the rest into the scan's own predicate.
   StatusOr<std::unique_ptr<PhysicalPlan>> PlanBaseRelation(
       const Relation& rel, std::vector<const parser::Expr*> local_conjuncts);
 

@@ -93,12 +93,15 @@ StatusOr<QueryTrace> CaptureQueryTrace(catalog::Catalog* catalog,
   for (const exec::OperatorTraceEntry& entry : op_trace.entries()) {
     TraceSegment seg;
     seg.module = ModuleForKind(entry.kind);
-    const int64_t tuples = std::max<int64_t>(entry.tuples_out, 1);
+    // A scan qualifies rows itself, so its work (decode, predicate, page
+    // I/O) follows the rows it read, not the fewer rows it emitted.
+    const bool is_scan = entry.kind == optimizer::PlanKind::kSeqScan ||
+                         entry.kind == optimizer::PlanKind::kIndexScan;
+    const int64_t tuples = std::max<int64_t>(
+        is_scan ? entry.rows_read : entry.tuples_out, 1);
     seg.cpu_micros =
         cost.exec_micros_per_tuple * OpCostMultiplier(entry.kind) * tuples;
-    if (cost.charge_scan_io &&
-        (entry.kind == optimizer::PlanKind::kSeqScan ||
-         entry.kind == optimizer::PlanKind::kIndexScan)) {
+    if (cost.charge_scan_io && is_scan) {
       seg.io_count = static_cast<int>(
           (tuples + cost.rows_per_io_page - 1) / cost.rows_per_io_page);
       if (entry.kind == optimizer::PlanKind::kIndexScan) {

@@ -424,5 +424,231 @@ TEST_F(StagedEngineTest, RandomizedDifferentialSweep) {
   }
 }
 
+// ------------------------------------------------ fused scan predicates ---
+
+/// A scan qualifies its own rows: a base-table WHERE is the access node's
+/// predicate, evaluated by the fscan/iscan drivers, with no Filter packet on
+/// the qual stage. Table `f` has NULLs in `b` and `s` and an index on `a`;
+/// `w` is a multi-page table without an index.
+class FusedScanPredicateTest : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 1500;
+  static constexpr int kWideRows = 6000;
+
+  void SetUp() override {
+    disk_ = std::make_unique<storage::MemDiskManager>();
+    pool_ = std::make_unique<storage::BufferPool>(disk_.get(), 2048);
+    catalog_ = std::make_unique<Catalog>(pool_.get());
+    auto f = catalog_->CreateTable(
+        "f", Schema({{"a", TypeId::kInt64, ""},
+                     {"b", TypeId::kInt64, ""},
+                     {"s", TypeId::kVarchar, ""}}));
+    auto w = catalog_->CreateTable(
+        "w", Schema({{"k", TypeId::kInt64, ""}, {"v", TypeId::kInt64, ""}}));
+    ASSERT_TRUE(f.ok() && w.ok());
+    Rng rng(11);
+    for (int i = 0; i < kRows; ++i) {
+      const Value b = i % 7 == 0 ? Value::Null()
+                                 : Value::Int(static_cast<int64_t>(
+                                       rng.Uniform(20)));
+      const Value str = i % 5 == 0 ? Value::Null()
+                                   : Value::Varchar("r" + std::to_string(i % 40));
+      ASSERT_TRUE(catalog_->InsertTuple(*f, {Value::Int(i), b, str}).ok());
+    }
+    for (int i = 0; i < kWideRows; ++i) {
+      ASSERT_TRUE(
+          catalog_->InsertTuple(*w, {Value::Int(i), Value::Int(i * 3)}).ok());
+    }
+    ASSERT_TRUE(catalog_->CreateIndex("f_a", "f", "a").ok());
+  }
+
+  std::unique_ptr<optimizer::PhysicalPlan> Plan(const std::string& sql) {
+    auto stmt = parser::ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString() << " for " << sql;
+    if (!stmt.ok()) return nullptr;
+    Planner planner(catalog_.get());
+    auto plan = planner.Plan(**stmt);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString() << " for " << sql;
+    if (!plan.ok()) return nullptr;
+    return std::move(*plan);
+  }
+
+  static const optimizer::PhysicalPlan* FindNode(
+      const optimizer::PhysicalPlan* root, optimizer::PlanKind kind) {
+    if (root->kind == kind) return root;
+    for (const auto& child : root->children) {
+      if (const auto* found = FindNode(child.get(), kind)) return found;
+    }
+    return nullptr;
+  }
+
+  static std::vector<std::string> Sorted(const std::vector<Tuple>& rows) {
+    std::vector<std::string> out;
+    out.reserve(rows.size());
+    for (const Tuple& t : rows) out.push_back(catalog::TupleToString(t));
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// One random comparison over f's columns (NULL-bearing b and s included).
+  static std::string RandomAtom(Rng* rng) {
+    static const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+    const std::string op = std::string(" ") + kOps[rng->Uniform(6)] + " ";
+    const auto num = [&](uint64_t n, int64_t shift) {
+      return std::to_string(static_cast<int64_t>(rng->Uniform(n)) + shift);
+    };
+    switch (rng->Uniform(5)) {
+      case 0:
+        return "a" + op + num(kRows + 20, -10);
+      case 1:
+        return "b" + op + num(22, -1);
+      case 2:
+        return "s" + op + "'r" + num(40, 0) + "'";
+      case 3:
+        return "a % " + num(9, 2) + " = " + num(3, 0);
+      default:
+        return "a + b" + op + num(kRows, 0);
+    }
+  }
+
+  /// A random WHERE: AND/OR/NOT over atoms, nested up to `depth`.
+  static std::string RandomWhere(Rng* rng, int depth) {
+    if (depth == 0 || rng->Uniform(3) == 0) return RandomAtom(rng);
+    switch (rng->Uniform(3)) {
+      case 0:
+        return "(" + RandomWhere(rng, depth - 1) + " AND " +
+               RandomWhere(rng, depth - 1) + ")";
+      case 1:
+        return "(" + RandomWhere(rng, depth - 1) + " OR " +
+               RandomWhere(rng, depth - 1) + ")";
+      default:
+        return "NOT (" + RandomWhere(rng, depth - 1) + ")";
+    }
+  }
+
+  std::unique_ptr<storage::MemDiskManager> disk_;
+  std::unique_ptr<storage::BufferPool> pool_;
+  std::unique_ptr<Catalog> catalog_;
+};
+
+TEST_F(FusedScanPredicateTest, RandomWhereMatchesVolcano) {
+  for (const bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared_scans on" : "shared_scans off");
+    StagedEngineOptions opts;
+    opts.shared_scans = shared;
+    StagedEngine engine(catalog_.get(), opts);
+    Rng rng(shared ? 101 : 202);
+    int index_residuals = 0;
+    size_t rows_seen = 0;
+    for (int q = 0; q < 60; ++q) {
+      std::string where = RandomWhere(&rng, 2);
+      if (q % 3 == 0) {
+        // An index range on `a`: the iscan keeps the rest as its residual.
+        const uint64_t lo = rng.Uniform(kRows);
+        where = "a >= " + std::to_string(lo) + " AND a < " +
+                std::to_string(lo + 1 + rng.Uniform(300)) + " AND " + where;
+      }
+      const std::string sql = "SELECT a, b, s FROM f WHERE " + where;
+      SCOPED_TRACE(sql);
+      auto plan = Plan(sql);
+      ASSERT_NE(plan, nullptr);
+      // The WHERE is fused into the access node: no Filter packet.
+      EXPECT_EQ(FindNode(plan.get(), optimizer::PlanKind::kFilter), nullptr);
+      const auto* iscan =
+          FindNode(plan.get(), optimizer::PlanKind::kIndexScan);
+      if (iscan != nullptr && iscan->predicate != nullptr) ++index_residuals;
+      exec::ExecContext ctx;
+      ctx.catalog = catalog_.get();
+      auto volcano = exec::ExecutePlan(plan.get(), &ctx);
+      ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+      auto staged = engine.Execute(plan.get());
+      ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+      EXPECT_EQ(Sorted(*volcano), Sorted(*staged));
+      rows_seen += volcano->size();
+    }
+    EXPECT_GT(index_residuals, 0);
+    EXPECT_GT(rows_seen, 0u);
+  }
+}
+
+TEST_F(FusedScanPredicateTest, PredicateErrorFailsEveryScanDriver) {
+  // Division by zero on rows where b is not NULL: the fscan (private and
+  // shared elevator) and iscan drivers must all fail the query cleanly,
+  // as the volcano scans do.
+  const std::string seq = "SELECT a FROM f WHERE 10 / (b - b) > 0";
+  const std::string idx =
+      "SELECT a FROM f WHERE a >= 10 AND a < 400 AND 10 / (b - b) > 0";
+  for (const std::string& sql : {seq, idx}) {
+    SCOPED_TRACE(sql);
+    auto plan = Plan(sql);
+    ASSERT_NE(plan, nullptr);
+    const auto kind = sql == seq ? optimizer::PlanKind::kSeqScan
+                                 : optimizer::PlanKind::kIndexScan;
+    const auto* scan = FindNode(plan.get(), kind);
+    ASSERT_NE(scan, nullptr);
+    ASSERT_NE(scan->predicate, nullptr);
+
+    exec::ExecContext ctx;
+    ctx.catalog = catalog_.get();
+    auto volcano = exec::ExecutePlan(plan.get(), &ctx);
+    ASSERT_FALSE(volcano.ok());
+    EXPECT_EQ(volcano.status().code(), StatusCode::kInvalidArgument);
+    for (const bool shared : {true, false}) {
+      StagedEngineOptions opts;
+      opts.shared_scans = shared;
+      StagedEngine engine(catalog_.get(), opts);
+      auto staged = engine.Execute(plan.get());
+      ASSERT_FALSE(staged.ok()) << (shared ? "shared" : "private");
+      EXPECT_EQ(staged.status().code(), StatusCode::kInvalidArgument);
+      // The engine stays usable after the failed query.
+      auto again = engine.Execute(Plan("SELECT a FROM f WHERE a < 3").get());
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(again->size(), 3u);
+    }
+  }
+}
+
+TEST_F(FusedScanPredicateTest, SelectiveScanShipsOnlyMatchingMorsels) {
+  // 1% of a multi-page table qualifies. The scan packs survivors into
+  // page-sized morsels, so the stage downstream of fscan (the projection on
+  // qual) is activated about once per full morsel of matches, not once per
+  // page read.
+  const int64_t matches = kWideRows / 100;
+  const std::string sql = "SELECT v FROM w WHERE k >= 1000 AND k < " +
+                          std::to_string(1000 + matches);
+  auto plan = Plan(sql);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->kind, optimizer::PlanKind::kProject);
+  ASSERT_EQ(plan->children[0]->kind, optimizer::PlanKind::kSeqScan);
+
+  for (const bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared_scans on" : "shared_scans off");
+    StagedEngineOptions opts;
+    opts.shared_scans = shared;
+    StagedEngine engine(catalog_.get(), opts);
+    exec::OperatorTrace trace;
+    exec::ExecContext ctx;
+    ctx.catalog = catalog_.get();
+    ctx.trace = &trace;
+    auto rows = engine.Execute(plan.get(), &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(rows->size()), matches);
+
+    int64_t qual_pops = -1;
+    for (const auto& st : engine.runtime()->Stats().stages) {
+      if (st.name == "qual") qual_pops = st.pops;
+    }
+    const int64_t page = static_cast<int64_t>(opts.tuples_per_page);
+    EXPECT_GE(qual_pops, 1);
+    EXPECT_LE(qual_pops, (matches + page - 1) / page + 2);
+
+    // The staged fscan reports the rows it read and the rows it emitted.
+    ASSERT_EQ(trace.entries().size(), 1u);
+    EXPECT_EQ(trace.entries()[0].kind, optimizer::PlanKind::kSeqScan);
+    EXPECT_EQ(trace.entries()[0].rows_read, kWideRows);
+    EXPECT_EQ(trace.entries()[0].tuples_out, matches);
+  }
+}
+
 }  // namespace
 }  // namespace stagedb::engine

@@ -229,13 +229,18 @@ TEST_F(ExecTest, OperatorTraceCountsTuples) {
   ctx.catalog = catalog_.get();
   ctx.trace = &trace;
   ASSERT_TRUE(ExecutePlan(plan->get(), &ctx).ok());
-  int64_t scan_out = -1, filter_out = -1;
+  // The WHERE is the scan's own predicate: it reads all 4 rows and emits
+  // the 2 that qualify, with no separate filter operator.
+  int64_t scan_read = -1, scan_out = -1;
   for (const auto& e : trace.entries()) {
-    if (e.kind == optimizer::PlanKind::kSeqScan) scan_out = e.tuples_out;
-    if (e.kind == optimizer::PlanKind::kFilter) filter_out = e.tuples_out;
+    EXPECT_NE(e.kind, optimizer::PlanKind::kFilter);
+    if (e.kind == optimizer::PlanKind::kSeqScan) {
+      scan_read = e.rows_read;
+      scan_out = e.tuples_out;
+    }
   }
-  EXPECT_EQ(scan_out, 4);
-  EXPECT_EQ(filter_out, 2);
+  EXPECT_EQ(scan_read, 4);
+  EXPECT_EQ(scan_out, 2);
 }
 
 TEST_F(ExecTest, ErrorInPredicateSurfacesCleanly) {

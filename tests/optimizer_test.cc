@@ -94,11 +94,17 @@ TEST_F(PlannerTest, PredicatePushdownBelowJoin) {
   ASSERT_NE(plan, nullptr);
   const PhysicalPlan* join = FindNode(plan.get(), PlanKind::kHashJoin);
   ASSERT_NE(join, nullptr);
-  // The filter on t1.b sits below the join, above t1's scan.
-  const PhysicalPlan* filter = FindNode(join, PlanKind::kFilter);
-  ASSERT_NE(filter, nullptr);
-  EXPECT_EQ(filter->children[0]->kind, PlanKind::kSeqScan);
-  EXPECT_EQ(filter->children[0]->table->name, "t1");
+  // The predicate on t1.b sits below the join, on t1's scan itself.
+  EXPECT_EQ(FindNode(plan.get(), PlanKind::kFilter), nullptr);
+  const PhysicalPlan* t1_scan = nullptr;
+  for (const auto& child : join->children) {
+    if (child->kind == PlanKind::kSeqScan && child->table->name == "t1") {
+      t1_scan = child.get();
+    }
+  }
+  ASSERT_NE(t1_scan, nullptr);
+  ASSERT_NE(t1_scan->predicate, nullptr);
+  EXPECT_NE(t1_scan->ToString().find("SeqScan t1 pred="), std::string::npos);
 }
 
 TEST_F(PlannerTest, EquiJoinUsesHashJoinWithKeys) {
@@ -159,7 +165,10 @@ TEST_F(PlannerTest, IndexScanDisabledByOption) {
   opts.enable_index_scan = false;
   auto plan = Plan("SELECT a FROM t1 WHERE a = 5", opts);
   EXPECT_EQ(FindNode(plan.get(), PlanKind::kIndexScan), nullptr);
-  EXPECT_NE(FindNode(plan.get(), PlanKind::kFilter), nullptr);
+  EXPECT_EQ(FindNode(plan.get(), PlanKind::kFilter), nullptr);
+  const PhysicalPlan* scan = FindNode(plan.get(), PlanKind::kSeqScan);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_NE(scan->predicate, nullptr);
 }
 
 TEST_F(PlannerTest, EqualityUsesPointRange) {
@@ -281,8 +290,12 @@ TEST_F(PlannerTest, DmlFindsTargetsThroughIndexRange) {
 TEST_F(PlannerTest, EstimatesDecreaseWithSelectivePredicates) {
   auto scan = Plan("SELECT * FROM t1");
   auto filtered = Plan("SELECT * FROM t1 WHERE b = 3");
-  EXPECT_LT(FindNode(filtered.get(), PlanKind::kFilter)->estimated_rows,
-            scan->children[0]->estimated_rows);
+  const PhysicalPlan* filtered_scan =
+      FindNode(filtered.get(), PlanKind::kSeqScan);
+  ASSERT_NE(filtered_scan, nullptr);
+  ASSERT_NE(filtered_scan->predicate, nullptr);
+  EXPECT_LT(filtered_scan->estimated_rows,
+            FindNode(scan.get(), PlanKind::kSeqScan)->estimated_rows);
 }
 
 // ----------------------------------------------------------- BoundExpr ----

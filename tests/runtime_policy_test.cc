@@ -1,8 +1,9 @@
 // Tests for the Figure-5 scheduling-policy family in the real staged
 // runtime (engine/runtime.h): gated visit isolation, T-gated re-gate bounds,
 // rotation fairness, per-stage worker pools and pinning, stats-snapshot
-// consistency under concurrent load, and free-run equivalence with the
-// pre-policy-object behaviour.
+// consistency under concurrent load, free-run equivalence with the
+// pre-policy-object behaviour, and the free-run wake-up budget (a packet
+// move wakes only the stage that has work).
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -20,8 +21,12 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
+#include "server/database.h"
+#include "workload/wisconsin.h"
+
 #if defined(__linux__)
 #include <sched.h>
+#include <sys/resource.h>
 #endif
 
 namespace stagedb::engine {
@@ -508,6 +513,82 @@ TEST_F(PolicyEngineTest, AllPoliciesProduceIdenticalResults) {
     EXPECT_EQ(rows->size(), expected) << engine.runtime()->policy().name();
   }
 }
+
+// ------------------------------------------------ free-run wake budget ----
+
+#if defined(__linux__)
+/// Voluntary context switches of the whole process so far: every time any
+/// thread (client or stage worker) blocked.
+int64_t VoluntarySwitches() {
+  rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_nvcsw);
+}
+
+int64_t SpuriousWakeups(const StageRuntime::StatsSnapshot& snap) {
+  int64_t total = 0;
+  for (const auto& st : snap.stages) total += st.spurious_wakeups;
+  return total;
+}
+
+// Under free-run each packet move wakes one worker of the destination stage
+// only, and a scan qualifies its own rows, so a serial query costs a
+// handful of switches however many pages it reads. Waking every worker of
+// the runtime on every move cost ~18 switches per point SELECT and ~1,450
+// per 1% range scan of 6,000 rows (one wake-up storm per 64-row morsel).
+// The bounds are counts, which machine load does not move.
+TEST(WakeBudgetTest, SerialQueriesStayWithinSwitchBudget) {
+  server::DatabaseOptions options;
+  options.mode = server::ExecutionMode::kStaged;
+  options.buffer_pool_pages = 80;
+  auto db = server::Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(
+      workload::CreateWisconsinTable((*db)->catalog(), "wa", 6000).ok());
+  ASSERT_TRUE((*db)->Execute("CREATE INDEX wa_u2 ON wa (unique2)").ok());
+
+  struct Case {
+    const char* name;
+    std::string sql;
+    size_t rows;
+    double max_switches_per_query;
+  };
+  const Case cases[] = {
+      // Index point lookup: iscan -> qual (projection) -> client.
+      {"point", "SELECT unique1 FROM wa WHERE unique2 = 77", 1, 8},
+      // 1% range over the unindexed unique1: a full fscan of ~190 pages
+      // whose 60 survivors leave fscan in one morsel.
+      {"range",
+       "SELECT unique2, stringu1 FROM wa WHERE unique1 >= 2000 AND "
+       "unique1 < 2060",
+       60, 16},
+  };
+  constexpr int kQueries = 40;
+  constexpr double kMaxSpuriousPerQuery = 1.0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto warm = (*db)->Execute(c.sql);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_EQ(warm->rows.size(), c.rows);
+    const int64_t spurious_before = SpuriousWakeups((*db)->EngineStats());
+    const int64_t switches_before = VoluntarySwitches();
+    for (int i = 0; i < kQueries; ++i) {
+      auto result = (*db)->Execute(c.sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    const double switches =
+        static_cast<double>(VoluntarySwitches() - switches_before) / kQueries;
+    const double spurious =
+        static_cast<double>(SpuriousWakeups((*db)->EngineStats()) -
+                            spurious_before) /
+        kQueries;
+    EXPECT_LE(switches, c.max_switches_per_query);
+    EXPECT_LE(spurious, kMaxSpuriousPerQuery);
+    RecordProperty(std::string(c.name) + "_switches_per_query",
+                   std::to_string(switches));
+  }
+}
+#endif  // __linux__
 
 }  // namespace
 }  // namespace stagedb::engine
