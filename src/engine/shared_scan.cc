@@ -113,7 +113,7 @@ class TableScan {
     if (readers_.empty()) {
       // Last reader gone: drop the window and rewind the elevator so the
       // next (possibly solitary) scan starts at the first page, exactly like
-      // a private HeapFile::Iterator.
+      // a private scan.
       window_.clear();
       cursor_ = first_page_;
       ++stats_.cursor_resets;

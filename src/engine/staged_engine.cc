@@ -385,7 +385,9 @@ class OperatorInstance : public StageTask {
   }
 
   RunOutcome RunSeqScan();
-  RunOutcome RunSharedSeqScan();
+  /// Moves scan_page_ to the next heap page of the scan. Returns false at
+  /// the end of the table, or on an error reported in *status.
+  bool NextScanPage(Status* status);
   RunOutcome RunIndexScan();
   RunOutcome RunQual();       // filter / project / limit
   RunOutcome RunNestedLoopJoin();
@@ -423,14 +425,13 @@ class OperatorInstance : public StageTask {
     return exec::MvccViewFor(query_->exec_ctx);
   }
 
-  // Scan state. Private-iterator path (shared_scans=false):
-  std::unique_ptr<storage::HeapFile::Iterator> scan_iter_;
-  // Cooperative path (shared_scans=true): a cursor attached to the table's
-  // elevator plus the page delivery currently being drained.
+  // Seq-scan state: the heap page being drained and where the next one
+  // comes from — the table's elevator (shared_scans) or a private walk.
   SharedScanManager::Cursor shared_cursor_;
-  std::shared_ptr<const std::vector<std::string>> shared_page_;
-  size_t shared_page_pos_ = 0;
-  bool shared_attached_ = false;
+  storage::PageId private_next_page_ = storage::kInvalidPageId;
+  std::shared_ptr<const std::vector<std::string>> scan_page_;
+  size_t scan_page_pos_ = 0;
+  bool scan_started_ = false;
   std::vector<std::pair<int64_t, storage::Rid>> index_matches_;
   size_t index_pos_ = 0;
   bool index_loaded_ = false;
@@ -506,38 +507,53 @@ bool OperatorInstance::CanMakeProgress() {
   return true;
 }
 
+/// The fscan driver. It drains one heap page at a time: a delivery from the
+/// table's elevator (shared_scans, §5.4: the packet attaches at the
+/// elevator's current position and finishes when it wraps back to its attach
+/// point) or the next page of a private ReadPage walk from the first page.
+/// Output back-pressure parks the packet between morsels of a page; the
+/// scan_page_ reference keeps the page alive across the park.
 RunOutcome OperatorInstance::RunSeqScan() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
-  if (engine_->options().shared_scans) return RunSharedSeqScan();
-  if (!scan_iter_) {
-    scan_iter_ = std::make_unique<storage::HeapFile::Iterator>(
-        plan_->table->heap->Scan());
+  if (!scan_started_) {
+    if (engine_->options().shared_scans) {
+      shared_cursor_ =
+          engine_->shared_scans()->Attach(plan_->table->heap.get());
+    } else {
+      private_next_page_ = plan_->table->heap->first_page();
+    }
+    scan_started_ = true;
   }
   const storage::MvccReadView view = MvccView();
   int budget = quantum_tuples();
   RowBatch morsel;
   while (budget > 0) {
-    // Read one page-sized morsel's worth of visible rows and hand the ones
-    // that qualify downstream (fscan emits morsels, not tuples; a partial
-    // morsel waits in the output staging batch until a page fills).
+    if (scan_page_ == nullptr || scan_page_pos_ == scan_page_->size()) {
+      Status s;
+      if (!NextScanPage(&s)) {
+        if (!s.ok()) {
+          query_->Fail(std::move(s));
+          return FinishEarly();
+        }
+        return Finish();
+      }
+      continue;
+    }
+    // Decode a morsel's worth of the page and hand the rows that qualify
+    // downstream (a partial morsel waits in the output staging batch until
+    // a page fills). Visibility is evaluated against this packet's own
+    // snapshot: elevator riders share page deliveries but never visibility
+    // decisions.
     morsel.clear();
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
     morsel.reserve(target);
     size_t read = 0;
-    while (read < target) {
-      if (!scan_iter_->Next()) {
-        if (!scan_iter_->status().ok()) {
-          query_->Fail(scan_iter_->status());
-          return FinishEarly();
-        }
-        // End of table: flush the final partial morsel, then finish.
-        if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
-        return Finish();
-      }
+    while (read < target && scan_page_pos_ < scan_page_->size()) {
       Tuple tuple;
       auto visible = exec::DecodeVisibleRecord(
-          view, plan_->table->schema, scan_iter_->record(), &tuple);
+          view, plan_->table->schema, (*scan_page_)[scan_page_pos_], &tuple);
+      ++scan_page_pos_;
       if (!visible.ok()) {
         query_->Fail(visible.status());
         return FinishEarly();
@@ -557,64 +573,20 @@ RunOutcome OperatorInstance::RunSeqScan() {
   return RunOutcome::kYield;
 }
 
-/// The cooperative fscan driver (§5.4): instead of owning a private
-/// iterator, the packet attaches to the table's elevator at its current
-/// position, drains one delivered page at a time, and finishes when the
-/// elevator wraps back to its attach point. Output back-pressure parks the
-/// packet between tuples of a delivered page; the shared_page_ reference
-/// keeps the delivery alive across the park.
-RunOutcome OperatorInstance::RunSharedSeqScan() {
-  RunOutcome oc;
-  if (!shared_attached_) {
-    shared_cursor_ = engine_->shared_scans()->Attach(plan_->table->heap.get());
-    shared_attached_ = true;
+bool OperatorInstance::NextScanPage(Status* status) {
+  scan_page_pos_ = 0;
+  if (engine_->options().shared_scans) {
+    if (shared_cursor_.NextPage(&scan_page_)) return true;
+    *status = shared_cursor_.status();
+    return false;
   }
-  const storage::MvccReadView view = MvccView();
-  int budget = quantum_tuples();
-  RowBatch morsel;
-  while (budget > 0) {
-    if (shared_page_ != nullptr && shared_page_pos_ < shared_page_->size()) {
-      // Decode a morsel's worth of the delivered page and emit it whole.
-      // Visibility is evaluated against this rider's own snapshot: elevator
-      // riders share page deliveries but never visibility decisions.
-      morsel.clear();
-      const size_t target =
-          std::min(page_size(), static_cast<size_t>(budget));
-      morsel.reserve(target);
-      size_t read = 0;
-      while (read < target && shared_page_pos_ < shared_page_->size()) {
-        Tuple tuple;
-        auto visible = exec::DecodeVisibleRecord(
-            view, plan_->table->schema, (*shared_page_)[shared_page_pos_],
-            &tuple);
-        ++shared_page_pos_;
-        if (!visible.ok()) {
-          query_->Fail(visible.status());
-          return FinishEarly();
-        }
-        if (!*visible) continue;
-        ++read;
-        auto pass = QualifyScanRow(tuple);
-        if (!pass.ok()) {
-          query_->Fail(pass.status());
-          return FinishEarly();
-        }
-        if (*pass) morsel.push_back(std::move(tuple));
-      }
-      budget -= static_cast<int>(read);
-      if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
-      continue;
-    }
-    shared_page_pos_ = 0;
-    if (!shared_cursor_.NextPage(&shared_page_)) {
-      if (!shared_cursor_.status().ok()) {
-        query_->Fail(shared_cursor_.status());
-        return FinishEarly();
-      }
-      return Finish();
-    }
-  }
-  return RunOutcome::kYield;
+  if (private_next_page_ == storage::kInvalidPageId) return false;
+  auto page = std::make_shared<std::vector<std::string>>();
+  *status = plan_->table->heap->ReadPage(private_next_page_, page.get(),
+                                         &private_next_page_);
+  if (!status->ok()) return false;
+  scan_page_ = std::move(page);
+  return true;
 }
 
 RunOutcome OperatorInstance::RunIndexScan() {

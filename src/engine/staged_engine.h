@@ -72,9 +72,9 @@ struct StagedEngineOptions {
   /// replicated and are separately attached to the database tables").
   bool stage_per_table_scans = true;
   /// Cooperative shared scans (§5.4): fscan packets attach to the table's
-  /// circular elevator cursor instead of each owning a private iterator, so
-  /// N concurrent scans cost ~1 physical pass. When false, every seq-scan
-  /// packet drives its own HeapFile::Iterator (the seed behaviour).
+  /// circular elevator cursor, so N concurrent scans cost ~1 physical pass.
+  /// When false, each seq-scan packet walks the heap on its own, one
+  /// HeapFile::ReadPage per page.
   bool shared_scans = true;
   /// Recently read pages the elevator keeps decoded for lagging readers.
   size_t shared_scan_window_pages = 32;

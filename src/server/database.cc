@@ -424,15 +424,13 @@ engine::StageRuntime::StatsSnapshot Database::EngineStats() const {
     snap.plan_cache.evictions = cache.evictions;
     snap.plan_cache.entries = cache.entries;
   }
-  if (group_commit_ != nullptr) {
-    snap.group_commit = group_commit_->counters();
-    if (options_.mode != ExecutionMode::kStaged &&
-        commit_runtime_ != nullptr) {
-      // Volcano mode has no engine snapshot; surface the commit stage's own
-      // runtime rows so `commit` is observable there too.
-      for (auto& stage : commit_runtime_->Stats().stages) {
-        snap.stages.push_back(std::move(stage));
-      }
+  if (group_commit_ != nullptr) snap.group_commit = group_commit_->counters();
+  if (commit_runtime_ != nullptr) {
+    // Volcano mode has no engine snapshot; surface its private runtime's
+    // rows so `vacuum` (and `commit`, when group commit is on) are
+    // observable there too.
+    for (auto& stage : commit_runtime_->Stats().stages) {
+      snap.stages.push_back(std::move(stage));
     }
   }
   return snap;

@@ -139,6 +139,16 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
+int64_t BufferPool::hits() const {
+  MutexLock lock(mu_);
+  return hits_;
+}
+
+int64_t BufferPool::misses() const {
+  MutexLock lock(mu_);
+  return misses_;
+}
+
 int64_t BufferPool::pinned_pages() const {
   MutexLock lock(mu_);
   int64_t n = 0;

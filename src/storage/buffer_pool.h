@@ -3,7 +3,6 @@
 #ifndef STAGEDB_STORAGE_BUFFER_POOL_H_
 #define STAGEDB_STORAGE_BUFFER_POOL_H_
 
-#include <cassert>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -33,8 +32,10 @@ class BufferPool {
   Status FlushAll();
 
   size_t capacity() const { return frames_.size(); }
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  /// Fetches served from / missing the pool (read under the pool mutex, so
+  /// a monitor may sample them while queries run).
+  int64_t hits() const;
+  int64_t misses() const;
   /// Number of currently pinned pages (for leak tests).
   int64_t pinned_pages() const;
 
@@ -64,48 +65,6 @@ class BufferPool {
   std::vector<int> free_frames_ GUARDED_BY(mu_);
   int64_t hits_ GUARDED_BY(mu_) = 0;
   int64_t misses_ GUARDED_BY(mu_) = 0;
-};
-
-/// RAII pin guard: unpins on destruction.
-class PageGuard {
- public:
-  PageGuard() = default;
-  PageGuard(BufferPool* pool, Page* page) : pool_(pool), page_(page) {}
-  PageGuard(const PageGuard&) = delete;
-  PageGuard& operator=(const PageGuard&) = delete;
-  PageGuard(PageGuard&& o) noexcept { *this = std::move(o); }
-  PageGuard& operator=(PageGuard&& o) noexcept {
-    Release();
-    pool_ = o.pool_;
-    page_ = o.page_;
-    dirty_ = o.dirty_;
-    o.pool_ = nullptr;
-    o.page_ = nullptr;
-    return *this;
-  }
-  ~PageGuard() { Release(); }
-
-  Page* get() { return page_; }
-  Page* operator->() { return page_; }
-  void MarkDirty() { dirty_ = true; }
-  void Release() {
-    if (pool_ != nullptr && page_ != nullptr) {
-      // Release runs from the destructor, so the status cannot propagate;
-      // Unpin only fails on a pin-count bookkeeping bug, which asserts here
-      // in debug builds.
-      const Status unpin = pool_->Unpin(page_->page_id(), dirty_);
-      assert(unpin.ok());
-      (void)unpin;
-    }
-    pool_ = nullptr;
-    page_ = nullptr;
-    dirty_ = false;
-  }
-
- private:
-  BufferPool* pool_ = nullptr;
-  Page* page_ = nullptr;
-  bool dirty_ = false;
 };
 
 }  // namespace stagedb::storage

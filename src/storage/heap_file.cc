@@ -5,9 +5,13 @@
 namespace stagedb::storage {
 
 // Latching protocol: every access to a page's bytes happens between FetchPage
-// and Unpin with the frame latch held — shared for readers (Get, scans,
-// ReadPage), exclusive for mutators (Insert, Delete, OverwritePrefix). The pin is what
-// keeps the frame from being recycled while the latch is held.
+// and Unpin with the frame latch held — shared for readers (Get, ReadPage),
+// exclusive for mutators (Insert, Delete, OverwritePrefix). The pin is what
+// keeps the frame from being recycled while the latch is held. Scans hold
+// neither across pages: ReadPage pins a page once, copies its live records
+// under the shared latch and unpins it, so a scan sees each page as it was
+// at one instant and a writer appending to that page waits for the copy
+// only.
 
 StatusOr<std::unique_ptr<HeapFile>> HeapFile::Create(BufferPool* pool) {
   auto page_or = pool->NewPage();
@@ -149,45 +153,28 @@ StatusOr<int64_t> HeapFile::CountRecords() const {
 }
 
 HeapFile::Iterator::Iterator(const HeapFile* file, PageId page_id)
-    : file_(file), page_id_(page_id) {}
+    : file_(file), next_page_(page_id) {}
 
 bool HeapFile::Iterator::Next() {
-  while (page_id_ != kInvalidPageId) {
-    auto page_or = file_->pool_->FetchPage(page_id_);
-    if (!page_or.ok()) {
-      status_ = page_or.status();
+  while (pos_ == records_.size()) {
+    if (next_page_ == kInvalidPageId) return false;
+    page_id_ = next_page_;
+    pos_ = 0;
+    status_ = file_->ReadPage(page_id_, &records_, &next_page_, &slots_);
+    if (!status_.ok()) {
+      records_.clear();  // stay at the end
+      next_page_ = kInvalidPageId;
       return false;
     }
-    Page* page = *page_or;
-    SlottedPage sp(page);
-    bool found = false;
-    PageId next = kInvalidPageId;
-    {
-      SharedLock latch(page->latch());
-      const uint16_t slots = sp.num_slots();
-      while (next_slot_ < slots) {
-        const uint16_t slot = static_cast<uint16_t>(next_slot_++);
-        auto rec_or = sp.Get(slot);
-        if (rec_or.ok()) {
-          rid_ = Rid{page_id_, slot};
-          record_.assign(rec_or->data(), rec_or->size());
-          found = true;
-          break;
-        }
-      }
-      if (!found) next = sp.next_page();
-    }
-    status_ = file_->pool_->Unpin(page_id_, false);
-    if (found || !status_.ok()) return found && status_.ok();
-    page_id_ = next;
-    next_slot_ = 0;
   }
-  return false;
+  ++pos_;
+  return true;
 }
 
 Status HeapFile::ReadPage(PageId page_id, std::vector<std::string>* records,
-                          PageId* next) const {
+                          PageId* next, std::vector<uint16_t>* slots) const {
   records->clear();
+  if (slots != nullptr) slots->clear();
   *next = kInvalidPageId;
   auto page_or = pool_->FetchPage(page_id);
   if (!page_or.ok()) return page_or.status();
@@ -195,11 +182,13 @@ Status HeapFile::ReadPage(PageId page_id, std::vector<std::string>* records,
   SlottedPage sp(page);
   {
     SharedLock latch(page->latch());
-    const uint16_t slots = sp.num_slots();
-    records->reserve(slots);
-    for (uint16_t slot = 0; slot < slots; ++slot) {
+    const uint16_t num_slots = sp.num_slots();
+    records->reserve(num_slots);
+    for (uint16_t slot = 0; slot < num_slots; ++slot) {
       auto rec_or = sp.Get(slot);
-      if (rec_or.ok()) records->emplace_back(rec_or->data(), rec_or->size());
+      if (!rec_or.ok()) continue;  // deleted slot
+      records->emplace_back(rec_or->data(), rec_or->size());
+      if (slots != nullptr) slots->push_back(slot);
     }
     *next = sp.next_page();
   }

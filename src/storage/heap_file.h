@@ -1,6 +1,7 @@
 // Heap files: unordered collections of records in a chain of slotted pages.
-// One heap file per table; the fscan stages of the execution engine iterate
-// these page by page.
+// One heap file per table. Every scan (the fscan stages of the execution
+// engine, the Volcano SeqScan, DML, index backfill, vacuum and recovery)
+// reads it a page at a time through HeapFile::ReadPage.
 #ifndef STAGEDB_STORAGE_HEAP_FILE_H_
 #define STAGEDB_STORAGE_HEAP_FILE_H_
 
@@ -52,37 +53,45 @@ class HeapFile {
   /// version headers), and a schema change alone never bumps it.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
-  /// Forward iterator over live records. Not stable under concurrent
-  /// structural modification of the same pages.
+  /// Forward iterator over live records: a thin cursor over ReadPage. Each
+  /// page is pinned once, its live records are copied under the shared page
+  /// latch, and Next() then drains that copy without touching the pool. The
+  /// records of one page are therefore a consistent snapshot of that page;
+  /// a record added to a page after its copy was taken is not returned.
   class Iterator {
    public:
     Iterator(const HeapFile* file, PageId page_id);
     /// Advances to the next live record; returns false at end.
     bool Next();
-    const Rid& rid() const { return rid_; }
-    const std::string& record() const { return record_; }
+    /// The current record and its rid; the record is valid until the next
+    /// call to Next().
+    Rid rid() const { return Rid{page_id_, slots_[pos_ - 1]}; }
+    const std::string& record() const { return records_[pos_ - 1]; }
     /// Non-OK when iteration stopped because of an error (not end-of-file).
     const Status& status() const { return status_; }
 
    private:
     const HeapFile* file_;
-    PageId page_id_;
-    int next_slot_ = 0;
-    Rid rid_;
-    std::string record_;
+    PageId page_id_ = kInvalidPageId;  // page that records_ was copied from
+    PageId next_page_;                 // next page to read
+    std::vector<std::string> records_;
+    std::vector<uint16_t> slots_;
+    size_t pos_ = 0;  // records_[pos_ - 1] is the current record
     Status status_;
   };
 
   Iterator Scan() const { return Iterator(this, first_page_); }
 
-  /// Position-aware page read for cooperative scans: copies every live record
-  /// of `page_id` into `records` (slot order) and reports the successor page
-  /// in `*next` (kInvalidPageId at the tail). The page is fetched through the
-  /// buffer pool on every call, so a cursor built on ReadPage survives page
-  /// eviction between calls; the page latch is held shared for the copy, so
+  /// Copies every live record of `page_id` into `records` (slot order) and
+  /// reports the successor page in `*next` (kInvalidPageId at the tail).
+  /// When `slots` is non-null it receives each record's slot number. This is
+  /// the only walk over a heap page's slots: Iterator and the staged fscan
+  /// driver both read a page at a time through it. The page is pinned for
+  /// the call only, so a cursor built on ReadPage survives page eviction
+  /// between calls; the page latch is held shared for the copy, so
   /// concurrent DML never yields a torn record.
   Status ReadPage(PageId page_id, std::vector<std::string>* records,
-                  PageId* next) const;
+                  PageId* next, std::vector<uint16_t>* slots = nullptr) const;
 
   /// Number of live records (walks the file).
   StatusOr<int64_t> CountRecords() const;
@@ -99,8 +108,6 @@ class HeapFile {
   PageId last_page_ GUARDED_BY(append_mu_);
   std::atomic<uint64_t> version_{0};
   Mutex append_mu_;
-
-  friend class Iterator;
 };
 
 }  // namespace stagedb::storage

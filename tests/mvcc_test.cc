@@ -8,6 +8,7 @@
 //    DDL barrier that keeps CREATE INDEX / DROP TABLE off uncommitted writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -597,6 +598,59 @@ TEST_P(MvccSqlTest, DdlInsideTransactionFailsAndIndexMatchesHeap) {
   EXPECT_EQ(point.rows[0][0].int_value(), 10);
 }
 
+// The heap-scan paths over a table of several pages with holes: the
+// unindexed UPDATE collects its targets by a heap scan, vacuum then frees
+// the dead versions' slots, and CREATE INDEX backfills from a heap scan.
+// Each must address rows by the rids the scan reports.
+TEST_P(MvccSqlTest, HeapScanDmlAndIndexBackfillOverManyPages) {
+  DatabaseOptions options;
+  options.vacuum_dead_threshold = int64_t{1} << 40;  // only VacuumNow reclaims
+  Open(options);
+  Exec("CREATE TABLE t (id INTEGER, v INTEGER, pad VARCHAR(64))");
+  constexpr int kRows = 600;
+  for (int batch = 0; batch < kRows / 100; ++batch) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = batch * 100; i < (batch + 1) * 100; ++i) {
+      if (i % 100 != 0) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i) + ", '" +
+             std::string(60, 'p') + "')";
+    }
+    Exec(sql);
+  }
+  EXPECT_EQ(Exec("DELETE FROM t WHERE v >= 100 AND v < 150").rows[0][0]
+                .int_value(),
+            50);
+  EXPECT_EQ(
+      Exec("UPDATE t SET v = v + 1000 WHERE v >= 300").rows[0][0].int_value(),
+      kRows - 300);
+  auto reclaimed = db_->VacuumNow();
+  ASSERT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+  EXPECT_EQ(*reclaimed, 50 + (kRows - 300));
+  EXPECT_EQ(
+      Exec("UPDATE t SET v = v + 1 WHERE v < 1000").rows[0][0].int_value(),
+      300 - 50);
+  Exec("CREATE INDEX t_id ON t (id)");
+  ExpectIndexMatchesHeap(db_.get(), "id");
+  for (int id : {0, 99, 100, 149, 150, 299, 300, kRows - 1}) {
+    QueryResult point =
+        Exec("SELECT v FROM t WHERE id = " + std::to_string(id));
+    if (id >= 100 && id < 150) {
+      EXPECT_TRUE(point.rows.empty()) << id;
+      continue;
+    }
+    ASSERT_EQ(point.rows.size(), 1u) << id;
+    EXPECT_EQ(point.rows[0][0].int_value(), id < 300 ? id + 1 : id + 1000);
+  }
+  QueryResult agg = Exec("SELECT COUNT(*), SUM(v) FROM t");
+  int64_t sum = 0;
+  for (int i = 0; i < kRows; ++i) {
+    if (i >= 100 && i < 150) continue;
+    sum += i < 300 ? i + 1 : i + 1000;
+  }
+  EXPECT_EQ(agg.rows[0][0].int_value(), kRows - 50);
+  EXPECT_EQ(agg.rows[0][1].int_value(), sum);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, MvccSqlTest,
     ::testing::Values(
@@ -706,6 +760,24 @@ TEST(MvccVacuumSqlTest, VacuumStageWakesOnCommittedDeletes) {
   EXPECT_EQ(db->vacuum_stage()->versions_reclaimed(), 3);
   EXPECT_TRUE(db->vacuum_stage()->last_error().ok());
   EXPECT_GE(db->vacuum_stage()->passes(), 1);
+}
+
+// Vacuum always runs on the Volcano database's private runtime, with or
+// without a commit stage beside it, so its row is always in the stage table.
+TEST(MvccVacuumSqlTest, VolcanoInMemoryReportsVacuumStage) {
+  DatabaseOptions options;
+  options.mode = ExecutionMode::kVolcano;
+  auto db_or = Database::Open(options);
+  ASSERT_TRUE(db_or.ok());
+  auto db = std::move(*db_or);
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1)").ok());
+  const auto snap = db->EngineStats();
+  EXPECT_FALSE(snap.group_commit.enabled);
+  std::vector<std::string> names;
+  for (const auto& stage : snap.stages) names.push_back(stage.name);
+  EXPECT_NE(std::find(names.begin(), names.end(), "vacuum"), names.end());
+  EXPECT_EQ(std::find(names.begin(), names.end(), "commit"), names.end());
 }
 
 TEST(MvccRecoveryTest, RecoveryRestoresRowsAndTimestampHighWater) {

@@ -3,7 +3,10 @@
 // engine_test.cc.
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
 #include "server/database.h"
+#include "storage/buffer_pool.h"
+#include "storage/heap_file.h"
 
 namespace stagedb::server {
 namespace {
@@ -37,6 +40,20 @@ class SqlTest : public ::testing::Test {
     Exec("INSERT INTO emp VALUES "
          "(1, 1, 'ada', 120.0), (2, 1, 'alan', 110.0), (3, 2, 'grace', 90.0), "
          "(4, 2, 'edsger', 95.0), (5, 1, 'barbara', 130.0)");
+  }
+
+  /// `big`: 1,000 rows of ~110 bytes, 18 heap pages.
+  void LoadBigTable() {
+    Exec("CREATE TABLE big (a INTEGER, pad VARCHAR(128))");
+    for (int batch = 0; batch < 10; ++batch) {
+      std::string sql = "INSERT INTO big VALUES ";
+      for (int i = 0; i < 100; ++i) {
+        if (i) sql += ", ";
+        sql += "(" + std::to_string(batch * 100 + i) + ", '" +
+               std::string(100, 'p') + "')";
+      }
+      Exec(sql);
+    }
   }
 
   std::unique_ptr<Database> db_;
@@ -229,20 +246,32 @@ TEST_F(SqlTest, SelfJoinWithAliases) {
 }
 
 TEST_F(SqlTest, LargeScanAcrossManyPages) {
-  Exec("CREATE TABLE big (a INTEGER, pad VARCHAR(128))");
-  for (int batch = 0; batch < 10; ++batch) {
-    std::string sql = "INSERT INTO big VALUES ";
-    for (int i = 0; i < 100; ++i) {
-      if (i) sql += ", ";
-      sql += "(" + std::to_string(batch * 100 + i) + ", '" +
-             std::string(100, 'p') + "')";
-    }
-    Exec(sql);
-  }
+  LoadBigTable();
   QueryResult r = Exec("SELECT COUNT(*), MIN(a), MAX(a) FROM big");
   EXPECT_EQ(r.rows[0][0].int_value(), 1000);
   EXPECT_EQ(r.rows[0][1].int_value(), 0);
   EXPECT_EQ(r.rows[0][2].int_value(), 999);
+}
+
+// The Volcano SeqScan reads a page at a time: a full-table aggregate costs
+// one buffer-pool fetch per heap page, not one per row.
+TEST_F(SqlTest, FullScanFetchesEachPageOnce) {
+  LoadBigTable();
+  auto table = db_->catalog()->GetTable("big");
+  ASSERT_TRUE(table.ok());
+  int64_t pages = 0;
+  std::vector<std::string> records;
+  for (storage::PageId id = (*table)->heap->first_page();
+       id != storage::kInvalidPageId; ++pages) {
+    ASSERT_TRUE((*table)->heap->ReadPage(id, &records, &id).ok());
+  }
+  ASSERT_GT(pages, 4);
+  storage::BufferPool* pool = db_->buffer_pool();
+  const int64_t before = pool->hits() + pool->misses();
+  QueryResult r = Exec("SELECT COUNT(*) FROM big");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].int_value(), 1000);
+  EXPECT_LE(pool->hits() + pool->misses() - before, pages + 2);
 }
 
 TEST_F(SqlTest, StatsCountersAdvance) {

@@ -1,6 +1,7 @@
 // Tests for the storage manager: disk managers, buffer pool, slotted pages,
 // heap files, B+-tree, WAL, and transactions.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -295,6 +296,92 @@ TEST(HeapFileTest, ScanVisitsAllLiveRecordsInOrder) {
   EXPECT_EQ(seen.size(), 18u);
   EXPECT_EQ(seen[0], "rec0");
   EXPECT_EQ(seen[3], "rec4");  // rec3 deleted
+}
+
+// The iterator pins each page once and drains a copy of its live records,
+// so a full scan costs one pool fetch per page, not one per row. Rids are
+// reported per record, including around deleted slots.
+TEST(HeapFileTest, IteratorFetchesEachPageOnce) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 64);
+  auto file_or = HeapFile::Create(&pool);
+  ASSERT_TRUE(file_or.ok());
+  auto& file = *file_or;
+  std::vector<Rid> rids;
+  std::set<PageId> pages;
+  for (int i = 0; i < 600; ++i) {
+    auto rid = file->Insert("row" + std::to_string(i) + std::string(100, '.'));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(*rid);
+    pages.insert(rid->page_id);
+  }
+  ASSERT_GT(pages.size(), 4u);
+  std::vector<Rid> live;
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (i % 5 == 2) {
+      ASSERT_TRUE(file->Delete(rids[i]).ok());
+    } else {
+      live.push_back(rids[i]);
+    }
+  }
+
+  const int64_t fetches_before = pool.hits() + pool.misses();
+  std::vector<Rid> seen;
+  auto it = file->Scan();
+  while (it.Next()) {
+    seen.push_back(it.rid());
+    std::string direct;
+    ASSERT_TRUE(file->Get(it.rid(), &direct).ok());
+    EXPECT_EQ(it.record(), direct);
+  }
+  ASSERT_TRUE(it.status().ok());
+  EXPECT_EQ(seen, live);
+  // One fetch per page for the scan plus one per Get above.
+  EXPECT_EQ(pool.hits() + pool.misses() - fetches_before,
+            static_cast<int64_t>(pages.size() + live.size()));
+
+  const int64_t count_before = pool.hits() + pool.misses();
+  auto count = file->CountRecords();
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, static_cast<int64_t>(live.size()));
+  EXPECT_EQ(pool.hits() + pool.misses() - count_before,
+            static_cast<int64_t>(pages.size()));
+  EXPECT_EQ(pool.pinned_pages(), 0);
+}
+
+// A scan racing an appender sees every record whole, in insertion order,
+// and at least every record appended before the scan started.
+TEST(HeapFileTest, ScanWhileAppendingSeesWholeRecords) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 64);
+  auto file_or = HeapFile::Create(&pool);
+  ASSERT_TRUE(file_or.ok());
+  auto& file = *file_or;
+  const auto make = [](int i) {
+    return std::to_string(i) + ":" + std::string(40 + i % 60, 'a' + i % 26);
+  };
+  constexpr int kRows = 1500;
+  std::atomic<int> appended{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(file->Insert(make(i)).ok());
+      appended.store(i + 1, std::memory_order_release);
+    }
+  });
+  int scans = 0;
+  while (appended.load(std::memory_order_acquire) < kRows || scans < 2) {
+    const int floor = appended.load(std::memory_order_acquire);
+    int expect = 0;
+    auto it = file->Scan();
+    while (it.Next()) {
+      ASSERT_EQ(it.record(), make(expect)) << "record " << expect;
+      ++expect;
+    }
+    ASSERT_TRUE(it.status().ok());
+    EXPECT_GE(expect, floor);
+    ++scans;
+  }
+  writer.join();
 }
 
 TEST(HeapFileTest, OpenFindsExistingChain) {
