@@ -58,6 +58,13 @@ std::string EncodeTuple(const Schema& schema, const Tuple& tuple) {
 }
 
 StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
+  Tuple tuple;
+  STAGEDB_RETURN_IF_ERROR(DecodeTuple(schema, bytes, {}, &tuple));
+  return tuple;
+}
+
+Status DecodeTuple(const Schema& schema, std::string_view bytes,
+                   const ColumnSet& read, Tuple* out) {
   const size_t n = schema.num_columns();
   const size_t bitmap_len = (n + 7) / 8;
   if (bytes.size() < bitmap_len) {
@@ -65,30 +72,31 @@ StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
   }
   std::string_view bitmap = bytes.substr(0, bitmap_len);
   bytes.remove_prefix(bitmap_len);
-  Tuple tuple(n);
+  out->resize(n);
   for (size_t i = 0; i < n; ++i) {
+    const bool wanted = read.empty() || (i < read.size() && read[i]);
     const bool null = (bitmap[i / 8] >> (i % 8)) & 1;
     if (null) {
-      tuple[i] = Value::Null();
+      if (wanted) (*out)[i] = Value::Null();
       continue;
     }
     switch (schema.column(i).type) {
       case TypeId::kBool: {
         uint8_t b;
         if (!ReadRaw(&bytes, &b)) return Status::Corruption("truncated bool");
-        tuple[i] = Value::Bool(b != 0);
+        if (wanted) (*out)[i] = Value::Bool(b != 0);
         break;
       }
       case TypeId::kInt64: {
         int64_t v;
         if (!ReadRaw(&bytes, &v)) return Status::Corruption("truncated int");
-        tuple[i] = Value::Int(v);
+        if (wanted) (*out)[i] = Value::Int(v);
         break;
       }
       case TypeId::kDouble: {
         double v;
         if (!ReadRaw(&bytes, &v)) return Status::Corruption("truncated double");
-        tuple[i] = Value::Double(v);
+        if (wanted) (*out)[i] = Value::Double(v);
         break;
       }
       case TypeId::kVarchar: {
@@ -96,7 +104,9 @@ StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
         if (!ReadRaw(&bytes, &len) || bytes.size() < len) {
           return Status::Corruption("truncated varchar");
         }
-        tuple[i] = Value::Varchar(std::string(bytes.substr(0, len)));
+        if (wanted) {
+          (*out)[i] = Value::Varchar(std::string(bytes.substr(0, len)));
+        }
         bytes.remove_prefix(len);
         break;
       }
@@ -104,7 +114,7 @@ StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
         return Status::Corruption("unknown column type");
     }
   }
-  return tuple;
+  return Status::OK();
 }
 
 std::string TupleToString(const Tuple& tuple) {

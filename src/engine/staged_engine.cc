@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <unordered_map>
 
 #include "exec/partial_agg.h"
@@ -32,6 +33,17 @@ StatusOr<std::vector<Tuple>> StagedQuery::Await() {
 void StagedQuery::AppendResult(Tuple t) {
   MutexLock lock(mu_);
   rows_.push_back(std::move(t));
+}
+
+void StagedQuery::AppendResults(RowBatch* batch) {
+  MutexLock lock(mu_);
+  if (rows_.empty()) {
+    rows_ = std::move(batch->tuples);
+  } else {
+    rows_.insert(rows_.end(), std::make_move_iterator(batch->tuples.begin()),
+                 std::make_move_iterator(batch->tuples.end()));
+  }
+  batch->clear();
 }
 
 void StagedQuery::Fail(Status status) {
@@ -106,9 +118,11 @@ class OperatorInstance : public StageTask {
     // Scans report rows read and rows qualified to an activity trace, as
     // the volcano scans do. Registered here, before any packet runs; each
     // packet then touches only its own entry.
+    const bool scan = plan->kind == PlanKind::kSeqScan ||
+                      plan->kind == PlanKind::kIndexScan;
+    if (scan) scan_reader_.emplace(*plan);
     trace_ = query->exec_ctx->trace;
-    if (trace_ != nullptr && (plan->kind == PlanKind::kSeqScan ||
-                              plan->kind == PlanKind::kIndexScan)) {
+    if (trace_ != nullptr && scan) {
       trace_id_ = trace_->Register(plan->kind, plan->table->name);
     } else {
       trace_ = nullptr;
@@ -221,8 +235,7 @@ class OperatorInstance : public StageTask {
   Sink EmitBatch(RowBatch* batch) {
     if (batch->empty()) return Sink::kOk;
     if (outputs_.empty()) {
-      for (Tuple& t : batch->tuples) query_->AppendResult(std::move(t));
-      batch->clear();
+      query_->AppendResults(batch);
       return Sink::kOk;
     }
     if (out_exchange_ != nullptr) {
@@ -374,14 +387,12 @@ class OperatorInstance : public StageTask {
     return Status::OK();
   }
 
-  /// A scan's fused predicate on one visible row it read (the qualification
-  /// the qual stage would otherwise do one exchange hop later). On an
-  /// evaluation error the caller fails the query.
-  StatusOr<bool> QualifyScanRow(const Tuple& row) {
-    if (trace_ != nullptr) trace_->CountRead(trace_id_);
-    auto pass = exec::ScanQualifies(*plan_, row);
-    if (trace_ != nullptr && pass.ok() && *pass) trace_->CountTuple(trace_id_);
-    return pass;
+  /// Counts one row the scan reader saw into the activity trace: a visible
+  /// row is read, and a qualified one is also emitted.
+  void TraceScanRow(exec::ScanRow row) {
+    if (trace_ == nullptr || row == exec::ScanRow::kInvisible) return;
+    trace_->CountRead(trace_id_);
+    if (row == exec::ScanRow::kQualified) trace_->CountTuple(trace_id_);
   }
 
   RunOutcome RunSeqScan();
@@ -424,6 +435,8 @@ class OperatorInstance : public StageTask {
   storage::MvccReadView MvccView() const {
     return exec::MvccViewFor(query_->exec_ctx);
   }
+
+  std::optional<exec::ScanRowReader> scan_reader_;  // scans only
 
   // Seq-scan state: the heap page being drained and where the next one
   // comes from — the table's elevator (shared_scans) or a private walk.
@@ -549,23 +562,19 @@ RunOutcome OperatorInstance::RunSeqScan() {
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
     morsel.reserve(target);
     size_t read = 0;
+    Tuple tuple;  // a rejected row's storage is reused for the next one
     while (read < target && scan_page_pos_ < scan_page_->size()) {
-      Tuple tuple;
-      auto visible = exec::DecodeVisibleRecord(
-          view, plan_->table->schema, (*scan_page_)[scan_page_pos_], &tuple);
+      auto row = scan_reader_->ReadRecord(view, (*scan_page_)[scan_page_pos_],
+                                          &tuple);
       ++scan_page_pos_;
-      if (!visible.ok()) {
-        query_->Fail(visible.status());
+      if (!row.ok()) {
+        query_->Fail(row.status());
         return FinishEarly();
       }
-      if (!*visible) continue;
+      TraceScanRow(*row);
+      if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
-      auto pass = QualifyScanRow(tuple);
-      if (!pass.ok()) {
-        query_->Fail(pass.status());
-        return FinishEarly();
-      }
-      if (*pass) morsel.push_back(std::move(tuple));
+      if (*row == exec::ScanRow::kQualified) morsel.push_back(std::move(tuple));
     }
     budget -= static_cast<int>(read);
     if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
@@ -609,24 +618,19 @@ RunOutcome OperatorInstance::RunIndexScan() {
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
     morsel.reserve(target);
     size_t read = 0;
+    Tuple tuple;  // a rejected row's storage is reused for the next one
     while (read < target && index_pos_ < index_matches_.size()) {
       const auto& [key, head] = index_matches_[index_pos_++];
       storage::Rid rid;
-      Tuple tuple;
-      auto found = exec::FetchVisibleVersion(*plan_->table, *plan_->index,
-                                             view, key, head, &rid, &tuple);
-      if (!found.ok()) {
-        query_->Fail(found.status());
+      auto row = scan_reader_->ReadIndexed(view, key, head, &rid, &tuple);
+      if (!row.ok()) {
+        query_->Fail(row.status());
         return FinishEarly();
       }
-      if (!*found) continue;
+      TraceScanRow(*row);
+      if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
-      auto pass = QualifyScanRow(tuple);
-      if (!pass.ok()) {
-        query_->Fail(pass.status());
-        return FinishEarly();
-      }
-      if (*pass) morsel.push_back(std::move(tuple));
+      if (*row == exec::ScanRow::kQualified) morsel.push_back(std::move(tuple));
     }
     budget -= static_cast<int>(std::max<size_t>(1, read));
     if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
@@ -1182,7 +1186,9 @@ class DmlTask : public StageTask {
       query_->Fail(rows.status());
       return RunOutcome::kDone;
     }
-    for (Tuple& t : *rows) query_->AppendResult(std::move(t));
+    RowBatch batch;
+    batch.tuples = std::move(*rows);
+    query_->AppendResults(&batch);
     return RunOutcome::kDone;
   }
   void OnRetired() override { query_->OnInstanceRetired(); }

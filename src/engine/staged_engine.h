@@ -115,6 +115,9 @@ class StagedQuery {
 
   // --- used by operator drivers ---
   void AppendResult(catalog::Tuple t);
+  /// Moves a whole morsel of result rows under one lock; `*batch` is left
+  /// empty.
+  void AppendResults(RowBatch* batch);
   /// Records the first error and cancels the dataflow (closes all buffers).
   void Fail(Status status);
   void OnInstanceRetired();

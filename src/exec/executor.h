@@ -90,69 +90,49 @@ inline storage::MvccReadView MvccViewFor(const ExecContext* ctx) {
   return storage::MvccReadView{0, 0};
 }
 
-/// Decodes a heap record into `*out` when its version is visible in `view`
-/// (returns false to skip it). Shared by the volcano executors and the
-/// staged scan drivers so both engines filter identically.
-inline StatusOr<bool> DecodeVisibleRecord(const storage::MvccReadView& view,
-                                          const catalog::Schema& schema,
-                                          std::string_view record,
-                                          catalog::Tuple* out) {
-  if (!storage::VersionVisible(storage::DecodeVersionHeader(record), view)) {
-    return false;
-  }
-  auto tuple = catalog::DecodeTuple(schema, storage::RowPayload(record));
-  if (!tuple.ok()) return tuple.status();
-  *out = std::move(*tuple);
-  return true;
-}
+/// What a scan made of one heap record or index entry.
+enum class ScanRow {
+  kInvisible,  // no version visible in the reader's snapshot
+  kRejected,   // visible, but the node's predicate dropped it
+  kQualified,  // visible and kept
+};
 
-/// A scan node's fused predicate applied to one visible row: true keeps
-/// it. NULL and false both drop the row (SQL's three-valued WHERE), and an
-/// evaluation error fails the query. Shared by the volcano scans and the
-/// staged scan drivers so both engines qualify rows identically.
-inline StatusOr<bool> ScanQualifies(const optimizer::PhysicalPlan& scan,
-                                    const catalog::Tuple& row) {
-  if (scan.predicate == nullptr) return true;
-  return optimizer::EvalPredicate(*scan.predicate, row);
-}
+/// Reads the rows of one scan-like node: a kSeqScan or kIndexScan, or the
+/// target search of a kDelete/kUpdate. For each row it checks visibility,
+/// decodes only the columns the node's predicate reads, evaluates the
+/// predicate, and decodes the rest of the node's read set only for a row
+/// that qualifies; columns outside the read set stay NULL (a DML node has no
+/// read set, so its targets are whole rows for WAL before-images and new
+/// versions). Shared by the volcano scans, the staged fscan/iscan drivers
+/// and the DML target collector, so every engine reads rows identically.
+class ScanRowReader {
+ public:
+  explicit ScanRowReader(const optimizer::PhysicalPlan& node);
 
-/// Resolves one entry of `index` (`key` -> `head`) to the row version
-/// visible in `view`, returning its rid and tuple. `head` is the newest
-/// version of the key; the walk follows `prev` links to the (unique) visible
-/// version. A dangling
-/// prev (vacuumed tail) ends the walk: deeper versions are strictly older
-/// than the vacuum horizon, hence invisible to us anyway. Key recheck: with
-/// several indexes a chain can cross keys (DESIGN.md §12), so a visible
-/// version whose key is not `key` does not match in this view. Shared by the
-/// volcano index scan, the staged iscan driver and the DML target collector.
-inline StatusOr<bool> FetchVisibleVersion(const catalog::TableInfo& table,
-                                          const catalog::IndexInfo& index,
-                                          const storage::MvccReadView& view,
-                                          int64_t key, storage::Rid head,
-                                          storage::Rid* rid_out,
-                                          catalog::Tuple* out) {
-  storage::Rid rid = head;
-  std::string record;
-  while (true) {
-    Status s = table.heap->Get(rid, &record);
-    if (s.IsNotFound()) return false;  // deleted/vacuumed after lookup
-    STAGEDB_RETURN_IF_ERROR(s);
-    const storage::VersionHeader h = storage::DecodeVersionHeader(record);
-    if (!storage::VersionVisible(h, view)) {
-      if (!h.has_prev()) return false;
-      rid = h.prev;
-      continue;
-    }
-    auto tuple =
-        catalog::DecodeTuple(table.schema, storage::RowPayload(record));
-    if (!tuple.ok()) return tuple.status();
-    const catalog::Value& v = (*tuple)[index.column];
-    if (v.is_null() || v.int_value() != key) return false;
-    *rid_out = rid;
-    *out = std::move(*tuple);
-    return true;
-  }
-}
+  /// One heap record (version header + payload) of a sequential scan.
+  StatusOr<ScanRow> ReadRecord(const storage::MvccReadView& view,
+                               std::string_view record,
+                               catalog::Tuple* out) const;
+
+  /// One index entry `key` -> `head`: `head` is the key's newest version,
+  /// and the walk down its `prev` chain stops at the version visible in
+  /// `view`, whose rid lands in `*rid`.
+  StatusOr<ScanRow> ReadIndexed(const storage::MvccReadView& view,
+                                int64_t key, storage::Rid head,
+                                storage::Rid* rid, catalog::Tuple* out);
+
+ private:
+  /// Evaluates the predicate on a row whose first_ columns are decoded and
+  /// completes a qualifying row from `payload`.
+  StatusOr<ScanRow> Qualify(std::string_view payload,
+                            catalog::Tuple* out) const;
+
+  const optimizer::PhysicalPlan& node_;
+  catalog::ColumnSet first_;  // decoded before the predicate runs
+  catalog::ColumnSet rest_;   // decoded once the row qualifies
+  bool has_rest_ = false;
+  std::string record_;        // the index path's fetched record
+};
 
 /// Pull-based operator.
 class Executor {

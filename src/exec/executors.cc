@@ -20,6 +20,106 @@ using parser::AggFunc;
 
 namespace {
 
+/// Resolves one entry of `index` (`key` -> `head`) to the row version
+/// visible in `view`: its rid, its whole record in `*record`, and the
+/// columns `read` selects in `*out`; `read` includes the index column, which
+/// the key recheck reads. `head` is the newest version of the key; the walk
+/// follows `prev` links to the (unique) visible version. A dangling prev
+/// (vacuumed tail) ends the walk: deeper versions are strictly older than
+/// the vacuum horizon, hence invisible to us anyway. Key recheck: with
+/// several indexes a chain can cross keys (DESIGN.md §12), so a visible
+/// version whose key is not `key` does not match in this view.
+StatusOr<bool> FetchVisibleVersion(const catalog::TableInfo& table,
+                                   const catalog::IndexInfo& index,
+                                   const storage::MvccReadView& view,
+                                   int64_t key, storage::Rid head,
+                                   const catalog::ColumnSet& read,
+                                   storage::Rid* rid_out, std::string* record,
+                                   catalog::Tuple* out) {
+  storage::Rid rid = head;
+  while (true) {
+    Status s = table.heap->Get(rid, record);
+    if (s.IsNotFound()) return false;  // deleted/vacuumed after lookup
+    STAGEDB_RETURN_IF_ERROR(s);
+    const storage::VersionHeader h = storage::DecodeVersionHeader(*record);
+    if (!storage::VersionVisible(h, view)) {
+      if (!h.has_prev()) return false;
+      rid = h.prev;
+      continue;
+    }
+    out->clear();
+    STAGEDB_RETURN_IF_ERROR(catalog::DecodeTuple(
+        table.schema, storage::RowPayload(*record), read, out));
+    const catalog::Value& v = (*out)[index.column];
+    if (v.is_null() || v.int_value() != key) return false;
+    *rid_out = rid;
+    return true;
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------- ScanRowReader --
+
+ScanRowReader::ScanRowReader(const PhysicalPlan& node) : node_(node) {
+  const size_t width = node.table->schema.num_columns();
+  if (node.predicate == nullptr) {
+    first_ = node.read_set;  // nothing to qualify: one decode pass
+  } else {
+    first_.assign(width, false);
+    node.predicate->MarkColumns(&first_);
+  }
+  // An index read rechecks the entry's key before anything else.
+  if (node.index != nullptr && !first_.empty()) {
+    first_[node.index->column] = true;
+  }
+  if (node.predicate == nullptr) return;
+  rest_.assign(width, false);
+  for (size_t i = 0; i < width; ++i) {
+    rest_[i] = !first_[i] && (node.read_set.empty() || node.read_set[i]);
+    has_rest_ = has_rest_ || rest_[i];
+  }
+}
+
+StatusOr<ScanRow> ScanRowReader::ReadRecord(const storage::MvccReadView& view,
+                                            std::string_view record,
+                                            Tuple* out) const {
+  if (!storage::VersionVisible(storage::DecodeVersionHeader(record), view)) {
+    return ScanRow::kInvisible;
+  }
+  const std::string_view payload = storage::RowPayload(record);
+  out->clear();
+  STAGEDB_RETURN_IF_ERROR(
+      catalog::DecodeTuple(node_.table->schema, payload, first_, out));
+  return Qualify(payload, out);
+}
+
+StatusOr<ScanRow> ScanRowReader::ReadIndexed(const storage::MvccReadView& view,
+                                             int64_t key, storage::Rid head,
+                                             storage::Rid* rid, Tuple* out) {
+  auto found = FetchVisibleVersion(*node_.table, *node_.index, view, key,
+                                   head, first_, rid, &record_, out);
+  if (!found.ok()) return found.status();
+  if (!*found) return ScanRow::kInvisible;
+  return Qualify(storage::RowPayload(record_), out);
+}
+
+StatusOr<ScanRow> ScanRowReader::Qualify(std::string_view payload,
+                                         Tuple* out) const {
+  if (node_.predicate != nullptr) {
+    auto pass = EvalPredicate(*node_.predicate, *out);
+    if (!pass.ok()) return pass.status();
+    if (!*pass) return ScanRow::kRejected;
+  }
+  if (has_rest_) {
+    STAGEDB_RETURN_IF_ERROR(
+        catalog::DecodeTuple(node_.table->schema, payload, rest_, out));
+  }
+  return ScanRow::kQualified;
+}
+
+namespace {
+
 // ------------------------------------------------------------ group keys ---
 
 struct GroupKey {
@@ -62,7 +162,8 @@ class SeqScanExec : public Executor {
       : Executor(plan->schema),
         plan_(plan),
         ctx_(ctx),
-        iter_(plan->table->heap->Scan()) {
+        iter_(plan->table->heap->Scan()),
+        reader_(*plan) {
     if (ctx_->trace != nullptr) {
       trace_id_ = ctx_->trace->Register(PlanKind::kSeqScan, plan->table->name);
     }
@@ -74,14 +175,11 @@ class SeqScanExec : public Executor {
   StatusOr<bool> Next(Tuple* out) override {
     if (ctx_->trace != nullptr) ctx_->trace->CountInvocation(trace_id_);
     while (iter_.Next()) {
-      auto visible = DecodeVisibleRecord(view_, plan_->table->schema,
-                                         iter_.record(), out);
-      if (!visible.ok()) return visible.status();
-      if (!*visible) continue;  // version outside our snapshot
+      auto row = reader_.ReadRecord(view_, iter_.record(), out);
+      if (!row.ok()) return row.status();
+      if (*row == ScanRow::kInvisible) continue;  // outside our snapshot
       if (ctx_->trace != nullptr) ctx_->trace->CountRead(trace_id_);
-      auto pass = ScanQualifies(*plan_, *out);
-      if (!pass.ok()) return pass.status();
-      if (!*pass) continue;
+      if (*row == ScanRow::kRejected) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountTuple(trace_id_);
       return true;
     }
@@ -93,6 +191,7 @@ class SeqScanExec : public Executor {
   const PhysicalPlan* plan_;
   ExecContext* ctx_;
   storage::HeapFile::Iterator iter_;
+  ScanRowReader reader_;
   storage::MvccReadView view_;
   size_t trace_id_ = 0;
 };
@@ -102,7 +201,7 @@ class SeqScanExec : public Executor {
 class IndexScanExec : public Executor {
  public:
   IndexScanExec(const PhysicalPlan* plan, ExecContext* ctx)
-      : Executor(plan->schema), plan_(plan), ctx_(ctx) {
+      : Executor(plan->schema), plan_(plan), ctx_(ctx), reader_(*plan) {
     if (ctx_->trace != nullptr) {
       trace_id_ =
           ctx_->trace->Register(PlanKind::kIndexScan, plan->table->name);
@@ -118,14 +217,11 @@ class IndexScanExec : public Executor {
     while (pos_ < matches_.size()) {
       const auto& [key, head] = matches_[pos_++];
       storage::Rid rid;
-      auto found = FetchVisibleVersion(*plan_->table, *plan_->index, view_,
-                                       key, head, &rid, out);
-      if (!found.ok()) return found.status();
-      if (!*found) continue;
+      auto row = reader_.ReadIndexed(view_, key, head, &rid, out);
+      if (!row.ok()) return row.status();
+      if (*row == ScanRow::kInvisible) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountRead(trace_id_);
-      auto pass = ScanQualifies(*plan_, *out);
-      if (!pass.ok()) return pass.status();
-      if (!*pass) continue;
+      if (*row == ScanRow::kRejected) continue;
       if (ctx_->trace != nullptr) ctx_->trace->CountTuple(trace_id_);
       return true;
     }
@@ -135,6 +231,7 @@ class IndexScanExec : public Executor {
  private:
   const PhysicalPlan* plan_;
   ExecContext* ctx_;
+  ScanRowReader reader_;
   std::vector<std::pair<int64_t, storage::Rid>> matches_;
   size_t pos_ = 0;
   storage::MvccReadView view_;
@@ -765,15 +862,7 @@ Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
                          std::vector<DmlTarget>* out) {
   const catalog::TableInfo& table = *plan->table;
   const storage::MvccReadView view = MvccViewFor(ctx);
-  const auto keep = [&](const storage::Rid& rid, Tuple tuple) -> Status {
-    if (plan->predicate) {
-      auto pass = EvalPredicate(*plan->predicate, tuple);
-      if (!pass.ok()) return pass.status();
-      if (!*pass) return Status::OK();
-    }
-    out->push_back({rid, std::move(tuple)});
-    return Status::OK();
-  };
+  ScanRowReader reader(*plan);
   if (plan->index != nullptr) {
     const bool walk_exact = table.indexes.size() == 1;
     std::vector<std::pair<int64_t, storage::Rid>> matches;
@@ -783,12 +872,11 @@ Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
     for (const auto& [key, head] : matches) {
       storage::Rid rid;
       Tuple tuple;
-      auto found = FetchVisibleVersion(table, *plan->index, view, key, head,
-                                       &rid, &tuple);
-      if (!found.ok()) return found.status();
-      if (*found) {
-        STAGEDB_RETURN_IF_ERROR(keep(rid, std::move(tuple)));
-      } else if (!walk_exact) {
+      auto row = reader.ReadIndexed(view, key, head, &rid, &tuple);
+      if (!row.ok()) return row.status();
+      if (*row == ScanRow::kQualified) {
+        out->push_back({rid, std::move(tuple)});
+      } else if (*row == ScanRow::kInvisible && !walk_exact) {
         exact = false;
         break;
       }
@@ -805,9 +893,11 @@ Status CollectDmlTargets(const PhysicalPlan* plan, ExecContext* ctx,
   auto it = table.heap->Scan();
   while (it.Next()) {
     Tuple tuple;
-    auto visible = DecodeVisibleRecord(view, table.schema, it.record(), &tuple);
-    if (!visible.ok()) return visible.status();
-    if (*visible) STAGEDB_RETURN_IF_ERROR(keep(it.rid(), std::move(tuple)));
+    auto row = reader.ReadRecord(view, it.record(), &tuple);
+    if (!row.ok()) return row.status();
+    if (*row == ScanRow::kQualified) {
+      out->push_back({it.rid(), std::move(tuple)});
+    }
   }
   return it.status();
 }

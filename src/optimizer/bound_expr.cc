@@ -98,19 +98,13 @@ bool BoundExpr::ContainsParam() const {
   return false;
 }
 
-bool BoundExpr::ReferencesColumnsIn(size_t lo, size_t hi) const {
-  if (kind == Kind::kColumn && column >= lo && column < hi) return true;
-  if (left && left->ReferencesColumnsIn(lo, hi)) return true;
-  if (right && right->ReferencesColumnsIn(lo, hi)) return true;
-  return false;
-}
-
-void BoundExpr::ShiftColumns(int64_t shift, size_t at_or_above) {
-  if (kind == Kind::kColumn && column >= at_or_above) {
-    column = static_cast<size_t>(static_cast<int64_t>(column) + shift);
+void BoundExpr::MarkColumns(catalog::ColumnSet* columns) const {
+  if ((kind == Kind::kColumn || kind == Kind::kAggRef) &&
+      column < columns->size()) {
+    (*columns)[column] = true;
   }
-  if (left) left->ShiftColumns(shift, at_or_above);
-  if (right) right->ShiftColumns(shift, at_or_above);
+  if (left) left->MarkColumns(columns);
+  if (right) right->MarkColumns(columns);
 }
 
 std::string BoundExpr::ToString() const {

@@ -45,11 +45,9 @@ struct BoundExpr {
   std::unique_ptr<BoundExpr> Clone() const;
   /// True if any node in the tree is a kParam placeholder.
   bool ContainsParam() const;
-  /// True if the expression references any column in [lo, hi).
-  bool ReferencesColumnsIn(size_t lo, size_t hi) const;
-  /// Rewrites column references by `shift` (used when an input is re-based
-  /// on the right side of a join).
-  void ShiftColumns(int64_t shift, size_t at_or_above);
+  /// Sets the flag of every input column the expression reads (kColumn and
+  /// kAggRef slots) in `*columns`, which is sized to the input width.
+  void MarkColumns(catalog::ColumnSet* columns) const;
   std::string ToString() const;
 };
 

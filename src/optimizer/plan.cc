@@ -70,6 +70,7 @@ std::unique_ptr<PhysicalPlan> PhysicalPlan::Clone() const {
   p->index_lo_adjust = index_lo_adjust;
   p->index_hi_adjust = index_hi_adjust;
   if (predicate) p->predicate = predicate->Clone();
+  p->read_set = read_set;
   p->exprs.reserve(exprs.size());
   for (const auto& e : exprs) p->exprs.push_back(e->Clone());
   p->update_columns = update_columns;
@@ -143,6 +144,15 @@ std::string PhysicalPlan::ToString(int indent) const {
             bound(index_hi, index_hi_param, index_hi_adjust) + "]";
   }
   if (predicate) line += " pred=" + predicate->ToString();
+  if (!read_set.empty()) {
+    std::string reads;
+    for (size_t i = 0; i < read_set.size(); ++i) {
+      if (!read_set[i]) continue;
+      if (!reads.empty()) reads += ",";
+      reads += StrFormat("#%zu", i);
+    }
+    line += " reads=" + (reads.empty() ? std::string("none") : reads);
+  }
   if (!left_keys.empty()) {
     line += " keys=";
     for (size_t i = 0; i < left_keys.size(); ++i) {

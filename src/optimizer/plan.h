@@ -111,6 +111,12 @@ struct PhysicalPlan {
   // and emits only the rows that qualify.
   std::unique_ptr<BoundExpr> predicate;
 
+  /// kSeqScan / kIndexScan of a SELECT: the table columns the plan above
+  /// reads, one flag per column, stamped by the planner's last pass
+  /// (AssignReadSets). A scan decodes only these; the others stay NULL in
+  /// the rows it emits. Empty = every column (DML targets, SELECT *).
+  catalog::ColumnSet read_set;
+
   // kProject expressions; kHashAggregate group-by; kUpdate SET values
   // (parallel to update_columns).
   std::vector<std::unique_ptr<BoundExpr>> exprs;

@@ -18,6 +18,77 @@ using parser::Expr;
 namespace {
 constexpr double kTuplesPerPage = 50.0;
 constexpr double kCpuPerTuple = 0.01;
+
+/// The read-set pass over a finished SELECT plan. `needed` flags the columns
+/// of `node`'s output that its parent reads; the node passes down those plus
+/// the columns it reads itself, and a scan keeps the union as its read set.
+/// A kMerge aggregate reads every partial-state column, and a node kind this
+/// pass does not know asks its children for every column.
+void AssignReadSets(PhysicalPlan* node, catalog::ColumnSet needed) {
+  const auto all_of = [](const PhysicalPlan& n) {
+    return catalog::ColumnSet(n.schema.num_columns(), true);
+  };
+  const auto none_of = [](const PhysicalPlan& n) {
+    return catalog::ColumnSet(n.schema.num_columns(), false);
+  };
+  if (node->predicate) node->predicate->MarkColumns(&needed);
+  switch (node->kind) {
+    case PlanKind::kSeqScan:
+    case PlanKind::kIndexScan:
+      if (std::find(needed.begin(), needed.end(), false) == needed.end()) {
+        needed.clear();  // every column: the scan decodes whole rows
+      }
+      node->read_set = std::move(needed);
+      return;
+    case PlanKind::kFilter:
+    case PlanKind::kLimit:
+    case PlanKind::kSort:
+      for (const SortKey& key : node->sort_keys) key.expr->MarkColumns(&needed);
+      AssignReadSets(node->children[0].get(), std::move(needed));
+      return;
+    case PlanKind::kProject: {
+      catalog::ColumnSet child = none_of(*node->children[0]);
+      for (const auto& e : node->exprs) e->MarkColumns(&child);
+      AssignReadSets(node->children[0].get(), std::move(child));
+      return;
+    }
+    case PlanKind::kHashAggregate: {
+      PhysicalPlan* input = node->children[0].get();
+      if (node->agg_mode == AggMode::kMerge) {
+        AssignReadSets(input, all_of(*input));
+        return;
+      }
+      catalog::ColumnSet child = none_of(*input);
+      for (const auto& e : node->exprs) e->MarkColumns(&child);
+      for (const AggSpec& a : node->aggregates) {
+        if (a.arg) a.arg->MarkColumns(&child);
+      }
+      AssignReadSets(input, std::move(child));
+      return;
+    }
+    case PlanKind::kNestedLoopJoin:
+    case PlanKind::kHashJoin:
+    case PlanKind::kMergeJoin: {
+      // The residual was marked above over the joined row; split it and the
+      // parent's columns at the left input's width.
+      const size_t left_width = node->children[0]->schema.num_columns();
+      for (size_t k : node->left_keys) needed[k] = true;
+      for (size_t k : node->right_keys) needed[left_width + k] = true;
+      AssignReadSets(node->children[0].get(),
+                     catalog::ColumnSet(needed.begin(),
+                                        needed.begin() + left_width));
+      AssignReadSets(node->children[1].get(),
+                     catalog::ColumnSet(needed.begin() + left_width,
+                                        needed.end()));
+      return;
+    }
+    default:
+      for (auto& child : node->children) {
+        AssignReadSets(child.get(), all_of(*child));
+      }
+      return;
+  }
+}
 }  // namespace
 
 void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
@@ -911,6 +982,10 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanSelect(
   // 11. Intra-query parallelism (§4.3): tag hash joins with a DOP and split
   // aggregations into merge-over-partial shapes for the staged engine.
   if (options_.max_dop > 1) Parallelize(&plan);
+
+  // 12. Read sets: each scan decodes only the columns the plan above reads.
+  AssignReadSets(plan.get(), catalog::ColumnSet(plan->schema.num_columns(),
+                                                true));
   return plan;
 }
 

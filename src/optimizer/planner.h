@@ -1,6 +1,6 @@
 // The optimize stage: binds a parsed statement against the catalog and
 // produces a costed physical plan (predicate pushdown, access-path selection,
-// greedy join ordering, join-algorithm choice).
+// greedy join ordering, join-algorithm choice, scan read sets).
 #ifndef STAGEDB_OPTIMIZER_PLANNER_H_
 #define STAGEDB_OPTIMIZER_PLANNER_H_
 

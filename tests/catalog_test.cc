@@ -139,6 +139,58 @@ TEST(TupleTest, CorruptionDetected) {
   EXPECT_EQ(DecodeTuple(s, bytes).status().code(), StatusCode::kCorruption);
 }
 
+TEST(TupleTest, ReadSetDecodeMatchesFullDecode) {
+  // Nine columns, so the null bitmap spans two bytes.
+  Schema s({{"i0", TypeId::kInt64, ""},
+            {"v1", TypeId::kVarchar, ""},
+            {"i2", TypeId::kInt64, ""},
+            {"v3", TypeId::kVarchar, ""},
+            {"d4", TypeId::kDouble, ""},
+            {"b5", TypeId::kBool, ""},
+            {"n6", TypeId::kInt64, ""},
+            {"i7", TypeId::kInt64, ""},
+            {"v8", TypeId::kVarchar, ""}});
+  const Tuple t = {Value::Int(7),        Value::Varchar("alpha"),
+                   Value::Int(-3),       Value::Varchar("a longer string"),
+                   Value::Double(2.5),   Value::Bool(true),
+                   Value::Null(),        Value::Int(INT64_MAX),
+                   Value::Varchar("")};
+  const std::string bytes = EncodeTuple(s, t);
+  // Reads only i0 and i7: v1, i2, v3 and v8 are unread ints and varchars.
+  ColumnSet read(9, false);
+  read[0] = read[7] = true;
+  const std::vector<ColumnSet> sets = {
+      read, ColumnSet(9, false), ColumnSet(9, true)};
+
+  Tuple out;
+  ASSERT_TRUE(DecodeTuple(s, bytes, read, &out).ok());
+  ASSERT_EQ(out.size(), 9u);
+  for (size_t i = 0; i < 9; ++i) {
+    if (read[i]) {
+      EXPECT_EQ(out[i], t[i]) << i;
+    } else {
+      EXPECT_TRUE(out[i].is_null()) << i;
+    }
+  }
+
+  // Every truncation is the full decode's Corruption, whatever the read
+  // set: cuts 0-1 fall inside the two-byte bitmap, 10-18 inside the unread
+  // varchar v1 (length, then body), 19-26 inside the unread int i2, and so
+  // on to the last byte.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::string_view truncated(bytes.data(), cut);
+    auto full = DecodeTuple(s, truncated);
+    ASSERT_FALSE(full.ok()) << cut;
+    ASSERT_EQ(full.status().code(), StatusCode::kCorruption) << cut;
+    for (const ColumnSet& set : sets) {
+      Tuple partial;
+      const Status st = DecodeTuple(s, truncated, set, &partial);
+      EXPECT_EQ(st.code(), full.status().code()) << cut;
+      EXPECT_EQ(st.message(), full.status().message()) << cut;
+    }
+  }
+}
+
 // ------------------------------------------------------------ TableStats ---
 
 TEST(TableStatsTest, TracksCountMinMaxNdv) {

@@ -526,6 +526,60 @@ class FusedScanPredicateTest : public ::testing::Test {
     }
   }
 
+  /// A random SELECT over f and w: select lists, joins (keys and residuals),
+  /// GROUP BY/HAVING, ORDER BY on an unselected column, LIMIT and SELECT *.
+  /// `*ordered` is set when the result order is deterministic.
+  static std::string RandomReadSetQuery(Rng* rng, bool* ordered) {
+    const auto num = [&](uint64_t n) {
+      return std::to_string(rng->Uniform(n));
+    };
+    const std::string where = RandomWhere(rng, 1);
+    *ordered = false;
+    switch (rng->Uniform(10)) {
+      case 0: {
+        static const char* kItems[] = {"a", "b", "s", "a + b", "a * 2"};
+        std::string list;
+        for (const char* item : kItems) {
+          if (rng->Uniform(2) == 0) {
+            list += (list.empty() ? "" : ", ") + std::string(item);
+          }
+        }
+        return "SELECT " + (list.empty() ? std::string("*") : list) +
+               " FROM f WHERE " + where;
+      }
+      case 1:
+        return "SELECT b, COUNT(*), SUM(a), MIN(s) FROM f WHERE " + where +
+               " GROUP BY b HAVING COUNT(*) > " + num(40);
+      case 2:
+        *ordered = true;
+        return "SELECT s FROM f WHERE " + where + " ORDER BY a";
+      case 3:
+        *ordered = true;
+        return "SELECT s, b FROM f WHERE " + where + " ORDER BY a DESC LIMIT " +
+               num(30);
+      case 4:
+        return "SELECT a FROM f WHERE " + where + " ORDER BY b";
+      case 5:
+        return "SELECT f.s, w.v FROM f JOIN w ON f.a = w.k WHERE " + where;
+      case 6:
+        return "SELECT f.b, COUNT(*), SUM(w.v) FROM f JOIN w ON f.a = w.k "
+               "WHERE " + where + " GROUP BY f.b";
+      case 7:
+        return "SELECT COUNT(*), MAX(f.s) FROM f JOIN w ON f.a = w.k AND "
+               "f.b + w.v > " + num(4000);
+      case 8:
+        return rng->Uniform(2) == 0
+                   ? "SELECT COUNT(*) FROM f"
+                   : "SELECT * FROM f JOIN w ON f.a = w.k WHERE " + where;
+      default: {
+        const uint64_t lo = rng->Uniform(kRows);
+        return "SELECT s FROM f WHERE a >= " + std::to_string(lo) +
+               " AND a < " + std::to_string(lo + 1 + rng->Uniform(300)) +
+               " AND " + where;
+      }
+    }
+  }
+
   std::unique_ptr<storage::MemDiskManager> disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<Catalog> catalog_;
@@ -569,6 +623,118 @@ TEST_F(FusedScanPredicateTest, RandomWhereMatchesVolcano) {
     EXPECT_GT(index_residuals, 0);
     EXPECT_GT(rows_seen, 0u);
   }
+}
+
+/// Clears every read set in the tree, so each scan decodes whole rows.
+void ClearReadSets(optimizer::PhysicalPlan* node) {
+  node->read_set.clear();
+  for (auto& child : node->children) ClearReadSets(child.get());
+}
+
+/// The scans of a trace as sorted "table kind read/emitted" lines (the two
+/// engines register operators in different orders).
+std::vector<std::string> ScanCounts(const exec::OperatorTrace& trace) {
+  std::vector<std::string> out;
+  for (const exec::OperatorTraceEntry& e : trace.entries()) {
+    if (e.kind != optimizer::PlanKind::kSeqScan &&
+        e.kind != optimizer::PlanKind::kIndexScan) {
+      continue;
+    }
+    out.push_back(e.detail + " " + optimizer::PlanKindName(e.kind) + " " +
+                  std::to_string(e.rows_read) + "/" +
+                  std::to_string(e.tuples_out));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
+  // The reference answer comes from a plan with pushdown disabled and its
+  // read sets cleared: the WHERE is a Filter above whole-row scans, so no
+  // read set and no predicate-first decode is involved. Each query then
+  // runs on both engines with its planned read sets and on a clone whose
+  // read sets are cleared; all four must give the reference answer, and
+  // their scans' rows-read / rows-qualified counts must agree. The same
+  // query planned at max_dop=4 (partial/merge aggregates, partitioned
+  // joins) runs on a parallel staged engine, with and without read sets.
+  StagedEngine engine(catalog_.get());
+  StagedEngineOptions parallel_opts;
+  parallel_opts.max_dop = 4;
+  parallel_opts.threads_per_stage = 2;
+  StagedEngine parallel(catalog_.get(), parallel_opts);
+  PlannerOptions parallel_planner;
+  parallel_planner.max_dop = 4;
+  parallel_planner.parallel_min_rows = 64;
+  PlannerOptions no_pushdown;
+  no_pushdown.enable_predicate_pushdown = false;
+
+  const auto plan_with = [&](const std::string& sql, PlannerOptions opts) {
+    auto stmt = parser::ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto plan = Planner(catalog_.get(), opts).Plan(**stmt);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return std::move(*plan);
+  };
+  const auto whole_rows = [](const optimizer::PhysicalPlan& plan) {
+    auto copy = plan.Clone();
+    ClearReadSets(copy.get());
+    return copy;
+  };
+
+  Rng rng(303);
+  int narrowed = 0;
+  for (int q = 0; q < 80; ++q) {
+    bool ordered = false;
+    const std::string sql = RandomReadSetQuery(&rng, &ordered);
+    SCOPED_TRACE(sql);
+    auto plan = plan_with(sql, PlannerOptions{});
+    ASSERT_NE(plan, nullptr);
+    if (plan->ToString().find("reads=") != std::string::npos) ++narrowed;
+    auto whole = whole_rows(*plan);
+    auto dop_plan = plan_with(sql, parallel_planner);
+    ASSERT_NE(dop_plan, nullptr);
+    auto dop_whole = whole_rows(*dop_plan);
+    auto reference = whole_rows(*plan_with(sql, no_pushdown));
+
+    const auto render = [&](const std::vector<Tuple>& rows) {
+      std::vector<std::string> out;
+      for (const Tuple& t : rows) out.push_back(catalog::TupleToString(t));
+      if (!ordered) std::sort(out.begin(), out.end());
+      return out;
+    };
+    exec::ExecContext ref_ctx;
+    ref_ctx.catalog = catalog_.get();
+    auto ref_rows = exec::ExecutePlan(reference.get(), &ref_ctx);
+    ASSERT_TRUE(ref_rows.ok()) << ref_rows.status().ToString();
+    const std::vector<std::string> expected = render(*ref_rows);
+
+    std::vector<std::string> expected_scans;
+    const auto run = [&](const char* label, const optimizer::PhysicalPlan* p,
+                         StagedEngine* staged) {
+      SCOPED_TRACE(label);
+      exec::OperatorTrace trace;
+      exec::ExecContext ctx;
+      ctx.catalog = catalog_.get();
+      ctx.trace = &trace;
+      auto rows = staged != nullptr ? staged->Execute(p, &ctx)
+                                    : exec::ExecutePlan(p, &ctx);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(render(*rows), expected);
+      if (expected_scans.empty()) {
+        expected_scans = ScanCounts(trace);
+        ASSERT_FALSE(expected_scans.empty());
+      } else {
+        EXPECT_EQ(ScanCounts(trace), expected_scans);
+      }
+    };
+    run("volcano, read sets", plan.get(), nullptr);
+    run("volcano, whole rows", whole.get(), nullptr);
+    run("staged, read sets", plan.get(), &engine);
+    run("staged, whole rows", whole.get(), &engine);
+    run("staged dop 4, read sets", dop_plan.get(), &parallel);
+    run("staged dop 4, whole rows", dop_whole.get(), &parallel);
+  }
+  EXPECT_GT(narrowed, 20);  // most shapes read a strict subset
 }
 
 TEST_F(FusedScanPredicateTest, PredicateErrorFailsEveryScanDriver) {

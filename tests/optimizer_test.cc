@@ -300,6 +300,137 @@ TEST_F(PlannerTest, EstimatesDecreaseWithSelectivePredicates) {
 
 // ----------------------------------------------------------- BoundExpr ----
 
+// ------------------------------------------------------------- read sets --
+
+/// The scan of `table` in `plan` (the first one found).
+const PhysicalPlan* ScanOf(const PhysicalPlan* plan, const std::string& table) {
+  const bool scan =
+      plan->kind == PlanKind::kSeqScan || plan->kind == PlanKind::kIndexScan;
+  if (scan && plan->table->name == table) {
+    return plan;
+  }
+  for (const auto& child : plan->children) {
+    if (const PhysicalPlan* found = ScanOf(child.get(), table)) return found;
+  }
+  return nullptr;
+}
+
+/// A read set over `width` columns naming `columns`.
+catalog::ColumnSet Reads(size_t width, std::vector<size_t> columns) {
+  catalog::ColumnSet set(width, false);
+  for (size_t c : columns) set[c] = true;
+  return set;
+}
+
+TEST_F(PlannerTest, ScanReadSetNamesOnlyTheColumnsAbove) {
+  struct Case {
+    const char* sql;
+    catalog::ColumnSet reads;  // of t1 (a, b, s)
+  };
+  const std::vector<Case> cases = {
+      {"SELECT COUNT(*) FROM t1", Reads(3, {})},
+      {"SELECT s FROM t1 WHERE b = 3", Reads(3, {1, 2})},
+      {"SELECT a FROM t1 ORDER BY b", Reads(3, {0, 1})},
+      {"SELECT b, SUM(a) FROM t1 GROUP BY b HAVING COUNT(*) > 1",
+       Reads(3, {0, 1})},
+      {"SELECT a FROM t1 WHERE a > 5 LIMIT 3", Reads(3, {0})},
+      {"SELECT * FROM t1 WHERE b = 3", {}},  // every column
+      {"SELECT a, b, s FROM t1", {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    auto plan = Plan(c.sql);
+    ASSERT_NE(plan, nullptr);
+    const PhysicalPlan* scan = ScanOf(plan.get(), "t1");
+    ASSERT_NE(scan, nullptr);
+    EXPECT_EQ(scan->read_set, c.reads);
+    // A plan-cache hit pays a Clone(): the copy keeps the read set.
+    EXPECT_EQ(ScanOf(plan->Clone().get(), "t1")->read_set, c.reads);
+  }
+  // EXPLAIN names the decoded columns, or none, and omits a full read.
+  EXPECT_NE(Plan("SELECT COUNT(*) FROM t1")->ToString().find(
+                "SeqScan t1 reads=none"),
+            std::string::npos);
+  EXPECT_NE(Plan("SELECT s FROM t1 WHERE b = 3")->ToString().find(
+                "SeqScan t1 pred=(#1 = 3) reads=#1,#2"),
+            std::string::npos);
+  EXPECT_EQ(Plan("SELECT * FROM t1")->ToString().find("reads="),
+            std::string::npos);
+}
+
+TEST_F(PlannerTest, JoinSplitsReadSetsAtTheLeftWidth) {
+  // Residual only (nested loop): t1.b < t2.a. Declaration order puts t1
+  // (width 3) on the left, so t2.a is joined column #3, t2's #0.
+  PlannerOptions in_order;
+  in_order.enable_join_reorder = false;
+  auto nlj = Plan("SELECT COUNT(*) FROM t1 JOIN t2 ON t1.b < t2.a", in_order);
+  ASSERT_NE(nlj, nullptr);
+  ASSERT_NE(FindNode(nlj.get(), PlanKind::kNestedLoopJoin), nullptr);
+  EXPECT_EQ(ScanOf(nlj.get(), "t1")->read_set, Reads(3, {1}));
+  EXPECT_EQ(ScanOf(nlj.get(), "t2")->read_set, Reads(2, {0}));
+  // Reordered, t2 (width 2) is on the left and t1.b is joined column #3.
+  auto reordered = Plan("SELECT COUNT(*) FROM t1 JOIN t2 ON t1.b < t2.a");
+  ASSERT_NE(reordered, nullptr);
+  EXPECT_EQ(ScanOf(reordered.get(), "t1")->read_set, Reads(3, {1}));
+  EXPECT_EQ(ScanOf(reordered.get(), "t2")->read_set, Reads(2, {0}));
+
+  // Hash join: keys, residual and the select list each reach their side.
+  auto hash = Plan(
+      "SELECT t2.c FROM t1 JOIN t2 ON t1.b = t2.a AND t1.a > 2 WHERE "
+      "t1.a + t2.c > 1");
+  ASSERT_NE(hash, nullptr);
+  const PhysicalPlan* join = FindNode(hash.get(), PlanKind::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  ASSERT_NE(join->predicate, nullptr);
+  EXPECT_EQ(ScanOf(hash.get(), "t1")->read_set, Reads(3, {0, 1}));
+  EXPECT_TRUE(ScanOf(hash.get(), "t2")->read_set.empty());  // a and c
+}
+
+TEST_F(PlannerTest, ParallelPlansKeepReadSets) {
+  PlannerOptions parallel;
+  parallel.max_dop = 4;
+  parallel.parallel_min_rows = 64;
+  auto plan = Plan("SELECT b, SUM(a) FROM t1 GROUP BY b", parallel);
+  ASSERT_NE(plan, nullptr);
+  const PhysicalPlan* merge = FindNode(plan.get(), PlanKind::kHashAggregate);
+  ASSERT_NE(merge, nullptr);
+  ASSERT_EQ(merge->agg_mode, AggMode::kMerge);
+  ASSERT_EQ(merge->children[0]->agg_mode, AggMode::kPartial);
+  EXPECT_GT(merge->children[0]->dop, 1);
+  // The partial reads the group key and the SUM argument, not s.
+  EXPECT_EQ(ScanOf(plan.get(), "t1")->read_set, Reads(3, {0, 1}));
+
+  auto count = Plan("SELECT COUNT(*) FROM t1", parallel);
+  ASSERT_NE(count, nullptr);
+  EXPECT_EQ(ScanOf(count.get(), "t1")->read_set, Reads(3, {}));
+
+  auto join = Plan("SELECT t1.s FROM t1 JOIN t2 ON t1.a = t2.a", parallel);
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(ScanOf(join.get(), "t1")->read_set, Reads(3, {0, 2}));
+  EXPECT_EQ(ScanOf(join.get(), "t2")->read_set, Reads(2, {0}));
+}
+
+TEST_F(PlannerTest, MutationPlansCarryNoReadSet) {
+  ASSERT_TRUE(catalog_->CreateIndex("t1_a5", "t1", "a").ok());
+  for (const char* sql : {"INSERT INTO t1 VALUES (5000, 1, 'y')",
+                          "UPDATE t1 SET b = b + 1 WHERE a = 3",
+                          "UPDATE t1 SET s = 'z' WHERE b < 2",
+                          "DELETE FROM t1 WHERE a = 3",
+                          "DELETE FROM t1 WHERE b = 4"}) {
+    SCOPED_TRACE(sql);
+    auto plan = Plan(sql);
+    ASSERT_NE(plan, nullptr);
+    std::vector<const PhysicalPlan*> nodes = {plan.get()};
+    while (!nodes.empty()) {
+      const PhysicalPlan* node = nodes.back();
+      nodes.pop_back();
+      EXPECT_TRUE(node->read_set.empty()) << PlanKindName(node->kind);
+      for (const auto& child : node->children) nodes.push_back(child.get());
+    }
+    EXPECT_EQ(plan->ToString().find("reads="), std::string::npos);
+  }
+}
+
 TEST(BoundExprTest, EvalArithmetic) {
   auto e = BoundExpr::Binary(
       parser::BinaryOp::kAdd, BoundExpr::Literal(Value::Int(2)),

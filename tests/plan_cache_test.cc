@@ -261,6 +261,27 @@ TEST_F(PlanCacheDbTest, ParameterizedIndexScanKeepsAccessPath) {
   EXPECT_NE(result->plan_text.find("[6..13]"), std::string::npos);
 }
 
+TEST_F(PlanCacheDbTest, CacheHitKeepsTheScanReadSet) {
+  // The plan text names the columns each scan decodes; a cache hit clones
+  // the template and keeps them.
+  for (const int bound : {7, 9}) {
+    auto result = db_->Execute("SELECT b FROM t WHERE a < " +
+                               std::to_string(bound) + " AND b <> 'x'");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows.size(), static_cast<size_t>(bound));
+    EXPECT_EQ(result->plan_text.find("reads="), std::string::npos)
+        << result->plan_text;  // every column: nothing to name
+    result = db_->Execute("SELECT COUNT(*) FROM t WHERE a < " +
+                          std::to_string(bound));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_NE(result->plan_text.find("SeqScan t pred=(#0 < " +
+                                     std::to_string(bound) + ") reads=#0"),
+              std::string::npos)
+        << result->plan_text;
+  }
+  EXPECT_GE(db_->CacheStats().hits, 2u);
+}
+
 TEST_F(PlanCacheDbTest, PreparedDmlKeepsIndexRangeAndNullMatchesNothing) {
   ASSERT_TRUE(db_->Execute("CREATE INDEX idx_a ON t (a)").ok());
   auto update = db_->Prepare("UPDATE t SET b = ? WHERE a = ?");
