@@ -57,46 +57,59 @@ std::string EncodeTuple(const Schema& schema, const Tuple& tuple) {
   return out;
 }
 
+SlotMap IdentitySlots(size_t width) {
+  SlotMap slots(width);
+  for (size_t i = 0; i < width; ++i) slots[i] = i;
+  return slots;
+}
+
 StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
-  Tuple tuple;
-  STAGEDB_RETURN_IF_ERROR(DecodeTuple(schema, bytes, {}, &tuple));
+  const size_t n = schema.num_columns();
+  Tuple tuple(n);
+  STAGEDB_RETURN_IF_ERROR(DecodeTuple(schema, bytes, IdentitySlots(n), &tuple));
   return tuple;
 }
 
 Status DecodeTuple(const Schema& schema, std::string_view bytes,
-                   const ColumnSet& read, Tuple* out) {
+                   const SlotMap& slots, Tuple* out) {
   const size_t n = schema.num_columns();
+  if (slots.size() != n) {
+    return Status::Internal("slot map does not match the schema width");
+  }
   const size_t bitmap_len = (n + 7) / 8;
   if (bytes.size() < bitmap_len) {
     return Status::Corruption("tuple shorter than null bitmap");
   }
   std::string_view bitmap = bytes.substr(0, bitmap_len);
   bytes.remove_prefix(bitmap_len);
-  out->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const bool wanted = read.empty() || (i < read.size() && read[i]);
+    const size_t slot = slots[i];
+    const bool wanted = slot != kSkipColumn;
+    if (wanted && slot >= out->size()) {
+      return Status::Internal("decode slot past the output row");
+    }
     const bool null = (bitmap[i / 8] >> (i % 8)) & 1;
     if (null) {
-      if (wanted) (*out)[i] = Value::Null();
+      if (wanted) (*out)[slot] = Value::Null();
       continue;
     }
     switch (schema.column(i).type) {
       case TypeId::kBool: {
         uint8_t b;
         if (!ReadRaw(&bytes, &b)) return Status::Corruption("truncated bool");
-        if (wanted) (*out)[i] = Value::Bool(b != 0);
+        if (wanted) (*out)[slot] = Value::Bool(b != 0);
         break;
       }
       case TypeId::kInt64: {
         int64_t v;
         if (!ReadRaw(&bytes, &v)) return Status::Corruption("truncated int");
-        if (wanted) (*out)[i] = Value::Int(v);
+        if (wanted) (*out)[slot] = Value::Int(v);
         break;
       }
       case TypeId::kDouble: {
         double v;
         if (!ReadRaw(&bytes, &v)) return Status::Corruption("truncated double");
-        if (wanted) (*out)[i] = Value::Double(v);
+        if (wanted) (*out)[slot] = Value::Double(v);
         break;
       }
       case TypeId::kVarchar: {
@@ -105,7 +118,7 @@ Status DecodeTuple(const Schema& schema, std::string_view bytes,
           return Status::Corruption("truncated varchar");
         }
         if (wanted) {
-          (*out)[i] = Value::Varchar(std::string(bytes.substr(0, len)));
+          (*out)[slot] = Value::Varchar(std::string(bytes.substr(0, len)));
         }
         bytes.remove_prefix(len);
         break;

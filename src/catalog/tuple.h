@@ -2,6 +2,7 @@
 #ifndef STAGEDB_CATALOG_TUPLE_H_
 #define STAGEDB_CATALOG_TUPLE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,16 +23,24 @@ std::string EncodeTuple(const Schema& schema, const Tuple& tuple);
 /// set means every column.
 using ColumnSet = std::vector<bool>;
 
+/// Where a decode puts each schema column: entry i is column i's position in
+/// the output row, or kSkipColumn to leave the column out. The identity map
+/// decodes whole rows.
+using SlotMap = std::vector<size_t>;
+inline constexpr size_t kSkipColumn = SIZE_MAX;
+
+/// The identity map over `width` columns.
+SlotMap IdentitySlots(size_t width);
+
 /// Inverse of EncodeTuple: decodes every column.
 StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes);
 
-/// Decodes the columns in `read` (every column when `read` is empty) into
-/// `*out`, which is resized to the schema width; columns outside `read` keep
-/// whatever `*out` held (a fresh tuple leaves them NULL). The whole record is
-/// bounds-checked either way, so a truncated record is the same Corruption
-/// whatever `read` selects.
+/// Decodes column i into (*out)[slots[i]] for every column the map places;
+/// `*out` must already hold every placed slot, and the slots no column lands
+/// in keep what they held. The whole record is bounds-checked either way, so
+/// a truncated record is the same Corruption whatever the map selects.
 Status DecodeTuple(const Schema& schema, std::string_view bytes,
-                   const ColumnSet& read, Tuple* out);
+                   const SlotMap& slots, Tuple* out);
 
 /// Human-readable row rendering ("(1, foo, 2.5)").
 std::string TupleToString(const Tuple& tuple);

@@ -759,9 +759,7 @@ probe:
     }
     while (inner_pos_ < materialized_[1].size()) {
       if (budget-- <= 0) return RunOutcome::kYield;
-      Tuple joined = probe_;
-      const Tuple& inner = materialized_[1][inner_pos_++];
-      joined.insert(joined.end(), inner.begin(), inner.end());
+      Tuple joined = exec::JoinRows(probe_, materialized_[1][inner_pos_++]);
       if (plan_->predicate) {
         auto pass = EvalPredicate(*plan_->predicate, joined);
         if (!pass.ok()) {
@@ -811,9 +809,7 @@ RunOutcome OperatorInstance::RunHashJoin() {
 probe:
   while (budget-- > 0) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      Tuple joined = probe_;
-      const Tuple& inner = (*matches_)[match_pos_++];
-      joined.insert(joined.end(), inner.begin(), inner.end());
+      Tuple joined = exec::JoinRows(probe_, (*matches_)[match_pos_++]);
       if (plan_->predicate) {
         auto pass = EvalPredicate(*plan_->predicate, joined);
         if (!pass.ok()) {
@@ -962,8 +958,7 @@ RunOutcome OperatorInstance::RunMergeJoin() {
       }
       if (!found) return Finish();
     }
-    Tuple joined = L[li_];
-    joined.insert(joined.end(), R[ri_].begin(), R[ri_].end());
+    Tuple joined = exec::JoinRows(L[li_], R[ri_]);
     ++ri_;
     if (ri_ == rg_end_) {
       ri_ = rg_begin_;

@@ -101,10 +101,12 @@ enum class ScanRow {
 /// target search of a kDelete/kUpdate. For each row it checks visibility,
 /// decodes only the columns the node's predicate reads, evaluates the
 /// predicate, and decodes the rest of the node's read set only for a row
-/// that qualifies; columns outside the read set stay NULL (a DML node has no
-/// read set, so its targets are whole rows for WAL before-images and new
-/// versions). Shared by the volcano scans, the staged fscan/iscan drivers
-/// and the DML target collector, so every engine reads rows identically.
+/// that qualifies. The row it emits holds the read set's columns in table
+/// order, which is the layout the planner gave the node's schema and its
+/// predicate (a node without a read set, such as a DML target search, reads
+/// whole rows for WAL before-images and new versions). Shared by the volcano
+/// scans, the staged fscan/iscan drivers and the DML target collector, so
+/// every engine reads rows identically.
 class ScanRowReader {
  public:
   explicit ScanRowReader(const optimizer::PhysicalPlan& node);
@@ -128,10 +130,12 @@ class ScanRowReader {
                             catalog::Tuple* out) const;
 
   const optimizer::PhysicalPlan& node_;
-  catalog::ColumnSet first_;  // decoded before the predicate runs
-  catalog::ColumnSet rest_;   // decoded once the row qualifies
+  size_t width_ = 0;            // columns in an emitted row
+  catalog::SlotMap first_;      // decoded before the predicate runs
+  catalog::SlotMap rest_;       // decoded once the row qualifies
   bool has_rest_ = false;
-  std::string record_;        // the index path's fetched record
+  size_t key_slot_ = catalog::kSkipColumn;  // index key, rechecked first
+  std::string record_;          // the index path's fetched record
 };
 
 /// Pull-based operator.

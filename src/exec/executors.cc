@@ -3,6 +3,7 @@
 
 #include "common/string_util.h"
 #include "exec/executor.h"
+#include "exec/row_utils.h"
 #include "optimizer/bound_expr.h"
 
 namespace stagedb::exec {
@@ -18,66 +19,35 @@ using optimizer::PhysicalPlan;
 using optimizer::PlanKind;
 using parser::AggFunc;
 
-namespace {
-
-/// Resolves one entry of `index` (`key` -> `head`) to the row version
-/// visible in `view`: its rid, its whole record in `*record`, and the
-/// columns `read` selects in `*out`; `read` includes the index column, which
-/// the key recheck reads. `head` is the newest version of the key; the walk
-/// follows `prev` links to the (unique) visible version. A dangling prev
-/// (vacuumed tail) ends the walk: deeper versions are strictly older than
-/// the vacuum horizon, hence invisible to us anyway. Key recheck: with
-/// several indexes a chain can cross keys (DESIGN.md §12), so a visible
-/// version whose key is not `key` does not match in this view.
-StatusOr<bool> FetchVisibleVersion(const catalog::TableInfo& table,
-                                   const catalog::IndexInfo& index,
-                                   const storage::MvccReadView& view,
-                                   int64_t key, storage::Rid head,
-                                   const catalog::ColumnSet& read,
-                                   storage::Rid* rid_out, std::string* record,
-                                   catalog::Tuple* out) {
-  storage::Rid rid = head;
-  while (true) {
-    Status s = table.heap->Get(rid, record);
-    if (s.IsNotFound()) return false;  // deleted/vacuumed after lookup
-    STAGEDB_RETURN_IF_ERROR(s);
-    const storage::VersionHeader h = storage::DecodeVersionHeader(*record);
-    if (!storage::VersionVisible(h, view)) {
-      if (!h.has_prev()) return false;
-      rid = h.prev;
-      continue;
-    }
-    out->clear();
-    STAGEDB_RETURN_IF_ERROR(catalog::DecodeTuple(
-        table.schema, storage::RowPayload(*record), read, out));
-    const catalog::Value& v = (*out)[index.column];
-    if (v.is_null() || v.int_value() != key) return false;
-    *rid_out = rid;
-    return true;
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------- ScanRowReader --
 
 ScanRowReader::ScanRowReader(const PhysicalPlan& node) : node_(node) {
-  const size_t width = node.table->schema.num_columns();
-  if (node.predicate == nullptr) {
-    first_ = node.read_set;  // nothing to qualify: one decode pass
-  } else {
-    first_.assign(width, false);
-    node.predicate->MarkColumns(&first_);
+  const size_t columns = node.table->schema.num_columns();
+  // Where each table column lands in the emitted row: its rank in the read
+  // set (every column when the node has none).
+  catalog::SlotMap slots(columns);
+  for (size_t i = 0; i < columns; ++i) {
+    const bool read = node.read_set.empty() || node.read_set[i];
+    slots[i] = read ? width_++ : catalog::kSkipColumn;
   }
-  // An index read rechecks the entry's key before anything else.
-  if (node.index != nullptr && !first_.empty()) {
-    first_[node.index->column] = true;
+  // The predicate names emitted slots; an index read rechecks the entry's
+  // key before anything else.
+  catalog::ColumnSet early(width_, node.predicate == nullptr);
+  if (node.predicate != nullptr) node.predicate->MarkColumns(&early);
+  if (node.index != nullptr) {
+    key_slot_ = slots[node.index->column];
+    if (key_slot_ < width_) early[key_slot_] = true;
   }
-  if (node.predicate == nullptr) return;
-  rest_.assign(width, false);
-  for (size_t i = 0; i < width; ++i) {
-    rest_[i] = !first_[i] && (node.read_set.empty() || node.read_set[i]);
-    has_rest_ = has_rest_ || rest_[i];
+  first_.assign(columns, catalog::kSkipColumn);
+  rest_.assign(columns, catalog::kSkipColumn);
+  for (size_t i = 0; i < columns; ++i) {
+    if (slots[i] == catalog::kSkipColumn) continue;
+    if (early[slots[i]]) {
+      first_[i] = slots[i];
+    } else {
+      rest_[i] = slots[i];
+      has_rest_ = true;
+    }
   }
 }
 
@@ -89,6 +59,7 @@ StatusOr<ScanRow> ScanRowReader::ReadRecord(const storage::MvccReadView& view,
   }
   const std::string_view payload = storage::RowPayload(record);
   out->clear();
+  out->resize(width_);
   STAGEDB_RETURN_IF_ERROR(
       catalog::DecodeTuple(node_.table->schema, payload, first_, out));
   return Qualify(payload, out);
@@ -97,11 +68,35 @@ StatusOr<ScanRow> ScanRowReader::ReadRecord(const storage::MvccReadView& view,
 StatusOr<ScanRow> ScanRowReader::ReadIndexed(const storage::MvccReadView& view,
                                              int64_t key, storage::Rid head,
                                              storage::Rid* rid, Tuple* out) {
-  auto found = FetchVisibleVersion(*node_.table, *node_.index, view, key,
-                                   head, first_, rid, &record_, out);
-  if (!found.ok()) return found.status();
-  if (!*found) return ScanRow::kInvisible;
-  return Qualify(storage::RowPayload(record_), out);
+  if (key_slot_ >= width_) {
+    return Status::Internal("index scan does not read its key column");
+  }
+  // The walk follows `prev` links from the newest version to the (unique)
+  // visible one. A dangling prev (vacuumed tail) ends it: deeper versions
+  // are strictly older than the vacuum horizon, hence invisible to us
+  // anyway.
+  storage::Rid at = head;
+  while (true) {
+    Status s = node_.table->heap->Get(at, &record_);
+    if (s.IsNotFound()) return ScanRow::kInvisible;  // deleted after lookup
+    STAGEDB_RETURN_IF_ERROR(s);
+    const storage::VersionHeader h = storage::DecodeVersionHeader(record_);
+    if (storage::VersionVisible(h, view)) break;
+    if (!h.has_prev()) return ScanRow::kInvisible;
+    at = h.prev;
+  }
+  const std::string_view payload = storage::RowPayload(record_);
+  out->clear();
+  out->resize(width_);
+  STAGEDB_RETURN_IF_ERROR(
+      catalog::DecodeTuple(node_.table->schema, payload, first_, out));
+  // Key recheck: with several indexes a chain can cross keys (DESIGN.md
+  // §12), so a visible version whose key is not `key` does not match in
+  // this view.
+  const Value& v = (*out)[key_slot_];
+  if (v.is_null() || v.int_value() != key) return ScanRow::kInvisible;
+  *rid = at;
+  return Qualify(payload, out);
 }
 
 StatusOr<ScanRow> ScanRowReader::Qualify(std::string_view payload,
@@ -344,8 +339,7 @@ class NestedLoopJoinExec : public Executor {
       }
       while (inner_pos_ < inner_.size()) {
         const Tuple& inner = inner_[inner_pos_++];
-        Tuple joined = outer_;
-        joined.insert(joined.end(), inner.begin(), inner.end());
+        Tuple joined = JoinRows(outer_, inner);
         bool pass = true;
         if (plan_->predicate) {
           auto ok = EvalPredicate(*plan_->predicate, joined);
@@ -408,8 +402,7 @@ class HashJoinExec : public Executor {
     while (true) {
       if (matches_ != nullptr && match_pos_ < matches_->size()) {
         const Tuple& inner = (*matches_)[match_pos_++];
-        Tuple joined = probe_;
-        joined.insert(joined.end(), inner.begin(), inner.end());
+        Tuple joined = JoinRows(probe_, inner);
         if (plan_->predicate) {
           auto ok = EvalPredicate(*plan_->predicate, joined);
           if (!ok.ok()) return ok.status();
@@ -467,8 +460,7 @@ class MergeJoinExec : public Executor {
     while (true) {
       // Emit the cross product of the current key groups.
       if (li_ < lgroup_end_ && ri_ < rgroup_end_) {
-        Tuple joined = lrows_[li_];
-        joined.insert(joined.end(), rrows_[ri_].begin(), rrows_[ri_].end());
+        Tuple joined = JoinRows(lrows_[li_], rrows_[ri_]);
         ++ri_;
         if (ri_ == rgroup_end_) {
           ri_ = rgroup_begin_;

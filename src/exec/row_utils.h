@@ -1,5 +1,5 @@
 // Row-processing helpers shared by the volcano and staged engines: composite
-// keys for hashing, and aggregate accumulators.
+// keys for hashing, joined rows, and aggregate accumulators.
 #ifndef STAGEDB_EXEC_ROW_UTILS_H_
 #define STAGEDB_EXEC_ROW_UTILS_H_
 
@@ -49,6 +49,17 @@ inline StatusOr<RowKey> RowKeyFromColumns(const catalog::Tuple& tuple,
     key.values.push_back(tuple[c]);
   }
   return key;
+}
+
+/// A join's output row: `left`'s columns followed by `right`'s, built in one
+/// allocation.
+inline catalog::Tuple JoinRows(const catalog::Tuple& left,
+                               const catalog::Tuple& right) {
+  catalog::Tuple joined;
+  joined.reserve(left.size() + right.size());
+  joined.insert(joined.end(), left.begin(), left.end());
+  joined.insert(joined.end(), right.begin(), right.end());
+  return joined;
 }
 
 /// Streaming accumulator for one aggregate function within one group.

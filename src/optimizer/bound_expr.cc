@@ -107,6 +107,15 @@ void BoundExpr::MarkColumns(catalog::ColumnSet* columns) const {
   if (right) right->MarkColumns(columns);
 }
 
+void BoundExpr::RemapColumns(const catalog::SlotMap& map) {
+  if ((kind == Kind::kColumn || kind == Kind::kAggRef) &&
+      column < map.size()) {
+    column = map[column];
+  }
+  if (left) left->RemapColumns(map);
+  if (right) right->RemapColumns(map);
+}
+
 std::string BoundExpr::ToString() const {
   switch (kind) {
     case Kind::kLiteral:

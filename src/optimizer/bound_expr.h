@@ -48,6 +48,9 @@ struct BoundExpr {
   /// Sets the flag of every input column the expression reads (kColumn and
   /// kAggRef slots) in `*columns`, which is sized to the input width.
   void MarkColumns(catalog::ColumnSet* columns) const;
+  /// Renumbers every input column the expression reads (kColumn and kAggRef
+  /// slots): column c becomes map[c].
+  void RemapColumns(const catalog::SlotMap& map);
   std::string ToString() const;
 };
 

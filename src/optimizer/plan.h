@@ -112,9 +112,11 @@ struct PhysicalPlan {
   std::unique_ptr<BoundExpr> predicate;
 
   /// kSeqScan / kIndexScan of a SELECT: the table columns the plan above
-  /// reads, one flag per column, stamped by the planner's last pass
-  /// (AssignReadSets). A scan decodes only these; the others stay NULL in
-  /// the rows it emits. Empty = every column (DML targets, SELECT *).
+  /// reads (always including an index scan's key column), one flag per
+  /// table column, stamped by the planner's last pass (NarrowRows). A scan
+  /// decodes only these and emits them in table order: its `schema`, its
+  /// predicate and every column reference above it index that narrowed row.
+  /// Empty = every column (DML targets, SELECT *).
   catalog::ColumnSet read_set;
 
   // kProject expressions; kHashAggregate group-by; kUpdate SET values
@@ -155,7 +157,9 @@ struct PhysicalPlan {
   /// is a template that must be instantiated before execution).
   bool IsTemplate() const;
 
-  /// EXPLAIN-style tree rendering.
+  /// EXPLAIN-style tree rendering. `reads=#i,...` names table columns;
+  /// every other `#i` indexes the node's input row, which above a narrowed
+  /// scan is the narrowed row.
   std::string ToString(int indent = 0) const;
 };
 

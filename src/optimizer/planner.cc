@@ -19,74 +19,120 @@ namespace {
 constexpr double kTuplesPerPage = 50.0;
 constexpr double kCpuPerTuple = 0.01;
 
-/// The read-set pass over a finished SELECT plan. `needed` flags the columns
-/// of `node`'s output that its parent reads; the node passes down those plus
-/// the columns it reads itself, and a scan keeps the union as its read set.
-/// A kMerge aggregate reads every partial-state column, and a node kind this
-/// pass does not know asks its children for every column.
-void AssignReadSets(PhysicalPlan* node, catalog::ColumnSet needed) {
+/// Renumbers `keys` through `map`.
+void RemapKeys(std::vector<size_t>* keys, const catalog::SlotMap& map) {
+  for (size_t& k : *keys) k = map[k];
+}
+
+/// The narrowing pass over a finished SELECT plan. `needed` flags the
+/// columns of `node`'s output that its parent reads. On the way down, a node
+/// passes its children those plus the columns it reads itself, and a scan
+/// keeps the union (plus an index scan's key column) as its read set and
+/// emits only those columns, in table order. On the way up, each node
+/// rewrites its column references for its children's narrowed rows and
+/// returns where each of its own output columns went (kSkipColumn: dropped).
+/// Filter, Sort, Limit and joins pass narrowed rows through; Project and
+/// HashAggregate outputs keep their layout. A kMerge aggregate reads every
+/// partial-state column, and a node kind this pass does not know asks its
+/// children for every column.
+catalog::SlotMap NarrowRows(PhysicalPlan* node, catalog::ColumnSet needed) {
   const auto all_of = [](const PhysicalPlan& n) {
     return catalog::ColumnSet(n.schema.num_columns(), true);
   };
   const auto none_of = [](const PhysicalPlan& n) {
     return catalog::ColumnSet(n.schema.num_columns(), false);
   };
+  const auto remap = [](const catalog::SlotMap& map, BoundExpr* e) {
+    if (e != nullptr) e->RemapColumns(map);
+  };
   if (node->predicate) node->predicate->MarkColumns(&needed);
   switch (node->kind) {
     case PlanKind::kSeqScan:
-    case PlanKind::kIndexScan:
-      if (std::find(needed.begin(), needed.end(), false) == needed.end()) {
+    case PlanKind::kIndexScan: {
+      if (node->index != nullptr) needed[node->index->column] = true;
+      catalog::SlotMap map(needed.size(), catalog::kSkipColumn);
+      std::vector<catalog::Column> columns;
+      for (size_t i = 0; i < needed.size(); ++i) {
+        if (!needed[i]) continue;
+        map[i] = columns.size();
+        columns.push_back(node->schema.column(i));
+      }
+      if (columns.size() == needed.size()) {
         needed.clear();  // every column: the scan decodes whole rows
+      } else {
+        node->schema = Schema(std::move(columns));
       }
       node->read_set = std::move(needed);
-      return;
+      remap(map, node->predicate.get());
+      return map;
+    }
     case PlanKind::kFilter:
     case PlanKind::kLimit:
-    case PlanKind::kSort:
+    case PlanKind::kSort: {
       for (const SortKey& key : node->sort_keys) key.expr->MarkColumns(&needed);
-      AssignReadSets(node->children[0].get(), std::move(needed));
-      return;
+      PhysicalPlan* input = node->children[0].get();
+      catalog::SlotMap map = NarrowRows(input, std::move(needed));
+      remap(map, node->predicate.get());
+      for (SortKey& key : node->sort_keys) remap(map, key.expr.get());
+      node->schema = input->schema;
+      return map;
+    }
     case PlanKind::kProject: {
-      catalog::ColumnSet child = none_of(*node->children[0]);
+      PhysicalPlan* input = node->children[0].get();
+      catalog::ColumnSet child = none_of(*input);
       for (const auto& e : node->exprs) e->MarkColumns(&child);
-      AssignReadSets(node->children[0].get(), std::move(child));
-      return;
+      const catalog::SlotMap map = NarrowRows(input, std::move(child));
+      for (auto& e : node->exprs) remap(map, e.get());
+      return catalog::IdentitySlots(node->schema.num_columns());
     }
     case PlanKind::kHashAggregate: {
       PhysicalPlan* input = node->children[0].get();
-      if (node->agg_mode == AggMode::kMerge) {
-        AssignReadSets(input, all_of(*input));
-        return;
+      catalog::ColumnSet child = all_of(*input);
+      if (node->agg_mode != AggMode::kMerge) {
+        child = none_of(*input);
+        for (const auto& e : node->exprs) e->MarkColumns(&child);
+        for (const AggSpec& a : node->aggregates) {
+          if (a.arg) a.arg->MarkColumns(&child);
+        }
       }
-      catalog::ColumnSet child = none_of(*input);
-      for (const auto& e : node->exprs) e->MarkColumns(&child);
-      for (const AggSpec& a : node->aggregates) {
-        if (a.arg) a.arg->MarkColumns(&child);
-      }
-      AssignReadSets(input, std::move(child));
-      return;
+      const catalog::SlotMap map = NarrowRows(input, std::move(child));
+      for (auto& e : node->exprs) remap(map, e.get());
+      for (AggSpec& a : node->aggregates) remap(map, a.arg.get());
+      return catalog::IdentitySlots(node->schema.num_columns());
     }
     case PlanKind::kNestedLoopJoin:
     case PlanKind::kHashJoin:
     case PlanKind::kMergeJoin: {
       // The residual was marked above over the joined row; split it and the
-      // parent's columns at the left input's width.
-      const size_t left_width = node->children[0]->schema.num_columns();
+      // parent's columns at the left input's width. On the way back up,
+      // right-side columns move to the narrowed left width.
+      PhysicalPlan* left = node->children[0].get();
+      PhysicalPlan* right = node->children[1].get();
+      const size_t left_width = left->schema.num_columns();
       for (size_t k : node->left_keys) needed[k] = true;
       for (size_t k : node->right_keys) needed[left_width + k] = true;
-      AssignReadSets(node->children[0].get(),
-                     catalog::ColumnSet(needed.begin(),
-                                        needed.begin() + left_width));
-      AssignReadSets(node->children[1].get(),
-                     catalog::ColumnSet(needed.begin() + left_width,
-                                        needed.end()));
-      return;
+      catalog::SlotMap map = NarrowRows(
+          left, catalog::ColumnSet(needed.begin(),
+                                   needed.begin() + left_width));
+      const catalog::SlotMap right_map = NarrowRows(
+          right,
+          catalog::ColumnSet(needed.begin() + left_width, needed.end()));
+      RemapKeys(&node->left_keys, map);
+      RemapKeys(&node->right_keys, right_map);
+      const size_t narrowed_left = left->schema.num_columns();
+      for (size_t slot : right_map) {
+        map.push_back(slot == catalog::kSkipColumn ? slot
+                                                   : narrowed_left + slot);
+      }
+      remap(map, node->predicate.get());
+      node->schema = Schema::Concat(left->schema, right->schema);
+      return map;
     }
     default:
       for (auto& child : node->children) {
-        AssignReadSets(child.get(), all_of(*child));
+        NarrowRows(child.get(), all_of(*child));
       }
-      return;
+      return catalog::IdentitySlots(node->schema.num_columns());
   }
 }
 }  // namespace
@@ -983,9 +1029,12 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::PlanSelect(
   // aggregations into merge-over-partial shapes for the staged engine.
   if (options_.max_dop > 1) Parallelize(&plan);
 
-  // 12. Read sets: each scan decodes only the columns the plan above reads.
-  AssignReadSets(plan.get(), catalog::ColumnSet(plan->schema.num_columns(),
-                                                true));
+  // 12. Narrow rows: each scan decodes and emits only the columns the plan
+  // above reads, and every column reference above it is renumbered.
+  if (narrow_rows_) {
+    NarrowRows(plan.get(),
+               catalog::ColumnSet(plan->schema.num_columns(), true));
+  }
   return plan;
 }
 

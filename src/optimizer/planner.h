@@ -1,6 +1,6 @@
 // The optimize stage: binds a parsed statement against the catalog and
 // produces a costed physical plan (predicate pushdown, access-path selection,
-// greedy join ordering, join-algorithm choice, scan read sets).
+// greedy join ordering, join-algorithm choice, narrowed scan rows).
 #ifndef STAGEDB_OPTIMIZER_PLANNER_H_
 #define STAGEDB_OPTIMIZER_PLANNER_H_
 
@@ -112,8 +112,13 @@ class Planner {
   /// the hint too.
   void StampBatchHints(PhysicalPlan* node) const;
 
+  friend class PlannerTestPeer;  // plans whole-row reference answers
+
   catalog::Catalog* catalog_;
   PlannerOptions options_;
+  /// False only for a test's whole-row reference plans: SELECT plans then
+  /// stop before the narrowing pass, and every scan emits whole rows.
+  bool narrow_rows_ = true;
   const std::vector<catalog::TypeId>* param_types_ = nullptr;
 };
 

@@ -156,35 +156,40 @@ TEST(TupleTest, ReadSetDecodeMatchesFullDecode) {
                    Value::Null(),        Value::Int(INT64_MAX),
                    Value::Varchar("")};
   const std::string bytes = EncodeTuple(s, t);
-  // Reads only i0 and i7: v1, i2, v3 and v8 are unread ints and varchars.
-  ColumnSet read(9, false);
-  read[0] = read[7] = true;
-  const std::vector<ColumnSet> sets = {
-      read, ColumnSet(9, false), ColumnSet(9, true)};
+  // Reads only i0 and i7, into a two-column row: v1, i2, v3 and v8 are
+  // unread ints and varchars.
+  SlotMap read(9, kSkipColumn);
+  read[0] = 0;
+  read[7] = 1;
+  const std::vector<SlotMap> maps = {read, SlotMap(9, kSkipColumn),
+                                     IdentitySlots(9)};
 
-  Tuple out;
+  Tuple out(2);
   ASSERT_TRUE(DecodeTuple(s, bytes, read, &out).ok());
-  ASSERT_EQ(out.size(), 9u);
-  for (size_t i = 0; i < 9; ++i) {
-    if (read[i]) {
-      EXPECT_EQ(out[i], t[i]) << i;
-    } else {
-      EXPECT_TRUE(out[i].is_null()) << i;
-    }
-  }
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], t[0]);
+  EXPECT_EQ(out[1], t[7]);
+  // The identity map is the full decode.
+  Tuple whole(9);
+  ASSERT_TRUE(DecodeTuple(s, bytes, IdentitySlots(9), &whole).ok());
+  EXPECT_EQ(whole, t);
+  // A slot past the output row is refused, not written.
+  Tuple narrow(1);
+  EXPECT_EQ(DecodeTuple(s, bytes, read, &narrow).code(),
+            StatusCode::kInternal);
 
-  // Every truncation is the full decode's Corruption, whatever the read
-  // set: cuts 0-1 fall inside the two-byte bitmap, 10-18 inside the unread
-  // varchar v1 (length, then body), 19-26 inside the unread int i2, and so
-  // on to the last byte.
+  // Every truncation is the full decode's Corruption, whatever the map: cuts
+  // 0-1 fall inside the two-byte bitmap, 10-18 inside the unread varchar v1
+  // (length, then body), 19-26 inside the unread int i2, and so on to the
+  // last byte.
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::string_view truncated(bytes.data(), cut);
     auto full = DecodeTuple(s, truncated);
     ASSERT_FALSE(full.ok()) << cut;
     ASSERT_EQ(full.status().code(), StatusCode::kCorruption) << cut;
-    for (const ColumnSet& set : sets) {
-      Tuple partial;
-      const Status st = DecodeTuple(s, truncated, set, &partial);
+    for (const SlotMap& map : maps) {
+      Tuple partial(9);
+      const Status st = DecodeTuple(s, truncated, map, &partial);
       EXPECT_EQ(st.code(), full.status().code()) << cut;
       EXPECT_EQ(st.message(), full.status().message()) << cut;
     }

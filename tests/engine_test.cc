@@ -15,6 +15,7 @@
 #include "exec/executor.h"
 #include "optimizer/planner.h"
 #include "parser/parser.h"
+#include "planner_test_peer.h"
 #include "storage/disk_manager.h"
 
 namespace stagedb::engine {
@@ -535,7 +536,7 @@ class FusedScanPredicateTest : public ::testing::Test {
     };
     const std::string where = RandomWhere(rng, 1);
     *ordered = false;
-    switch (rng->Uniform(10)) {
+    switch (rng->Uniform(12)) {
       case 0: {
         static const char* kItems[] = {"a", "b", "s", "a + b", "a * 2"};
         std::string list;
@@ -571,6 +572,16 @@ class FusedScanPredicateTest : public ::testing::Test {
         return rng->Uniform(2) == 0
                    ? "SELECT COUNT(*) FROM f"
                    : "SELECT * FROM f JOIN w ON f.a = w.k WHERE " + where;
+      case 9:
+        // f's rows narrow to (a, b), so w.v sits at #3 of the joined row,
+        // not at #4 as in the whole-row numbering.
+        return "SELECT COUNT(*), SUM(w.v) FROM f JOIN w ON f.a = w.k AND "
+               "f.b + w.v > " + num(4000);
+      case 10:
+        // The scan emits (b, s): the sort keys move to #0 and #1, below the
+        // projection.
+        *ordered = true;
+        return "SELECT s FROM f WHERE b <> " + num(20) + " ORDER BY b DESC, s";
       default: {
         const uint64_t lo = rng->Uniform(kRows);
         return "SELECT s FROM f WHERE a >= " + std::to_string(lo) +
@@ -625,12 +636,6 @@ TEST_F(FusedScanPredicateTest, RandomWhereMatchesVolcano) {
   }
 }
 
-/// Clears every read set in the tree, so each scan decodes whole rows.
-void ClearReadSets(optimizer::PhysicalPlan* node) {
-  node->read_set.clear();
-  for (auto& child : node->children) ClearReadSets(child.get());
-}
-
 /// The scans of a trace as sorted "table kind read/emitted" lines (the two
 /// engines register operators in different orders).
 std::vector<std::string> ScanCounts(const exec::OperatorTrace& trace) {
@@ -649,14 +654,14 @@ std::vector<std::string> ScanCounts(const exec::OperatorTrace& trace) {
 }
 
 TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
-  // The reference answer comes from a plan with pushdown disabled and its
-  // read sets cleared: the WHERE is a Filter above whole-row scans, so no
-  // read set and no predicate-first decode is involved. Each query then
-  // runs on both engines with its planned read sets and on a clone whose
-  // read sets are cleared; all four must give the reference answer, and
-  // their scans' rows-read / rows-qualified counts must agree. The same
-  // query planned at max_dop=4 (partial/merge aggregates, partitioned
-  // joins) runs on a parallel staged engine, with and without read sets.
+  // The reference answer comes from a plan with pushdown disabled that stops
+  // before the narrowing pass: the WHERE is a Filter above whole-row scans,
+  // so no read set, no narrowed row and no predicate-first decode is
+  // involved. Each query is planned twice more, narrowed and whole-row, and
+  // both run on the volcano engine, the staged engine, and (planned at
+  // max_dop=4: partial/merge aggregates, partitioned joins) a parallel
+  // staged engine. All six must give the reference answer, and their scans'
+  // rows-read / rows-qualified counts must agree.
   StagedEngine engine(catalog_.get());
   StagedEngineOptions parallel_opts;
   parallel_opts.max_dop = 4;
@@ -668,17 +673,16 @@ TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
   PlannerOptions no_pushdown;
   no_pushdown.enable_predicate_pushdown = false;
 
-  const auto plan_with = [&](const std::string& sql, PlannerOptions opts) {
+  const auto plan_with = [&](const std::string& sql, PlannerOptions opts,
+                             bool narrow) {
     auto stmt = parser::ParseStatement(sql);
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
-    auto plan = Planner(catalog_.get(), opts).Plan(**stmt);
+    Planner planner(catalog_.get(), opts);
+    auto plan = narrow ? planner.Plan(**stmt)
+                       : optimizer::PlannerTestPeer::PlanWholeRows(&planner,
+                                                                   **stmt);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     return std::move(*plan);
-  };
-  const auto whole_rows = [](const optimizer::PhysicalPlan& plan) {
-    auto copy = plan.Clone();
-    ClearReadSets(copy.get());
-    return copy;
   };
 
   Rng rng(303);
@@ -687,14 +691,15 @@ TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
     bool ordered = false;
     const std::string sql = RandomReadSetQuery(&rng, &ordered);
     SCOPED_TRACE(sql);
-    auto plan = plan_with(sql, PlannerOptions{});
+    auto plan = plan_with(sql, PlannerOptions{}, true);
     ASSERT_NE(plan, nullptr);
     if (plan->ToString().find("reads=") != std::string::npos) ++narrowed;
-    auto whole = whole_rows(*plan);
-    auto dop_plan = plan_with(sql, parallel_planner);
-    ASSERT_NE(dop_plan, nullptr);
-    auto dop_whole = whole_rows(*dop_plan);
-    auto reference = whole_rows(*plan_with(sql, no_pushdown));
+    auto whole = plan_with(sql, PlannerOptions{}, false);
+    auto dop_plan = plan_with(sql, parallel_planner, true);
+    auto dop_whole = plan_with(sql, parallel_planner, false);
+    auto reference = plan_with(sql, no_pushdown, false);
+    ASSERT_TRUE(whole && dop_plan && dop_whole && reference);
+    ASSERT_EQ(whole->ToString().find("reads="), std::string::npos);
 
     const auto render = [&](const std::vector<Tuple>& rows) {
       std::vector<std::string> out;
@@ -727,11 +732,11 @@ TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
         EXPECT_EQ(ScanCounts(trace), expected_scans);
       }
     };
-    run("volcano, read sets", plan.get(), nullptr);
+    run("volcano, narrowed", plan.get(), nullptr);
     run("volcano, whole rows", whole.get(), nullptr);
-    run("staged, read sets", plan.get(), &engine);
+    run("staged, narrowed", plan.get(), &engine);
     run("staged, whole rows", whole.get(), &engine);
-    run("staged dop 4, read sets", dop_plan.get(), &parallel);
+    run("staged dop 4, narrowed", dop_plan.get(), &parallel);
     run("staged dop 4, whole rows", dop_whole.get(), &parallel);
   }
   EXPECT_GT(narrowed, 20);  // most shapes read a strict subset

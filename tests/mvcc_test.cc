@@ -18,6 +18,7 @@
 
 #include "catalog/catalog.h"
 #include "catalog/tuple.h"
+#include "engine/staged_engine.h"
 #include "engine/vacuum_stage.h"
 #include "exec/executor.h"
 #include "optimizer/planner.h"
@@ -356,6 +357,63 @@ TEST_F(MvccCatalogTest, IndexedUpdateOnStaleSnapshotAbortsThenRetryWins) {
     if (id == 5) v5 = v;
   }
   EXPECT_EQ(v5, 115);
+}
+
+TEST_F(MvccCatalogTest, NarrowedIndexScanRechecksItsKey) {
+  // A new version's prev link comes from the first index (t_id) whose head
+  // it replaces, so t_v's chain for 20 reaches back to (1,10).
+  ASSERT_TRUE(catalog_->CreateIndex("t_id", "t", "id").ok());
+  ASSERT_TRUE(catalog_->CreateIndex("t_v", "t", "v").ok());
+  MvccTxn setup = BeginTxn();
+  auto r1 = Insert(&setup, 1, 10);
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(Finish(&setup, true).ok());
+  MvccTxn old = BeginTxn();  // sees (1,10) only
+  MvccTxn deleter = BeginTxn();
+  ASSERT_TRUE(catalog_->DeleteTuple(table_, *r1, &deleter).ok());
+  ASSERT_TRUE(Finish(&deleter, true).ok());
+  MvccTxn rebind = BeginTxn();
+  ASSERT_TRUE(Insert(&rebind, 1, 20).ok());
+  ASSERT_TRUE(Finish(&rebind, true).ok());
+  MvccTxn fresh = BeginTxn();  // sees (1,20) only
+
+  engine::StagedEngine staged(catalog_.get());
+  const auto count = [&](const std::string& sql, MvccTxn* txn,
+                         bool use_staged) -> int64_t {
+    auto stmt = parser::ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok());
+    optimizer::Planner planner(catalog_.get());
+    auto plan = planner.Plan(**stmt);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    // The index scan emits only its key: v sits at slot #0 of a one-column
+    // row, not at its table position #1.
+    const optimizer::PhysicalPlan* scan = plan->get();
+    while (!scan->children.empty()) scan = scan->children[0].get();
+    EXPECT_EQ(scan->kind, optimizer::PlanKind::kIndexScan);
+    EXPECT_EQ(scan->schema.num_columns(), 1u);
+    exec::ExecContext ctx;
+    ctx.catalog = catalog_.get();
+    ctx.mvcc = txn;
+    auto rows = use_staged ? staged.Execute(plan->get(), &ctx)
+                           : exec::ExecutePlan(plan->get(), &ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? (*rows)[0][0].int_value() : -1;
+  };
+  for (const bool use_staged : {false, true}) {
+    SCOPED_TRACE(use_staged ? "staged" : "volcano");
+    // The old snapshot walks t_v's chain for 20 to (1,10), which is visible
+    // to it but carries key 10: the recheck drops it.
+    EXPECT_EQ(count("SELECT COUNT(*) FROM t WHERE v = 20", &old, use_staged),
+              0);
+    EXPECT_EQ(count("SELECT COUNT(*) FROM t WHERE v = 10", &old, use_staged),
+              1);
+    EXPECT_EQ(
+        count("SELECT COUNT(*) FROM t WHERE v = 20", &fresh, use_staged), 1);
+    EXPECT_EQ(
+        count("SELECT COUNT(*) FROM t WHERE v = 10", &fresh, use_staged), 0);
+  }
+  ASSERT_TRUE(Finish(&old, false).ok());
+  ASSERT_TRUE(Finish(&fresh, false).ok());
 }
 
 TEST_F(MvccCatalogTest, MultiIndexInconclusiveChainFallsBackToHeapScan) {

@@ -6,6 +6,7 @@
 #include "optimizer/bound_expr.h"
 #include "optimizer/planner.h"
 #include "parser/parser.h"
+#include "planner_test_peer.h"
 #include "storage/disk_manager.h"
 
 namespace stagedb::optimizer {
@@ -51,6 +52,18 @@ class PlannerTest : public ::testing::Test {
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
     Planner planner(catalog_.get(), opts);
     auto plan = planner.Plan(**stmt);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString() << " for " << sql;
+    if (!plan.ok()) return nullptr;
+    return std::move(*plan);
+  }
+
+  /// `sql` planned without the narrowing pass: whole-row scans.
+  std::unique_ptr<PhysicalPlan> WholeRowPlan(const std::string& sql,
+                                             PlannerOptions opts = {}) {
+    auto stmt = ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    Planner planner(catalog_.get(), opts);
+    auto plan = PlannerTestPeer::PlanWholeRows(&planner, **stmt);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString() << " for " << sql;
     if (!plan.ok()) return nullptr;
     return std::move(*plan);
@@ -352,7 +365,7 @@ TEST_F(PlannerTest, ScanReadSetNamesOnlyTheColumnsAbove) {
                 "SeqScan t1 reads=none"),
             std::string::npos);
   EXPECT_NE(Plan("SELECT s FROM t1 WHERE b = 3")->ToString().find(
-                "SeqScan t1 pred=(#1 = 3) reads=#1,#2"),
+                "SeqScan t1 pred=(#0 = 3) reads=#1,#2"),
             std::string::npos);
   EXPECT_EQ(Plan("SELECT * FROM t1")->ToString().find("reads="),
             std::string::npos);
@@ -429,6 +442,167 @@ TEST_F(PlannerTest, MutationPlansCarryNoReadSet) {
     }
     EXPECT_EQ(plan->ToString().find("reads="), std::string::npos);
   }
+}
+
+// ------------------------------------------------------- narrowed rows --
+
+/// The qualified column names of a node's output schema.
+std::vector<std::string> ColumnNames(const PhysicalPlan& node) {
+  std::vector<std::string> names;
+  for (const catalog::Column& c : node.schema.columns()) {
+    names.push_back(c.QualifiedName());
+  }
+  return names;
+}
+
+TEST_F(PlannerTest, CountStarScansEmitZeroWidthRows) {
+  for (const int dop : {1, 4}) {
+    SCOPED_TRACE(dop);
+    PlannerOptions opts;
+    opts.max_dop = dop;
+    opts.parallel_min_rows = 64;
+    auto plan = Plan("SELECT COUNT(*) FROM t1", opts);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(ScanOf(plan.get(), "t1")->schema.num_columns(), 0u);
+    EXPECT_EQ(plan->schema.num_columns(), 1u);  // the result keeps its shape
+  }
+  // Over a join, each side emits only its key.
+  auto join = Plan("SELECT COUNT(*) FROM t1 JOIN t2 ON t1.b = t2.a");
+  ASSERT_NE(join, nullptr);
+  const PhysicalPlan* hash = FindNode(join.get(), PlanKind::kHashJoin);
+  ASSERT_NE(hash, nullptr);
+  EXPECT_EQ(hash->schema.num_columns(), 2u);
+  EXPECT_EQ(hash->left_keys, std::vector<size_t>{0});
+  EXPECT_EQ(hash->right_keys, std::vector<size_t>{0});
+}
+
+TEST_F(PlannerTest, ScansEmitTheirReadSetInTableOrder) {
+  auto plan = Plan("SELECT s FROM t1 WHERE b = 3");
+  ASSERT_NE(plan, nullptr);
+  const PhysicalPlan* scan = ScanOf(plan.get(), "t1");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(ColumnNames(*scan), (std::vector<std::string>{"t1.b", "t1.s"}));
+  EXPECT_EQ(scan->predicate->ToString(), "(#0 = 3)");
+  ASSERT_EQ(plan->kind, PlanKind::kProject);
+  EXPECT_EQ(plan->exprs[0]->ToString(), "#1");
+  // Without the pass, the same plan reads whole rows in table numbering.
+  auto whole = WholeRowPlan("SELECT s FROM t1 WHERE b = 3");
+  ASSERT_NE(whole, nullptr);
+  EXPECT_EQ(ScanOf(whole.get(), "t1")->schema.num_columns(), 3u);
+  EXPECT_EQ(ScanOf(whole.get(), "t1")->predicate->ToString(), "(#1 = 3)");
+  EXPECT_EQ(whole->exprs[0]->ToString(), "#2");
+}
+
+TEST_F(PlannerTest, JoinRemapsKeysAndResidualAtTheNarrowedLeftWidth) {
+  // t1 (a, b, s) is on the left and narrows to (b): t2's columns start at
+  // #1 of the joined row, not at #3.
+  const std::string sql =
+      "SELECT t2.c FROM t1 JOIN t2 ON t1.b = t2.a WHERE t1.b + t2.c > 4";
+  PlannerOptions in_order;
+  in_order.enable_join_reorder = false;
+  for (const auto algo : {PlannerOptions::JoinAlgo::kHash,
+                          PlannerOptions::JoinAlgo::kMerge,
+                          PlannerOptions::JoinAlgo::kNestedLoop}) {
+    in_order.join_algorithm = algo;
+    auto plan = Plan(sql, in_order);
+    ASSERT_NE(plan, nullptr);
+    const PhysicalPlan* join = plan->children[0].get();
+    SCOPED_TRACE(PlanKindName(join->kind));
+    EXPECT_EQ(ColumnNames(*join),
+              (std::vector<std::string>{"t1.b", "t2.a", "t2.c"}));
+    EXPECT_EQ(ColumnNames(*join->children[0]),
+              std::vector<std::string>{"t1.b"});
+    if (join->kind == PlanKind::kNestedLoopJoin) {
+      EXPECT_EQ(join->predicate->ToString(),
+                "((#0 = #1) AND ((#0 + #2) > 4))");
+    } else {
+      EXPECT_EQ(join->left_keys, std::vector<size_t>{0});
+      EXPECT_EQ(join->right_keys, std::vector<size_t>{0});
+      EXPECT_EQ(join->predicate->ToString(), "((#0 + #2) > 4)");
+    }
+    EXPECT_EQ(plan->exprs[0]->ToString(), "#2");
+
+    auto whole = WholeRowPlan(sql, in_order);
+    ASSERT_NE(whole, nullptr);
+    const PhysicalPlan* whole_join = whole->children[0].get();
+    EXPECT_EQ(whole_join->schema.num_columns(), 5u);
+    if (join->kind != PlanKind::kNestedLoopJoin) {
+      EXPECT_EQ(whole_join->left_keys, std::vector<size_t>{1});
+      EXPECT_EQ(whole_join->predicate->ToString(), "((#1 + #4) > 4)");
+    }
+    EXPECT_EQ(whole->exprs[0]->ToString(), "#4");
+  }
+}
+
+TEST_F(PlannerTest, SortBelowProjectAndHavingAreRemapped) {
+  // ORDER BY an unselected column sorts below the projection, on the
+  // scan's narrowed (b, s) rows.
+  auto ordered = Plan("SELECT s FROM t1 ORDER BY b DESC");
+  ASSERT_NE(ordered, nullptr);
+  ASSERT_EQ(ordered->kind, PlanKind::kProject);
+  const PhysicalPlan* sort = ordered->children[0].get();
+  ASSERT_EQ(sort->kind, PlanKind::kSort);
+  EXPECT_EQ(ColumnNames(*sort), (std::vector<std::string>{"t1.b", "t1.s"}));
+  EXPECT_EQ(sort->sort_keys[0].expr->ToString(), "#0");
+  EXPECT_EQ(ordered->exprs[0]->ToString(), "#1");
+
+  // GROUP BY and aggregate arguments index the narrowed rows; the HAVING
+  // filter above the aggregate sees its unchanged output.
+  const std::string having =
+      "SELECT s, MAX(b) FROM t1 GROUP BY s HAVING MIN(b) > 1";
+  auto plan = Plan(having);
+  auto whole = WholeRowPlan(having);
+  ASSERT_TRUE(plan && whole);
+  const PhysicalPlan* agg = FindNode(plan.get(), PlanKind::kHashAggregate);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(agg->exprs[0]->ToString(), "#1");
+  EXPECT_EQ(agg->aggregates[0].arg->ToString(), "#0");
+  EXPECT_EQ(agg->aggregates[1].arg->ToString(), "#0");
+  const PhysicalPlan* filter = FindNode(plan.get(), PlanKind::kFilter);
+  const PhysicalPlan* whole_filter = FindNode(whole.get(), PlanKind::kFilter);
+  ASSERT_TRUE(filter && whole_filter);
+  EXPECT_EQ(filter->predicate->ToString(),
+            whole_filter->predicate->ToString());
+  EXPECT_EQ(filter->schema.num_columns(), whole_filter->schema.num_columns());
+  EXPECT_EQ(ColumnNames(*plan), ColumnNames(*whole));
+}
+
+TEST_F(PlannerTest, SelectStarAndMutationPlansAreNotNarrowed) {
+  ASSERT_TRUE(catalog_->CreateIndex("t1_a6", "t1", "a").ok());
+  for (const char* sql : {"SELECT * FROM t1 WHERE b = 3",
+                          "SELECT * FROM t1 JOIN t2 ON t1.a = t2.a",
+                          "SELECT * FROM t1 WHERE a = 7",
+                          "INSERT INTO t1 VALUES (5000, 1, 'y')",
+                          "UPDATE t1 SET b = b + 1 WHERE a = 3",
+                          "UPDATE t1 SET s = 'z' WHERE b < 2",
+                          "DELETE FROM t1 WHERE a = 3",
+                          "DELETE FROM t1 WHERE b = 4"}) {
+    SCOPED_TRACE(sql);
+    auto plan = Plan(sql);
+    auto whole = WholeRowPlan(sql);
+    ASSERT_TRUE(plan && whole);
+    EXPECT_EQ(plan->ToString(), whole->ToString());
+    if (const PhysicalPlan* scan = ScanOf(plan.get(), "t1")) {
+      EXPECT_EQ(scan->schema.num_columns(), 3u);
+    }
+  }
+}
+
+TEST_F(PlannerTest, IndexScanReadsItsKeyColumn) {
+  // SELECT v FROM t WHERE id = 5: the range consumes the only conjunct, and
+  // the scan still reads the key, which the index walk rechecks.
+  ASSERT_TRUE(catalog_->CreateIndex("t1_a7", "t1", "a").ok());
+  auto plan = Plan("SELECT s FROM t1 WHERE a = 5");
+  ASSERT_NE(plan, nullptr);
+  const PhysicalPlan* scan = ScanOf(plan.get(), "t1");
+  ASSERT_EQ(scan->kind, PlanKind::kIndexScan);
+  EXPECT_EQ(scan->predicate, nullptr);
+  EXPECT_EQ(scan->read_set, Reads(3, {0, 2}));
+  EXPECT_EQ(ColumnNames(*scan), (std::vector<std::string>{"t1.a", "t1.s"}));
+  EXPECT_EQ(plan->exprs[0]->ToString(), "#1");
+  auto count = Plan("SELECT COUNT(*) FROM t1 WHERE a >= 5 AND a < 9");
+  ASSERT_NE(count, nullptr);
+  EXPECT_EQ(ScanOf(count.get(), "t1")->read_set, Reads(3, {0}));
 }
 
 TEST(BoundExprTest, EvalArithmetic) {

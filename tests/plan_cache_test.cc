@@ -282,6 +282,81 @@ TEST_F(PlanCacheDbTest, CacheHitKeepsTheScanReadSet) {
   EXPECT_GE(db_->CacheStats().hits, 2u);
 }
 
+TEST_F(PlanCacheDbTest, NarrowedTemplateHitsAnswerOnBothEngines) {
+  // n's queries read two of its three columns, so every cached template
+  // carries narrowed scans and each hit instantiates one.
+  const auto v_of = [](int i) {
+    return std::string("v") + (i < 10 ? "0" : "") + std::to_string(i);
+  };
+  for (const ExecutionMode mode :
+       {ExecutionMode::kVolcano, ExecutionMode::kStaged}) {
+    SCOPED_TRACE(mode == ExecutionMode::kStaged ? "staged" : "volcano");
+    Open(/*cache=*/true, mode);
+    ASSERT_TRUE(
+        db_->Execute("CREATE TABLE n (id INTEGER, x INTEGER, v VARCHAR)")
+            .ok());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(db_->Execute("INSERT INTO n VALUES (" + std::to_string(i) +
+                               ", " + std::to_string(i % 7) + ", '" +
+                               v_of(i) + "')")
+                      .ok());
+    }
+    ASSERT_TRUE(db_->Execute("CREATE INDEX n_id ON n (id)").ok());
+    const PlanCacheStats before = db_->CacheStats();
+
+    const auto column = [](const QueryResult& r) {
+      std::vector<std::string> out;
+      for (const catalog::Tuple& t : r.rows) {
+        out.push_back(t[0].varchar_value());
+      }
+      return out;
+    };
+    // The seq scan emits (x, v); its '?' predicate reads slot #0.
+    for (const int k : {2, 5, 2, 5}) {
+      auto result = db_->Execute("SELECT v FROM n WHERE x = " +
+                                 std::to_string(k));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<std::string> want;
+      for (int i = k; i < 30; i += 7) want.push_back(v_of(i));
+      std::vector<std::string> got = column(*result);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want);
+      EXPECT_NE(result->plan_text.find("SeqScan n pred=(#0 = " +
+                                       std::to_string(k) + ") reads=#1,#2"),
+                std::string::npos)
+          << result->plan_text;
+    }
+    // The index scan emits (id, v) and rechecks the key at slot #0.
+    for (const int k : {4, 9, 4}) {
+      auto result = db_->Execute("SELECT v FROM n WHERE id = " +
+                                 std::to_string(k));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(column(*result), std::vector<std::string>{v_of(k)});
+      EXPECT_NE(result->plan_text.find("reads=#0,#2"), std::string::npos)
+          << result->plan_text;
+    }
+    EXPECT_GE(db_->CacheStats().hits, before.hits + 5);
+
+    // An explicit '?' template sorting below the projection on the
+    // narrowed rows.
+    auto prepared =
+        db_->Prepare("SELECT v FROM n WHERE x < ? ORDER BY x DESC, v");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    for (const int k : {3, 6, 3}) {
+      auto result = db_->ExecutePrepared(**prepared, {Value::Int(k)});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<std::pair<int, std::string>> rows;
+      for (int i = 0; i < 30; ++i) {
+        if (i % 7 < k) rows.emplace_back(-(i % 7), v_of(i));
+      }
+      std::sort(rows.begin(), rows.end());
+      std::vector<std::string> want;
+      for (const auto& row : rows) want.push_back(row.second);
+      EXPECT_EQ(column(*result), want);
+    }
+  }
+}
+
 TEST_F(PlanCacheDbTest, PreparedDmlKeepsIndexRangeAndNullMatchesNothing) {
   ASSERT_TRUE(db_->Execute("CREATE INDEX idx_a ON t (a)").ok());
   auto update = db_->Prepare("UPDATE t SET b = ? WHERE a = ?");

@@ -562,6 +562,13 @@ TEST(WakeBudgetTest, SerialQueriesStayWithinSwitchBudget) {
        "SELECT unique2, stringu1 FROM wa WHERE unique1 >= 2000 AND "
        "unique1 < 2060",
        60, 16},
+      // Full scan of all ~190 pages: fscan -> aggr -> qual. The rows reach
+      // the aggregate with zero columns, so no row is allocated on the
+      // fscan worker and freed on the aggr worker: as whole 12-value rows
+      // they cost 540-640 switches per query on a 4-core VM (release
+      // build), largely waits on the malloc arena the two shared; zero-
+      // width rows cost ~75.
+      {"count_all", "SELECT COUNT(*) FROM wa", 1, 200},
   };
   constexpr int kQueries = 40;
   constexpr double kMaxSpuriousPerQuery = 1.0;
