@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
 
   const PolicyCase cases[] = {
       {"free_run", "free-run", SchedulerPolicy::kFreeRun, 2},
-      {"non_gated", "non-gated", SchedulerPolicy::kNonGated, 2},
+      {"non_gated", "non-gated", SchedulerPolicy::kCohort, 2},
       {"d_gated", "D-gated", SchedulerPolicy::kDGated, 2},
       {"t_gated2", "T-gated(2)", SchedulerPolicy::kTGated, 2},
   };

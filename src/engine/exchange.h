@@ -36,36 +36,12 @@
 #include "catalog/tuple.h"
 #include "common/mutex.h"
 #include "engine/runtime.h"
+#include "exec/row_utils.h"
 #include "optimizer/bound_expr.h"
 
 namespace stagedb::engine {
 
-/// One morsel of rows exchanged between operator stages. The batch size (in
-/// tuples) is the §4.4(c) tuning parameter (StagedEngineOptions::
-/// tuples_per_page, overridable per plan node via PhysicalPlan::batch_hint).
-struct RowBatch {
-  std::vector<catalog::Tuple> tuples;
-  bool empty() const { return tuples.empty(); }
-  size_t size() const { return tuples.size(); }
-  void clear() { tuples.clear(); }
-  void reserve(size_t n) { tuples.reserve(n); }
-  void push_back(catalog::Tuple t) { tuples.push_back(std::move(t)); }
-  /// Moves every tuple of `other` onto the back of this batch; `other` is
-  /// left empty.
-  void Append(RowBatch* other) {
-    if (tuples.empty()) {
-      tuples = std::move(other->tuples);
-    } else {
-      tuples.insert(tuples.end(),
-                    std::make_move_iterator(other->tuples.begin()),
-                    std::make_move_iterator(other->tuples.end()));
-    }
-    other->tuples.clear();
-  }
-};
-
-/// Pre-batch-ABI name, kept so existing call sites and tests read unchanged.
-using TupleBatch = RowBatch;
+using exec::RowBatch;
 
 /// A bounded buffer of batches between producer and consumer operator
 /// instances. Non-blocking on both sides: a full buffer makes the producer

@@ -96,7 +96,7 @@ std::unique_ptr<SchedulingPolicy> MakeSchedulerPolicy(SchedulerPolicy policy,
   switch (policy) {
     case SchedulerPolicy::kFreeRun:
       return std::make_unique<FreeRunPolicy>();
-    case SchedulerPolicy::kCohort:  // == kNonGated
+    case SchedulerPolicy::kCohort:
       return std::make_unique<NonGatedPolicy>();
     case SchedulerPolicy::kDGated:
       return std::make_unique<DGatedPolicy>();

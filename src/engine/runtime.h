@@ -125,13 +125,11 @@ class ServiceTask : public StageTask {
   bool retired_ GUARDED_BY(mu_) = false;
 };
 
-/// The named members of the policy family (Figure 5). kCohort is the
-/// pre-policy-object name for exhaustive cohort rotation and is kept as an
-/// alias so existing call sites read unchanged.
+/// The named members of the policy family (Figure 5). kCohort is
+/// exhaustive cohort rotation, the Figure-5 "non-gated" policy.
 enum class SchedulerPolicy {
   kFreeRun,
-  kCohort,               ///< exhaustive (non-gated) cohort rotation
-  kNonGated = kCohort,   ///< alias: the Figure-5 name for the same policy
+  kCohort,  ///< exhaustive (non-gated) cohort rotation
   kDGated,
   kTGated,
 };
@@ -177,7 +175,7 @@ class SchedulingPolicy {
   }
 };
 
-/// Builds the named policies: kFreeRun, kCohort/kNonGated, kDGated, and
+/// Builds the named policies: kFreeRun, kCohort (non-gated), kDGated, and
 /// kTGated with `gate_rounds` rounds per visit (2 = "T-gated(2)";
 /// values < 2 are clamped to 2 — T-gated(1) is D-gated).
 std::unique_ptr<SchedulingPolicy> MakeSchedulerPolicy(SchedulerPolicy policy,

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <unordered_map>
 
-#include "exec/partial_agg.h"
-#include "exec/row_utils.h"
+#include "exec/operators.h"
 #include "optimizer/bound_expr.h"
 
 namespace stagedb::engine {
 
 using catalog::Tuple;
-using catalog::Value;
-using exec::AggAccumulator;
-using exec::RowKey;
-using exec::RowKeyHash;
-using exec::RowKeyFromColumns;
 using optimizer::EvalPredicate;
 using optimizer::PhysicalPlan;
 using optimizer::PlanKind;
@@ -28,11 +21,6 @@ StatusOr<std::vector<Tuple>> StagedQuery::Await() {
   cv_.Wait(mu_, [&]() REQUIRES(mu_) { return remaining_ == 0; });
   if (!status_.ok()) return status_;
   return std::move(rows_);
-}
-
-void StagedQuery::AppendResult(Tuple t) {
-  MutexLock lock(mu_);
-  rows_.push_back(std::move(t));
 }
 
 void StagedQuery::AppendResults(RowBatch* batch) {
@@ -121,6 +109,14 @@ class OperatorInstance : public StageTask {
     const bool scan = plan->kind == PlanKind::kSeqScan ||
                       plan->kind == PlanKind::kIndexScan;
     if (scan) scan_reader_.emplace(*plan);
+    if (plan->kind == PlanKind::kHashJoin ||
+        plan->kind == PlanKind::kNestedLoopJoin) {
+      join_table_.emplace(*plan);
+    } else if (plan->kind == PlanKind::kMergeJoin) {
+      merge_join_.emplace(*plan);
+    } else if (plan->kind == PlanKind::kHashAggregate) {
+      aggregator_.emplace(*plan);
+    }
     trace_ = query->exec_ctx->trace;
     if (trace_ != nullptr && scan) {
       trace_id_ = trace_->Register(plan->kind, plan->table->name);
@@ -206,25 +202,6 @@ class OperatorInstance : public StageTask {
     bool eof = false;
     if (inputs_[idx]->TryPop(out, &eof)) return Fetch::kTuple;
     return eof ? Fetch::kEof : Fetch::kWait;
-  }
-
-  Sink EmitTuple(Tuple t) {
-    if (outputs_.empty()) {
-      query_->AppendResult(std::move(t));
-      return Sink::kOk;
-    }
-    size_t idx = 0;
-    if (out_exchange_ != nullptr) {
-      auto p = out_exchange_->PartitionOf(t, &rr_cursor_);
-      if (!p.ok()) {
-        query_->Fail(p.status());
-        return Sink::kClosed;  // caller finishes early; failure is recorded
-      }
-      idx = *p;
-    }
-    out_batches_[idx].tuples.push_back(std::move(t));
-    if (out_batches_[idx].size() >= page_size()) return FlushPartition(idx);
-    return Sink::kOk;
   }
 
   /// Batch-at-a-time emit. Always consumes *batch: tuples either reach an
@@ -320,7 +297,7 @@ class OperatorInstance : public StageTask {
     return true;
   }
 
-  /// Handles the result of EmitTuple inside a processing loop. Returns true
+  /// Handles the result of EmitBatch inside a processing loop. Returns true
   /// to continue; false with *outcome set to stop this invocation.
   bool HandleSink(Sink sink, RunOutcome* outcome) {
     switch (sink) {
@@ -382,9 +359,40 @@ class OperatorInstance : public StageTask {
     return RunOutcome::kDone;
   }
 
-  Status Error(Status s) {
+  /// Fails the query with `s` and finishes this packet early.
+  RunOutcome Abort(Status s) {
     query_->Fail(std::move(s));
-    return Status::OK();
+    return FinishEarly();
+  }
+
+  /// Feeds whole morsels of input `idx` to `fold` until the input ends
+  /// (true). Returns false with *outcome set when the packet must stop
+  /// first: the quantum is spent, the input is empty, or `fold` failed.
+  template <typename Fold>
+  bool DrainInput(size_t idx, Fold fold, RunOutcome* outcome) {
+    int budget = quantum_tuples();
+    RowBatch in;
+    while (budget > 0) {
+      switch (NextBatch(idx, &in)) {
+        case Fetch::kWait:
+          block_ = idx == 0 ? BlockReason::kInput0 : BlockReason::kInput1;
+          *outcome = RunOutcome::kBlocked;
+          return false;
+        case Fetch::kEof:
+          return true;
+        case Fetch::kTuple: {
+          budget -= static_cast<int>(in.size());
+          Status s = fold(&in);
+          if (!s.ok()) {
+            *outcome = Abort(std::move(s));
+            return false;
+          }
+          break;
+        }
+      }
+    }
+    *outcome = RunOutcome::kYield;
+    return false;
   }
 
   /// Counts one row the scan reader saw into the activity trace: a visible
@@ -401,18 +409,11 @@ class OperatorInstance : public StageTask {
   bool NextScanPage(Status* status);
   RunOutcome RunIndexScan();
   RunOutcome RunQual();       // filter / project / limit
-  RunOutcome RunNestedLoopJoin();
-  RunOutcome RunHashJoin();
+  RunOutcome RunJoin();       // hash / nested-loop join
   RunOutcome RunMergeJoin();
   RunOutcome RunSort();
   RunOutcome RunAggregate();
   RunOutcome RunValues();
-
-  /// Folds one raw input row into groups_ (kComplete / kPartial modes).
-  Status AccumulateInputRow(const Tuple& t);
-  /// Folds one partial-state row from a kPartial child into groups_
-  /// (kMerge mode).
-  Status AccumulateMergeRow(const Tuple& t);
 
   StagedEngine* engine_;
   StagedQuery* query_;
@@ -449,21 +450,15 @@ class OperatorInstance : public StageTask {
   size_t index_pos_ = 0;
   bool index_loaded_ = false;
 
-  // Join / sort / aggregate state.
+  // Join / sort / aggregate state: the node's kernel, and its phase (0 takes
+  // in the blocking input, 1 produces).
+  std::optional<exec::JoinTable> join_table_;
+  std::optional<exec::MergeJoin> merge_join_;
+  std::optional<exec::HashAggregator> aggregator_;
   int phase_ = 0;
-  std::vector<Tuple> materialized_[2];
-  std::unordered_map<RowKey, std::vector<Tuple>, RowKeyHash> hash_table_;
-  Tuple probe_;
-  bool probe_valid_ = false;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  size_t inner_pos_ = 0;
-  std::unordered_map<RowKey, std::vector<AggAccumulator>, RowKeyHash> groups_;
+  bool input_eof_[2] = {false, false};  // merge join: inputs drained
   std::vector<Tuple> staged_rows_;  // sorted / finalized rows to emit
   size_t emit_pos_ = 0;
-  // Merge-join group cursors.
-  size_t lg_begin_ = 0, lg_end_ = 0, rg_begin_ = 0, rg_end_ = 0;
-  size_t li_ = 0, ri_ = 0;
   int64_t limit_produced_ = 0;
   size_t values_pos_ = 0;
 };
@@ -482,9 +477,8 @@ RunOutcome OperatorInstance::Run() {
     case PlanKind::kLimit:
       return RunQual();
     case PlanKind::kNestedLoopJoin:
-      return RunNestedLoopJoin();
     case PlanKind::kHashJoin:
-      return RunHashJoin();
+      return RunJoin();
     case PlanKind::kMergeJoin:
       return RunMergeJoin();
     case PlanKind::kSort:
@@ -494,8 +488,7 @@ RunOutcome OperatorInstance::Run() {
     case PlanKind::kValues:
       return RunValues();
     default:
-      query_->Fail(Status::Internal("operator kind not stageable"));
-      return FinishEarly();
+      return Abort(Status::Internal("operator kind not stageable"));
   }
 }
 
@@ -545,10 +538,7 @@ RunOutcome OperatorInstance::RunSeqScan() {
     if (scan_page_ == nullptr || scan_page_pos_ == scan_page_->size()) {
       Status s;
       if (!NextScanPage(&s)) {
-        if (!s.ok()) {
-          query_->Fail(std::move(s));
-          return FinishEarly();
-        }
+        if (!s.ok()) return Abort(std::move(s));
         return Finish();
       }
       continue;
@@ -567,10 +557,7 @@ RunOutcome OperatorInstance::RunSeqScan() {
       auto row = scan_reader_->ReadRecord(view, (*scan_page_)[scan_page_pos_],
                                           &tuple);
       ++scan_page_pos_;
-      if (!row.ok()) {
-        query_->Fail(row.status());
-        return FinishEarly();
-      }
+      if (!row.ok()) return Abort(row.status());
       TraceScanRow(*row);
       if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
@@ -604,10 +591,7 @@ RunOutcome OperatorInstance::RunIndexScan() {
   if (!index_loaded_) {
     Status s = plan_->index->tree->Scan(plan_->index_lo, plan_->index_hi,
                                         &index_matches_);
-    if (!s.ok()) {
-      query_->Fail(s);
-      return FinishEarly();
-    }
+    if (!s.ok()) return Abort(s);
     index_loaded_ = true;
   }
   const storage::MvccReadView view = MvccView();
@@ -623,10 +607,7 @@ RunOutcome OperatorInstance::RunIndexScan() {
       const auto& [key, head] = index_matches_[index_pos_++];
       storage::Rid rid;
       auto row = scan_reader_->ReadIndexed(view, key, head, &rid, &tuple);
-      if (!row.ok()) {
-        query_->Fail(row.status());
-        return FinishEarly();
-      }
+      if (!row.ok()) return Abort(row.status());
       TraceScanRow(*row);
       if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
@@ -644,6 +625,7 @@ RunOutcome OperatorInstance::RunQual() {
   if (!EnsureOutputWritable(&oc)) return oc;
   int budget = quantum_tuples();
   RowBatch in;
+  Tuple projected;
   while (budget > 0) {
     switch (NextBatch(0, &in)) {
       case Fetch::kWait:
@@ -662,10 +644,7 @@ RunOutcome OperatorInstance::RunQual() {
         size_t w = 0;
         for (size_t i = 0; i < in.tuples.size(); ++i) {
           auto pass = EvalPredicate(*plan_->predicate, in.tuples[i]);
-          if (!pass.ok()) {
-            query_->Fail(pass.status());
-            return FinishEarly();
-          }
+          if (!pass.ok()) return Abort(pass.status());
           if (!*pass) continue;
           if (w != i) in.tuples[w] = std::move(in.tuples[i]);
           ++w;
@@ -676,17 +655,9 @@ RunOutcome OperatorInstance::RunQual() {
       }
       case PlanKind::kProject: {
         for (Tuple& t : in.tuples) {
-          Tuple out;
-          out.reserve(plan_->exprs.size());
-          for (const auto& expr : plan_->exprs) {
-            auto v = optimizer::Eval(*expr, t);
-            if (!v.ok()) {
-              query_->Fail(v.status());
-              return FinishEarly();
-            }
-            out.push_back(std::move(*v));
-          }
-          t = std::move(out);
+          Status s = exec::ProjectRow(*plan_, t, &projected);
+          if (!s.ok()) return Abort(std::move(s));
+          std::swap(t, projected);
         }
         if (!HandleSink(EmitBatch(&in), &oc)) return oc;
         break;
@@ -709,137 +680,56 @@ RunOutcome OperatorInstance::RunQual() {
         break;
       }
       default:
-        query_->Fail(Status::Internal("bad qual operator"));
-        return FinishEarly();
+        return Abort(Status::Internal("bad qual operator"));
     }
   }
   return RunOutcome::kYield;
 }
 
-RunOutcome OperatorInstance::RunNestedLoopJoin() {
+/// Hash and nested-loop joins: build the JoinTable from the right input, then
+/// probe it a left row at a time, handing joined rows downstream a morsel at
+/// a time. A packet that parks mid-probe keeps its place in the table.
+RunOutcome OperatorInstance::RunJoin() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
-  int budget = quantum_tuples();
-  if (phase_ == 0) {  // materialize the inner (right) input, a batch at a time
-    RowBatch in;
-    while (budget > 0) {
-      switch (NextBatch(1, &in)) {
-        case Fetch::kWait:
-          block_ = BlockReason::kInput1;
-          return RunOutcome::kBlocked;
-        case Fetch::kEof:
-          phase_ = 1;
-          budget = quantum_tuples();
-          goto probe;
-        case Fetch::kTuple:
-          budget -= static_cast<int>(in.size());
-          materialized_[1].insert(
-              materialized_[1].end(),
-              std::make_move_iterator(in.tuples.begin()),
-              std::make_move_iterator(in.tuples.end()));
-          break;
-      }
-    }
-    return RunOutcome::kYield;
-  }
-probe:
-  while (budget-- > 0) {
-    if (!probe_valid_) {
-      switch (NextInput(0, &probe_)) {
-        case Fetch::kWait:
-          block_ = BlockReason::kInput0;
-          return RunOutcome::kBlocked;
-        case Fetch::kEof:
-          return Finish();
-        case Fetch::kTuple:
-          probe_valid_ = true;
-          inner_pos_ = 0;
-          break;
-      }
-    }
-    while (inner_pos_ < materialized_[1].size()) {
-      if (budget-- <= 0) return RunOutcome::kYield;
-      Tuple joined = exec::JoinRows(probe_, materialized_[1][inner_pos_++]);
-      if (plan_->predicate) {
-        auto pass = EvalPredicate(*plan_->predicate, joined);
-        if (!pass.ok()) {
-          query_->Fail(pass.status());
-          return FinishEarly();
-        }
-        if (!*pass) continue;
-      }
-      if (!HandleSink(EmitTuple(std::move(joined)), &oc)) return oc;
-    }
-    probe_valid_ = false;
-  }
-  return RunOutcome::kYield;
-}
-
-RunOutcome OperatorInstance::RunHashJoin() {
-  RunOutcome oc;
-  if (!EnsureOutputWritable(&oc)) return oc;
-  int budget = quantum_tuples();
-  if (phase_ == 0) {  // build on the right input, folding whole batches
-    RowBatch in;
-    while (budget > 0) {
-      switch (NextBatch(1, &in)) {
-        case Fetch::kWait:
-          block_ = BlockReason::kInput1;
-          return RunOutcome::kBlocked;
-        case Fetch::kEof:
-          phase_ = 1;
-          budget = quantum_tuples();
-          goto probe;
-        case Fetch::kTuple: {
-          budget -= static_cast<int>(in.size());
-          for (Tuple& t : in.tuples) {
-            auto key = RowKeyFromColumns(t, plan_->right_keys);
-            if (!key.ok()) {
-              query_->Fail(key.status());
-              return FinishEarly();
-            }
-            if (!key->HasNull()) hash_table_[*key].push_back(std::move(t));
+  if (phase_ == 0) {
+    const bool built = DrainInput(
+        1,
+        [this](RowBatch* in) -> Status {
+          for (Tuple& t : in->tuples) {
+            STAGEDB_RETURN_IF_ERROR(join_table_->Build(std::move(t)));
           }
-          break;
-        }
-      }
-    }
-    return RunOutcome::kYield;
+          return Status::OK();
+        },
+        &oc);
+    if (!built) return oc;
+    phase_ = 1;
   }
-probe:
+  int budget = quantum_tuples();
+  RowBatch out;
+  Tuple row;
   while (budget-- > 0) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      Tuple joined = exec::JoinRows(probe_, (*matches_)[match_pos_++]);
-      if (plan_->predicate) {
-        auto pass = EvalPredicate(*plan_->predicate, joined);
-        if (!pass.ok()) {
-          query_->Fail(pass.status());
-          return FinishEarly();
-        }
-        if (!*pass) continue;
+    auto match = join_table_->NextMatch(&row);
+    if (!match.ok()) return Abort(match.status());
+    if (*match) {
+      out.push_back(std::move(row));
+      if (out.size() >= page_size() && !HandleSink(EmitBatch(&out), &oc)) {
+        return oc;
       }
-      if (!HandleSink(EmitTuple(std::move(joined)), &oc)) return oc;
       continue;
     }
-    switch (NextInput(0, &probe_)) {
-      case Fetch::kWait:
-        block_ = BlockReason::kInput0;
-        return RunOutcome::kBlocked;
-      case Fetch::kEof:
-        return Finish();
-      case Fetch::kTuple: {
-        auto key = RowKeyFromColumns(probe_, plan_->left_keys);
-        if (!key.ok()) {
-          query_->Fail(key.status());
-          return FinishEarly();
-        }
-        auto it = hash_table_.find(*key);
-        matches_ = it == hash_table_.end() ? nullptr : &it->second;
-        match_pos_ = 0;
-        break;
-      }
+    const Fetch fetch = NextInput(0, &row);
+    if (fetch == Fetch::kTuple) {
+      Status s = join_table_->Probe(std::move(row));
+      if (!s.ok()) return Abort(std::move(s));
+      continue;
     }
+    if (!HandleSink(EmitBatch(&out), &oc)) return oc;
+    if (fetch == Fetch::kEof) return Finish();
+    block_ = BlockReason::kInput0;
+    return RunOutcome::kBlocked;
   }
+  if (!HandleSink(EmitBatch(&out), &oc)) return oc;
   return RunOutcome::kYield;
 }
 
@@ -847,303 +737,96 @@ RunOutcome OperatorInstance::RunMergeJoin() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
   if (phase_ == 0) {  // drain both inputs, a batch at a time per side
-    bool done0 = false, done1 = false;
     int budget = quantum_tuples();
     RowBatch in;
-    while (budget > 0) {
+    while (!input_eof_[0] || !input_eof_[1]) {
+      if (budget <= 0) return RunOutcome::kYield;
       bool progressed = false;
       for (int side = 0; side < 2; ++side) {
-        bool& done = side == 0 ? done0 : done1;
-        if (done) continue;
+        if (input_eof_[side]) continue;
         switch (NextBatch(side, &in)) {
           case Fetch::kTuple:
             budget -= static_cast<int>(in.size());
-            materialized_[side].insert(
-                materialized_[side].end(),
-                std::make_move_iterator(in.tuples.begin()),
-                std::make_move_iterator(in.tuples.end()));
+            for (Tuple& t : in.tuples) merge_join_->Add(side, std::move(t));
             progressed = true;
             break;
           case Fetch::kEof:
-            done = true;
+            input_eof_[side] = true;
             progressed = true;
             break;
           case Fetch::kWait:
             break;
         }
       }
-      if (done0 && done1) {
-        phase_ = 1;
-        break;
-      }
       if (!progressed) {
-        block_ = BlockReason::kAnyInput;
+        block_ = input_eof_[0]   ? BlockReason::kInput1
+                 : input_eof_[1] ? BlockReason::kInput0
+                                 : BlockReason::kAnyInput;
         return RunOutcome::kBlocked;
       }
     }
-    if (phase_ == 0) return RunOutcome::kYield;
+    merge_join_->Sort();
+    phase_ = 1;
   }
-  if (phase_ == 1) {  // sort both sides
-    auto sort_side = [&](int side, const std::vector<size_t>& keys) {
-      std::stable_sort(materialized_[side].begin(), materialized_[side].end(),
-                       [&](const Tuple& a, const Tuple& b) {
-                         for (size_t k : keys) {
-                           const int c = a[k].Compare(b[k]);
-                           if (c != 0) return c < 0;
-                         }
-                         return false;
-                       });
-    };
-    sort_side(0, plan_->left_keys);
-    sort_side(1, plan_->right_keys);
-    phase_ = 2;
-    lg_end_ = rg_end_ = 0;
-    li_ = ri_ = 0;
-    lg_begin_ = rg_begin_ = 0;
-    li_ = lg_end_;  // force group advance
-    ri_ = rg_end_;
-  }
-  // phase 2: merge.
-  auto compare_keys = [&](const Tuple& l, const Tuple& r) {
-    for (size_t i = 0; i < plan_->left_keys.size(); ++i) {
-      const int c = l[plan_->left_keys[i]].Compare(r[plan_->right_keys[i]]);
-      if (c != 0) return c;
-    }
-    return 0;
-  };
-  auto key_null = [&](const Tuple& tt, const std::vector<size_t>& keys) {
-    for (size_t k : keys) {
-      if (tt[k].is_null()) return true;
-    }
-    return false;
-  };
-  const std::vector<Tuple>& L = materialized_[0];
-  const std::vector<Tuple>& R = materialized_[1];
   int budget = quantum_tuples();
+  RowBatch out;
+  Tuple row;
   while (budget-- > 0) {
-    if (li_ >= lg_end_ || ri_ >= rg_end_) {
-      // Advance to the next pair of matching key groups.
-      size_t l = lg_end_, r = rg_end_;
-      bool found = false;
-      while (l < L.size() && r < R.size()) {
-        if (key_null(L[l], plan_->left_keys)) {
-          ++l;
-          continue;
-        }
-        if (key_null(R[r], plan_->right_keys)) {
-          ++r;
-          continue;
-        }
-        const int c = compare_keys(L[l], R[r]);
-        if (c < 0) {
-          ++l;
-        } else if (c > 0) {
-          ++r;
-        } else {
-          lg_begin_ = l;
-          lg_end_ = l + 1;
-          while (lg_end_ < L.size() && compare_keys(L[lg_end_], R[r]) == 0) {
-            ++lg_end_;
-          }
-          rg_begin_ = r;
-          rg_end_ = r + 1;
-          while (rg_end_ < R.size() && compare_keys(L[l], R[rg_end_]) == 0) {
-            ++rg_end_;
-          }
-          li_ = lg_begin_;
-          ri_ = rg_begin_;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return Finish();
+    auto joined = merge_join_->Next(&row);
+    if (!joined.ok()) return Abort(joined.status());
+    if (!*joined) {
+      if (!HandleSink(EmitBatch(&out), &oc)) return oc;
+      return Finish();
     }
-    Tuple joined = exec::JoinRows(L[li_], R[ri_]);
-    ++ri_;
-    if (ri_ == rg_end_) {
-      ri_ = rg_begin_;
-      ++li_;
-      if (li_ == lg_end_) ri_ = rg_end_;  // group exhausted
+    out.push_back(std::move(row));
+    if (out.size() >= page_size() && !HandleSink(EmitBatch(&out), &oc)) {
+      return oc;
     }
-    if (plan_->predicate) {
-      auto pass = EvalPredicate(*plan_->predicate, joined);
-      if (!pass.ok()) {
-        query_->Fail(pass.status());
-        return FinishEarly();
-      }
-      if (!*pass) continue;
-    }
-    if (!HandleSink(EmitTuple(std::move(joined)), &oc)) return oc;
   }
+  if (!HandleSink(EmitBatch(&out), &oc)) return oc;
   return RunOutcome::kYield;
 }
 
+/// Takes in the whole input, sorts it once (sorting is CPU-bound and the
+/// sort stage owns it, per the paper's operator grouping), then emits it a
+/// morsel at a time.
 RunOutcome OperatorInstance::RunSort() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
   if (phase_ == 0) {
-    int budget = quantum_tuples();
-    RowBatch in;
-    while (budget > 0) {
-      switch (NextBatch(0, &in)) {
-        case Fetch::kWait:
-          block_ = BlockReason::kInput0;
-          return RunOutcome::kBlocked;
-        case Fetch::kEof:
-          phase_ = 1;
-          budget = 0;
-          break;
-        case Fetch::kTuple:
-          budget -= static_cast<int>(in.size());
+    const bool drained = DrainInput(
+        0,
+        [this](RowBatch* in) -> Status {
           staged_rows_.insert(staged_rows_.end(),
-                              std::make_move_iterator(in.tuples.begin()),
-                              std::make_move_iterator(in.tuples.end()));
-          break;
-      }
-    }
-    if (phase_ == 0) return RunOutcome::kYield;
-  }
-  if (phase_ == 1) {
-    // Precompute keys, then sort (one quantum; sorting is CPU-bound and the
-    // sort stage owns it per the paper's operator grouping).
-    std::vector<std::vector<Value>> keys(staged_rows_.size());
-    for (size_t i = 0; i < staged_rows_.size(); ++i) {
-      for (const auto& key : plan_->sort_keys) {
-        auto v = optimizer::Eval(*key.expr, staged_rows_[i]);
-        if (!v.ok()) {
-          query_->Fail(v.status());
-          return FinishEarly();
-        }
-        keys[i].push_back(std::move(*v));
-      }
-    }
-    std::vector<size_t> order(staged_rows_.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < plan_->sort_keys.size(); ++k) {
-        int c = keys[a][k].Compare(keys[b][k]);
-        if (plan_->sort_keys[k].descending) c = -c;
-        if (c != 0) return c < 0;
-      }
-      return false;
-    });
-    std::vector<Tuple> sorted;
-    sorted.reserve(staged_rows_.size());
-    for (size_t i : order) sorted.push_back(std::move(staged_rows_[i]));
-    staged_rows_ = std::move(sorted);
-    emit_pos_ = 0;
-    phase_ = 2;
+                              std::make_move_iterator(in->tuples.begin()),
+                              std::make_move_iterator(in->tuples.end()));
+          return Status::OK();
+        },
+        &oc);
+    if (!drained) return oc;
+    Status s = exec::SortRows(plan_->sort_keys, &staged_rows_);
+    if (!s.ok()) return Abort(std::move(s));
+    phase_ = 1;
   }
   return EmitStagedRows(quantum_tuples());
 }
 
-Status OperatorInstance::AccumulateInputRow(const Tuple& t) {
-  RowKey key;
-  for (const auto& expr : plan_->exprs) {
-    auto v = optimizer::Eval(*expr, t);
-    if (!v.ok()) return v.status();
-    key.values.push_back(std::move(*v));
-  }
-  auto& accs = groups_[key];
-  if (accs.empty()) accs.resize(plan_->aggregates.size());
-  for (size_t i = 0; i < plan_->aggregates.size(); ++i) {
-    const optimizer::AggSpec& spec = plan_->aggregates[i];
-    Value v = Value::Int(1);
-    if (spec.arg) {
-      auto val = optimizer::Eval(*spec.arg, t);
-      if (!val.ok()) return val.status();
-      v = std::move(*val);
-      if (v.is_null()) continue;
-    }
-    exec::AggAccumulate(&accs[i], spec, v);
-  }
-  return Status::OK();
-}
-
-Status OperatorInstance::AccumulateMergeRow(const Tuple& t) {
-  // Partial rows are the group key columns followed by each aggregate's
-  // mergeable state (exec/partial_agg.h layout).
-  const size_t num_group_cols =
-      plan_->schema.num_columns() - plan_->aggregates.size();
-  if (t.size() < num_group_cols) {
-    return Status::Internal("partial aggregation row too narrow");
-  }
-  RowKey key;
-  key.values.reserve(num_group_cols);
-  for (size_t i = 0; i < num_group_cols; ++i) key.values.push_back(t[i]);
-  auto& accs = groups_[key];
-  if (accs.empty()) accs.resize(plan_->aggregates.size());
-  size_t col = num_group_cols;
-  for (size_t i = 0; i < plan_->aggregates.size(); ++i) {
-    Status s = exec::MergePartialState(plan_->aggregates[i], t, &col,
-                                       &accs[i]);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 RunOutcome OperatorInstance::RunAggregate() {
-  using optimizer::AggMode;
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
   if (phase_ == 0) {
-    int budget = quantum_tuples();
-    RowBatch in;
-    while (budget > 0) {
-      switch (NextBatch(0, &in)) {
-        case Fetch::kWait:
-          block_ = BlockReason::kInput0;
-          return RunOutcome::kBlocked;
-        case Fetch::kEof:
-          phase_ = 1;
-          budget = 0;
-          break;
-        case Fetch::kTuple: {
-          budget -= static_cast<int>(in.size());
-          for (const Tuple& t : in.tuples) {
-            const Status s = plan_->agg_mode == AggMode::kMerge
-                                 ? AccumulateMergeRow(t)
-                                 : AccumulateInputRow(t);
-            if (!s.ok()) {
-              query_->Fail(s);
-              return FinishEarly();
-            }
+    const bool drained = DrainInput(
+        0,
+        [this](RowBatch* in) -> Status {
+          for (const Tuple& t : in->tuples) {
+            STAGEDB_RETURN_IF_ERROR(aggregator_->Add(t));
           }
-          break;
-        }
-      }
-    }
-    if (phase_ == 0) return RunOutcome::kYield;
-  }
-  if (phase_ == 1) {
-    // Global aggregation over zero rows still yields one output row — but
-    // only at the finalizing node: a kPartial packet that saw no rows emits
-    // nothing (its siblings cover the input), and the kMerge packet above
-    // supplies the empty-input row exactly once.
-    const bool global_agg = plan_->agg_mode == AggMode::kMerge
-                                ? plan_->schema.num_columns() ==
-                                      plan_->aggregates.size()
-                                : plan_->exprs.empty();
-    if (groups_.empty() && global_agg &&
-        plan_->agg_mode != AggMode::kPartial) {
-      groups_[RowKey{}] =
-          std::vector<AggAccumulator>(plan_->aggregates.size());
-    }
-    for (const auto& [key, accs] : groups_) {
-      Tuple row;
-      for (const Value& v : key.values) row.push_back(v);
-      for (size_t i = 0; i < plan_->aggregates.size(); ++i) {
-        if (plan_->agg_mode == AggMode::kPartial) {
-          exec::AppendPartialState(plan_->aggregates[i], accs[i], &row);
-        } else {
-          row.push_back(exec::AggFinalize(plan_->aggregates[i], accs[i]));
-        }
-      }
-      staged_rows_.push_back(std::move(row));
-    }
-    groups_.clear();
-    emit_pos_ = 0;
-    phase_ = 2;
+          return Status::OK();
+        },
+        &oc);
+    if (!drained) return oc;
+    staged_rows_ = aggregator_->Finish();
+    phase_ = 1;
   }
   return EmitStagedRows(quantum_tuples());
 }
@@ -1216,9 +899,6 @@ StagedEngine::StagedEngine(catalog::Catalog* catalog,
   join_stage_ = runtime_.CreateStage("join", PoolFor("join"));
   aggr_stage_ = runtime_.CreateStage("aggr", PoolFor("aggr"));
   dml_stage_ = runtime_.CreateStage("dml", PoolFor("dml"));
-  if (!options_.stage_per_table_scans) {
-    fscan_shared_ = runtime_.CreateStage("fscan", PoolFor("fscan"));
-  }
   MaybeCreateCommitStage();
 }
 
@@ -1254,7 +934,6 @@ Stage* StagedEngine::StageFor(const PhysicalPlan& node) {
   }
   switch (node.kind) {
     case PlanKind::kSeqScan: {
-      if (!options_.stage_per_table_scans) return fscan_shared_;
       MutexLock lock(stage_map_mu_);
       auto it = fscan_stages_.find(node.table->id);
       if (it != fscan_stages_.end()) return it->second;

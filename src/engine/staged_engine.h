@@ -35,7 +35,7 @@ namespace stagedb::engine {
 /// Engine knobs (§4.4 tuning parameters).
 struct StagedEngineOptions {
   /// Global scheduling policy (the Figure-5 family; see engine/runtime.h):
-  /// kFreeRun, kCohort/kNonGated (exhaustive), kDGated, kTGated.
+  /// kFreeRun, kCohort (exhaustive), kDGated, kTGated.
   SchedulerPolicy scheduler = SchedulerPolicy::kFreeRun;
   /// Gate rounds per visit when scheduler == kTGated (2 = "T-gated(2)").
   int scheduler_gate_rounds = 2;
@@ -68,9 +68,6 @@ struct StagedEngineOptions {
   /// trade-off).
   enum class Granularity { kFine, kCoarse };
   Granularity granularity = Granularity::kFine;
-  /// Replicate fscan stages per table ("the fscan and iscan stages are
-  /// replicated and are separately attached to the database tables").
-  bool stage_per_table_scans = true;
   /// Cooperative shared scans (§5.4): fscan packets attach to the table's
   /// circular elevator cursor, so N concurrent scans cost ~1 physical pass.
   /// When false, each seq-scan packet walks the heap on its own, one
@@ -114,7 +111,6 @@ class StagedQuery {
   void NotifyOnDone(std::function<void()> callback);
 
   // --- used by operator drivers ---
-  void AppendResult(catalog::Tuple t);
   /// Moves a whole morsel of result rows under one lock; `*batch` is left
   /// empty.
   void AppendResults(RowBatch* batch);
@@ -198,7 +194,6 @@ class StagedEngine {
   Stage* dml_stage_ = nullptr;
   Stage* execute_stage_ = nullptr;  // coarse granularity
   std::map<catalog::TableId, Stage*> fscan_stages_ GUARDED_BY(stage_map_mu_);
-  Stage* fscan_shared_ = nullptr;
 
   std::atomic<int64_t> next_query_id_{1};
 };

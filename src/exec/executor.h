@@ -2,9 +2,12 @@
 //
 // This is the execution model of the traditional architectures the paper
 // criticizes: one worker thread pulls tuples through the whole plan. It is
-// the baseline against which the staged engine is compared, and its operator
-// kernels define the behaviour the staged drivers must match (the two engines
-// are differential-tested against each other).
+// the baseline against which the staged engine is compared. Each Executor is
+// a thin pull adapter over the operator kernels in exec/operators.h (and the
+// scans over ScanRowReader below), the same kernels the staged engine's
+// packets drive, so the two engines differ only in who runs an operator and
+// when: one thread pulling a row at a time here, stage workers pushing
+// morsels there.
 #ifndef STAGEDB_EXEC_EXECUTOR_H_
 #define STAGEDB_EXEC_EXECUTOR_H_
 

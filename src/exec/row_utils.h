@@ -1,13 +1,12 @@
 // Row-processing helpers shared by the volcano and staged engines: composite
-// keys for hashing, joined rows, and aggregate accumulators.
+// keys for hashing, joined rows, and the morsel of rows the staged engine's
+// operators exchange.
 #ifndef STAGEDB_EXEC_ROW_UTILS_H_
 #define STAGEDB_EXEC_ROW_UTILS_H_
 
 #include <vector>
 
 #include "catalog/tuple.h"
-#include "common/status.h"
-#include "optimizer/plan.h"
 
 namespace stagedb::exec {
 
@@ -39,18 +38,6 @@ struct RowKeyHash {
   }
 };
 
-/// Extracts the key columns of a tuple.
-inline StatusOr<RowKey> RowKeyFromColumns(const catalog::Tuple& tuple,
-                                          const std::vector<size_t>& columns) {
-  RowKey key;
-  key.values.reserve(columns.size());
-  for (size_t c : columns) {
-    if (c >= tuple.size()) return Status::Internal("key column out of range");
-    key.values.push_back(tuple[c]);
-  }
-  return key;
-}
-
 /// A join's output row: `left`'s columns followed by `right`'s, built in one
 /// allocation.
 inline catalog::Tuple JoinRows(const catalog::Tuple& left,
@@ -62,57 +49,29 @@ inline catalog::Tuple JoinRows(const catalog::Tuple& left,
   return joined;
 }
 
-/// Streaming accumulator for one aggregate function within one group.
-struct AggAccumulator {
-  int64_t count = 0;
-  double sum = 0;
-  catalog::Value min, max;
-  bool any = false;
+/// One morsel of rows exchanged between operator stages. The batch size (in
+/// tuples) is the §4.4(c) tuning parameter (StagedEngineOptions::
+/// tuples_per_page, overridable per plan node via PhysicalPlan::batch_hint).
+struct RowBatch {
+  std::vector<catalog::Tuple> tuples;
+  bool empty() const { return tuples.empty(); }
+  size_t size() const { return tuples.size(); }
+  void clear() { tuples.clear(); }
+  void reserve(size_t n) { tuples.reserve(n); }
+  void push_back(catalog::Tuple t) { tuples.push_back(std::move(t)); }
+  /// Moves every tuple of `other` onto the back of this batch; `other` is
+  /// left empty.
+  void Append(RowBatch* other) {
+    if (tuples.empty()) {
+      tuples = std::move(other->tuples);
+    } else {
+      tuples.insert(tuples.end(),
+                    std::make_move_iterator(other->tuples.begin()),
+                    std::make_move_iterator(other->tuples.end()));
+    }
+    other->tuples.clear();
+  }
 };
-
-/// Folds one input value into an accumulator (v already non-NULL unless
-/// COUNT(*), which passes Int(1)).
-inline void AggAccumulate(AggAccumulator* acc, const optimizer::AggSpec& spec,
-                          const catalog::Value& v) {
-  using parser::AggFunc;
-  acc->any = true;
-  ++acc->count;
-  if (spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg) {
-    acc->sum += v.AsDouble();
-  }
-  if (spec.func == AggFunc::kMin &&
-      (acc->min.is_null() || v.Compare(acc->min) < 0)) {
-    acc->min = v;
-  }
-  if (spec.func == AggFunc::kMax &&
-      (acc->max.is_null() || v.Compare(acc->max) > 0)) {
-    acc->max = v;
-  }
-}
-
-/// Produces the final aggregate value.
-inline catalog::Value AggFinalize(const optimizer::AggSpec& spec,
-                                  const AggAccumulator& acc) {
-  using catalog::TypeId;
-  using catalog::Value;
-  using parser::AggFunc;
-  switch (spec.func) {
-    case AggFunc::kCount:
-      return Value::Int(acc.count);
-    case AggFunc::kSum:
-      if (!acc.any) return Value::Null();
-      return spec.result_type == TypeId::kInt64
-                 ? Value::Int(static_cast<int64_t>(acc.sum))
-                 : Value::Double(acc.sum);
-    case AggFunc::kAvg:
-      return acc.any ? Value::Double(acc.sum / acc.count) : Value::Null();
-    case AggFunc::kMin:
-      return acc.min;
-    case AggFunc::kMax:
-      return acc.max;
-  }
-  return Value::Null();
-}
 
 }  // namespace stagedb::exec
 

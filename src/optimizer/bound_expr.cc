@@ -1,6 +1,7 @@
 #include "optimizer/bound_expr.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/string_util.h"
 
@@ -211,22 +212,32 @@ StatusOr<Value> EvalBinary(BinaryOp op, const Value& l, const Value& r) {
     }
   } else {
     const int64_t a = l.int_value(), b = r.int_value();
+    int64_t out = 0;
+    bool overflow = false;
     switch (op) {
       case BinaryOp::kAdd:
-        return Value::Int(a + b);
+        overflow = __builtin_add_overflow(a, b, &out);
+        break;
       case BinaryOp::kSub:
-        return Value::Int(a - b);
+        overflow = __builtin_sub_overflow(a, b, &out);
+        break;
       case BinaryOp::kMul:
-        return Value::Int(a * b);
+        overflow = __builtin_mul_overflow(a, b, &out);
+        break;
       case BinaryOp::kDiv:
         if (b == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(a / b);
+        overflow = a == INT64_MIN && b == -1;
+        if (!overflow) out = a / b;
+        break;
       case BinaryOp::kMod:
         if (b == 0) return Status::InvalidArgument("modulo by zero");
-        return Value::Int(a % b);
-      default:
+        if (b != -1) out = a % b;  // INT64_MIN % -1 is 0, not a trap
         break;
+      default:
+        return Status::Internal("unhandled binary operator");
     }
+    if (overflow) return Status::InvalidArgument("integer overflow");
+    return Value::Int(out);
   }
   return Status::Internal("unhandled binary operator");
 }
@@ -261,7 +272,12 @@ StatusOr<Value> Eval(const BoundExpr& expr, const catalog::Tuple& in) {
         }
         return Value::Bool(!v->bool_value());
       }
-      if (v->type() == TypeId::kInt64) return Value::Int(-v->int_value());
+      if (v->type() == TypeId::kInt64) {
+        if (v->int_value() == INT64_MIN) {
+          return Status::InvalidArgument("integer overflow");
+        }
+        return Value::Int(-v->int_value());
+      }
       if (v->type() == TypeId::kDouble) {
         return Value::Double(-v->double_value());
       }

@@ -43,10 +43,9 @@ std::vector<catalog::TypeId> PartialStateTypes(const AggSpec& spec) {
   switch (spec.func) {
     case parser::AggFunc::kCount:
       return {TypeId::kInt64};
-    case parser::AggFunc::kSum:
-      return {TypeId::kDouble};
     case parser::AggFunc::kAvg:
       return {TypeId::kDouble, TypeId::kInt64};  // sum, non-NULL count
+    case parser::AggFunc::kSum:
     case parser::AggFunc::kMin:
     case parser::AggFunc::kMax:
       return {spec.result_type};

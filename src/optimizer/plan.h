@@ -40,10 +40,10 @@ struct AggSpec;
 
 /// Column types of the mergeable partial state one aggregate contributes to
 /// a kPartial kHashAggregate output row: COUNT carries its count, SUM its
-/// running sum (NULL when no non-NULL input), MIN/MAX the partition extremum,
-/// and AVG both the sum and the non-NULL count (the merge node re-divides).
-/// exec/partial_agg.h's append/merge helpers emit/consume exactly these
-/// columns in this order.
+/// running sum in the result type (NULL when no non-NULL input), MIN/MAX the
+/// partition extremum, and AVG both the sum and the non-NULL count (the
+/// merge node re-divides). exec/operators.h's append/merge helpers
+/// emit/consume exactly these columns in this order.
 std::vector<catalog::TypeId> PartialStateTypes(const AggSpec& spec);
 
 /// Aggregate function instance inside a kHashAggregate node.

@@ -325,7 +325,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     db->group_commit_ = db->staged_->engine.group_commit();
   } else {
     // The volcano engine runs every node on the calling thread: parallel
-    // plan shapes would only add a partial/merge hop it cannot execute.
+    // plan shapes would only add a partial/merge hop it gains nothing from.
     db->options_.planner.max_dop = 1;
     db->commit_runtime_ = std::make_unique<engine::StageRuntime>(
         engine::SchedulerPolicy::kFreeRun);

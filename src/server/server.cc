@@ -226,9 +226,9 @@ RunOutcome LifecycleTask::Run() {
         return RunOutcome::kMoved;
       }
       optimizer::PlannerOptions popts = db->options().planner;
-      // Staged mode only: the volcano engine cannot execute the
-      // partial/merge aggregate shapes a dop>1 planner emits (the facade
-      // clamps its own planner options the same way).
+      // Staged mode only: the volcano engine runs a dop>1 planner's
+      // partial/merge aggregate shapes serially, gaining nothing (the
+      // facade clamps its own planner options the same way).
       if (server_->options_.max_dop > 0 &&
           db->options().mode == ExecutionMode::kStaged) {
         popts.max_dop = server_->options_.max_dop;

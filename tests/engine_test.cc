@@ -125,18 +125,18 @@ TEST(RuntimeTest, ShutdownIsIdempotentAndJoins) {
 
 // ------------------------------------------------------------- Exchange ----
 
-TupleBatch MakeBatch(int start, int n) {
-  TupleBatch b;
+RowBatch MakeBatch(int start, int n) {
+  RowBatch b;
   for (int i = 0; i < n; ++i) b.tuples.push_back({Value::Int(start + i)});
   return b;
 }
 
 TEST(ExchangeTest, PushPopFifo) {
   ExchangeBuffer buffer(2);
-  TupleBatch b1 = MakeBatch(0, 3), b2 = MakeBatch(3, 3);
+  RowBatch b1 = MakeBatch(0, 3), b2 = MakeBatch(3, 3);
   EXPECT_EQ(buffer.TryPush(&b1), ExchangeBuffer::PushResult::kOk);
   EXPECT_EQ(buffer.TryPush(&b2), ExchangeBuffer::PushResult::kOk);
-  TupleBatch out;
+  RowBatch out;
   bool eof;
   ASSERT_TRUE(buffer.TryPop(&out, &eof));
   EXPECT_EQ(out.tuples[0][0].int_value(), 0);
@@ -148,9 +148,9 @@ TEST(ExchangeTest, PushPopFifo) {
 
 TEST(ExchangeTest, CapacityAppliesBackPressure) {
   ExchangeBuffer buffer(1);
-  TupleBatch b = MakeBatch(0, 1);
+  RowBatch b = MakeBatch(0, 1);
   EXPECT_EQ(buffer.TryPush(&b), ExchangeBuffer::PushResult::kOk);
-  TupleBatch b2 = MakeBatch(1, 1);
+  RowBatch b2 = MakeBatch(1, 1);
   EXPECT_EQ(buffer.TryPush(&b2), ExchangeBuffer::PushResult::kFull);
   // The page is retained by the caller on kFull.
   EXPECT_EQ(b2.tuples.size(), 1u);
@@ -159,11 +159,11 @@ TEST(ExchangeTest, CapacityAppliesBackPressure) {
 
 TEST(ExchangeTest, EofVisibleAfterDrain) {
   ExchangeBuffer buffer(4);
-  TupleBatch b = MakeBatch(0, 1);
+  RowBatch b = MakeBatch(0, 1);
   ASSERT_EQ(buffer.TryPush(&b), ExchangeBuffer::PushResult::kOk);
   buffer.MarkEof();
   EXPECT_FALSE(buffer.AtEof());  // still has data
-  TupleBatch out;
+  RowBatch out;
   bool eof;
   ASSERT_TRUE(buffer.TryPop(&out, &eof));
   EXPECT_FALSE(buffer.TryPop(&out, &eof));
@@ -173,10 +173,10 @@ TEST(ExchangeTest, EofVisibleAfterDrain) {
 
 TEST(ExchangeTest, CloseDiscardsAndRejects) {
   ExchangeBuffer buffer(4);
-  TupleBatch b = MakeBatch(0, 2);
+  RowBatch b = MakeBatch(0, 2);
   ASSERT_EQ(buffer.TryPush(&b), ExchangeBuffer::PushResult::kOk);
   buffer.Close();
-  TupleBatch b2 = MakeBatch(2, 1);
+  RowBatch b2 = MakeBatch(2, 1);
   EXPECT_EQ(buffer.TryPush(&b2), ExchangeBuffer::PushResult::kClosed);
   EXPECT_FALSE(buffer.HasData());
   EXPECT_TRUE(buffer.HasSpaceOrClosed());
@@ -287,7 +287,13 @@ TEST_F(StagedEngineTest, JoinsAllAlgorithmsMatchVolcano) {
     auto volcano = exec::ExecutePlan(plan->get(), &ctx);
     auto staged = engine.Execute(plan->get());
     ASSERT_TRUE(volcano.ok() && staged.ok());
-    EXPECT_EQ(volcano->size(), staged->size());
+    std::vector<std::string> v, st;
+    for (const Tuple& t : *volcano) v.push_back(catalog::TupleToString(t));
+    for (const Tuple& t : *staged) st.push_back(catalog::TupleToString(t));
+    std::sort(v.begin(), v.end());
+    std::sort(st.begin(), st.end());
+    EXPECT_FALSE(v.empty());
+    EXPECT_EQ(v, st) << "algo " << static_cast<int>(algo);
   }
 }
 

@@ -3,7 +3,7 @@
 // close/zero-capacity edges, multi-consumer wakeup), the PartitionedExchange
 // hash routing, the mergeable partial-aggregation state, the planner's DOP
 // pass, and DOP>1 vs DOP=1 differential execution on the staged engine. The
-// concurrent cases are TSan-leg targets (ctest label: parallel).
+// concurrent cases are TSan-leg targets (ctest label: operators).
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -16,7 +16,7 @@
 
 #include "engine/exchange.h"
 #include "engine/staged_engine.h"
-#include "exec/partial_agg.h"
+#include "exec/operators.h"
 #include "optimizer/planner.h"
 #include "parser/parser.h"
 #include "storage/buffer_pool.h"
@@ -37,8 +37,8 @@ using optimizer::PhysicalPlan;
 using optimizer::Planner;
 using optimizer::PlannerOptions;
 
-TupleBatch MakeBatch(int start, int n) {
-  TupleBatch b;
+RowBatch MakeBatch(int start, int n) {
+  RowBatch b;
   for (int i = 0; i < n; ++i) b.tuples.push_back({Value::Int(start + i)});
   return b;
 }
@@ -48,7 +48,7 @@ TupleBatch MakeBatch(int start, int n) {
 TEST(ExchangeEdgeTest, TryPushAfterCloseReturnsClosedAndKeepsBatch) {
   ExchangeBuffer buffer(4);
   buffer.Close();
-  TupleBatch b = MakeBatch(0, 2);
+  RowBatch b = MakeBatch(0, 2);
   EXPECT_EQ(buffer.TryPush(&b), ExchangeBuffer::PushResult::kClosed);
   EXPECT_EQ(b.tuples.size(), 2u);  // batch is retained by the caller
   EXPECT_FALSE(buffer.HasData());
@@ -56,7 +56,7 @@ TEST(ExchangeEdgeTest, TryPushAfterCloseReturnsClosedAndKeepsBatch) {
 
 TEST(ExchangeEdgeTest, ZeroCapacityRejectsEveryPush) {
   ExchangeBuffer buffer(0);
-  TupleBatch b = MakeBatch(0, 1);
+  RowBatch b = MakeBatch(0, 1);
   EXPECT_EQ(buffer.TryPush(&b), ExchangeBuffer::PushResult::kFull);
   EXPECT_FALSE(buffer.HasSpaceOrClosed());
   buffer.Close();  // closed wins over full
@@ -72,7 +72,7 @@ TEST(ExchangeEdgeTest, MarkEofRacesTryPop) {
   constexpr int kPages = 200;
   std::thread producer([&] {
     for (int i = 0; i < kPages; ++i) {
-      TupleBatch b = MakeBatch(i, 1);
+      RowBatch b = MakeBatch(i, 1);
       while (buffer.TryPush(&b) != ExchangeBuffer::PushResult::kOk) {
         std::this_thread::yield();
       }
@@ -81,7 +81,7 @@ TEST(ExchangeEdgeTest, MarkEofRacesTryPop) {
   });
   int popped = 0;
   bool eof = false;
-  TupleBatch out;
+  RowBatch out;
   while (!eof) {
     if (buffer.TryPop(&out, &eof)) ++popped;
   }
@@ -94,7 +94,7 @@ TEST(ExchangeEdgeTest, EofCountsBoundProducers) {
   ExchangeBuffer buffer(8);
   buffer.BindProducer(nullptr, nullptr);
   buffer.BindProducer(nullptr, nullptr);
-  TupleBatch out;
+  RowBatch out;
   bool eof = false;
   buffer.MarkEof();  // first of two producers
   EXPECT_FALSE(buffer.TryPop(&out, &eof));
@@ -120,7 +120,7 @@ class DrainTask : public StageTask {
       : buffer_(buffer), consumed_(consumed) {}
 
   RunOutcome Run() override {
-    TupleBatch out;
+    RowBatch out;
     bool eof = false;
     // One page per invocation keeps both consumers participating.
     if (buffer_->TryPop(&out, &eof)) {
@@ -158,7 +158,7 @@ TEST(ExchangeEdgeTest, MultiConsumerWakeup) {
 
   constexpr int kPages = 300, kPerPage = 7;
   for (int i = 0; i < kPages; ++i) {
-    TupleBatch batch = MakeBatch(i * kPerPage, kPerPage);
+    RowBatch batch = MakeBatch(i * kPerPage, kPerPage);
     while (buffer.TryPush(&batch) != ExchangeBuffer::PushResult::kOk) {
       std::this_thread::yield();
     }
@@ -236,8 +236,9 @@ void CheckPartialRoundTrip(const AggSpec& spec,
   std::vector<AggAccumulator> partial(partitions);
   for (size_t i = 0; i < values.size(); ++i) {
     if (values[i].is_null()) continue;  // aggregation skips NULLs upstream
-    exec::AggAccumulate(&direct, spec, values[i]);
-    exec::AggAccumulate(&partial[i % partitions], spec, values[i]);
+    ASSERT_TRUE(exec::AggAccumulate(&direct, spec, values[i]).ok());
+    ASSERT_TRUE(
+        exec::AggAccumulate(&partial[i % partitions], spec, values[i]).ok());
   }
   AggAccumulator merged;
   for (const AggAccumulator& acc : partial) {

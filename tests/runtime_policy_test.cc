@@ -144,7 +144,7 @@ TEST(DGatedTest, ArrivalsDuringServiceWaitForNextVisit) {
 TEST(DGatedTest, SelfEnqueueIsServedNextVisitButSameVisitWhenNonGated) {
   for (const bool gated : {true, false}) {
     StageRuntime runtime(gated ? SchedulerPolicy::kDGated
-                               : SchedulerPolicy::kNonGated);
+                               : SchedulerPolicy::kCohort);
     Stage* stage = runtime.CreateStage("s", 1);
     std::atomic<int> retired{0};
     ChainTask c(stage, nullptr, &retired);
@@ -501,7 +501,7 @@ TEST_F(PolicyEngineTest, AllPoliciesProduceIdenticalResults) {
       "SELECT t2.c, COUNT(*) FROM t1 JOIN t2 ON t1.a = t2.a GROUP BY t2.c");
   const size_t expected = VolcanoRows(plan.get());
   for (auto policy :
-       {SchedulerPolicy::kFreeRun, SchedulerPolicy::kNonGated,
+       {SchedulerPolicy::kFreeRun, SchedulerPolicy::kCohort,
         SchedulerPolicy::kDGated, SchedulerPolicy::kTGated}) {
     StagedEngineOptions opts;
     opts.scheduler = policy;
