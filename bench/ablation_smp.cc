@@ -22,7 +22,6 @@
 
 using stagedb::catalog::Catalog;
 using stagedb::engine::StagedEngine;
-using stagedb::engine::StagedEngineOptions;
 
 int main() {
   stagedb::storage::MemDiskManager disk;
@@ -64,9 +63,7 @@ int main() {
   // Staged free-run: stages spread across cores, pipeline overlaps.
   double staged_ms;
   {
-    StagedEngineOptions opts;
-    opts.scheduler = stagedb::engine::SchedulerPolicy::kFreeRun;
-    StagedEngine engine(&catalog, opts);
+    StagedEngine engine(&catalog);
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i) {
       auto rows = engine.Execute(plan->get());

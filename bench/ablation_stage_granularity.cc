@@ -1,8 +1,7 @@
 // Ablation A4 (§4.4 "stage granularity"): fine-grained operator stages (the
 // Figure 3 execution engine) versus one coarse execute stage (the monolithic
-// end of the trade-off). Run under cohort scheduling, where granularity
-// determines how much module affinity the scheduler can exploit, and under
-// free-run, where fine granularity buys pipeline parallelism.
+// end of the trade-off). Fine granularity buys pipeline parallelism: packets
+// of one query flow through several stages at once.
 #include <chrono>
 #include <cstdio>
 
@@ -14,7 +13,6 @@
 #include "workload/wisconsin.h"
 
 using stagedb::catalog::Catalog;
-using stagedb::engine::SchedulerPolicy;
 using stagedb::engine::StagedEngine;
 using stagedb::engine::StagedEngineOptions;
 
@@ -62,24 +60,18 @@ int main() {
 
   std::printf("Ablation A4: stage granularity (5-query Wisconsin batch, "
               "real staged engine)\n\n");
-  std::printf("%-12s %-12s %-12s %-14s %-16s\n", "granularity", "scheduler",
-              "time (ms)", "stages", "stage switches");
+  std::printf("%-12s %-12s %-14s\n", "granularity", "time (ms)", "stages");
   for (auto granularity : {StagedEngineOptions::Granularity::kFine,
                            StagedEngineOptions::Granularity::kCoarse}) {
-    for (auto policy : {SchedulerPolicy::kFreeRun, SchedulerPolicy::kCohort}) {
-      StagedEngineOptions opts;
-      opts.granularity = granularity;
-      opts.scheduler = policy;
-      StagedEngine engine(&catalog, opts);
-      const double ms = RunBatch(&engine, plans, 3);
-      std::printf("%-12s %-12s %-12.1f %-14zu %-16lld\n",
-                  granularity == StagedEngineOptions::Granularity::kFine
-                      ? "fine"
-                      : "coarse",
-                  policy == SchedulerPolicy::kFreeRun ? "free-run" : "cohort",
-                  ms, engine.runtime()->stages().size(),
-                  static_cast<long long>(engine.runtime()->stage_switches()));
-    }
+    StagedEngineOptions opts;
+    opts.granularity = granularity;
+    StagedEngine engine(&catalog, opts);
+    const double ms = RunBatch(&engine, plans, 3);
+    std::printf("%-12s %-12.1f %-14zu\n",
+                granularity == StagedEngineOptions::Granularity::kFine
+                    ? "fine"
+                    : "coarse",
+                ms, engine.runtime()->stages().size());
   }
   std::printf("\nFine granularity exposes the operator pipeline (more "
               "stages, packets flow concurrently);\ncoarse granularity "

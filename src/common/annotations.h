@@ -1,6 +1,6 @@
 // Clang thread-safety-analysis (CTSA) annotation macros.
 //
-// The staged design's locking discipline — per-stage runtime mutexes,
+// The staged design's locking discipline — per-stage queue locks,
 // park/wake handshakes, bottom-up activation — is exactly the kind of
 // invariant that should be stated in the type system instead of rediscovered
 // by TSan one race at a time. These macros let a class declare which mutex

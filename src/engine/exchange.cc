@@ -17,10 +17,10 @@ void ExchangeBuffer::BindConsumer(Stage* stage, StageTask* task) {
 }
 
 void ExchangeBuffer::WakeAll(const std::vector<Endpoint>& endpoints) {
-  // Called outside mu_: Activate takes the runtime mutex, and holding both
-  // would order them against TryPush callers. The endpoint vectors are only
-  // appended to during query wiring (before any packet runs), so reading
-  // them unlocked here is safe.
+  // Called outside mu_, so the buffer's critical sections stay short
+  // (Activate takes the endpoint stage's lock). The endpoint vectors are
+  // only appended to during query wiring (before any packet runs), so
+  // reading them unlocked here is safe.
   for (const Endpoint& e : endpoints) {
     if (e.stage != nullptr && e.task != nullptr) e.stage->Activate(e.task);
   }
@@ -39,10 +39,10 @@ ExchangeBuffer::PushResult ExchangeBuffer::TryPush(RowBatch* batch) {
   }
   // Parent activation: the empty -> non-empty transition wakes the parked
   // (or not yet activated) consumers. A consumer can only be parked when it
-  // observed an empty buffer (the runtime re-checks CanMakeProgress under
-  // its mutex just before parking), so pushes onto a non-empty buffer need
-  // not wake anyone — that keeps fan-in edges from multiplying runtime-
-  // mutex traffic by their endpoint count. One push wakes ALL consumers:
+  // observed an empty buffer (the runtime re-checks CanMakeProgress just
+  // before parking), so pushes onto a non-empty buffer need not wake
+  // anyone — that keeps fan-in edges from multiplying stage-lock traffic by
+  // their endpoint count. One push wakes ALL consumers:
   // a batch is popped whole, but with several consumers bound the batch may
   // be consumed "in pieces" across packets, and only the wake lets each
   // re-evaluate.
@@ -213,7 +213,7 @@ void SpscRingBuffer::MarkEof() {
   // flag before the tail so the final batch is never skipped. Wakes
   // unconditionally: an empty stream's consumer may never have been
   // activated at all (see TryPush), and EOF is once-per-stream so the
-  // unconditional runtime-mutex hop costs nothing measurable.
+  // unconditional stage-lock hop costs nothing measurable.
   eof_.store(true, std::memory_order_release);
   WakeAll(consumers_);
 }

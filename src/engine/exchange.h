@@ -151,7 +151,7 @@ class ExchangeBuffer {
 /// cacheline beyond the two indices.
 ///
 /// Parking coordination (the staged runtime parks a packet that reports
-/// kBlocked) cannot ride the runtime mutex from the fast path without
+/// kBlocked) cannot ride a stage lock from the fast path without
 /// reintroducing the lock. Instead each side arms a waiting flag before its
 /// final emptiness/fullness re-check (HasData / HasSpaceOrClosed / AtEof are
 /// exactly the re-checks CanMakeProgress issues just before parking), and

@@ -14,57 +14,18 @@
 
 namespace stagedb::engine {
 
-// Lock ordering: exchange-buffer locks may be held while calling
-// Stage::Enqueue/Activate (which take the runtime mutex). The runtime never
-// calls back into task or buffer code while holding its mutex. The policy
-// object is only invoked with the runtime mutex held and must not block.
+// Locking: each stage has one mutex, Stage::mu_, guarding its queue,
+// counters and histograms. It is a leaf: the runtime runs no task, buffer or
+// owner code (Run, CanMakeProgress, OnRetired) while it holds it, and takes
+// no other lock under it. Callers may hold their own locks across
+// Enqueue/Activate (a commit or vacuum owner holds its lock across
+// ServiceTask::Activate); ExchangeBuffer::WakeAll activates outside the
+// buffer lock. StageRuntime::stages_mu_ guards only the stage and worker
+// lists and is never held while a stage lock is taken.
 
 namespace {
 
 int64_t NowMicros() { return RealClock::Instance()->NowMicros(); }
-
-/// free-run: no rotation; every stage serves whenever it has packets.
-class FreeRunPolicy : public SchedulingPolicy {
- public:
-  std::string name() const override { return "free-run"; }
-  bool free_run() const override { return true; }
-};
-
-/// non-gated: exhaustive service — the visit admits arrivals and ends only
-/// when the stage is fully drained.
-class NonGatedPolicy : public SchedulingPolicy {
- public:
-  std::string name() const override { return "non-gated"; }
-  int64_t OnVisitStart(size_t) override { return kUnbounded; }
-};
-
-/// D-gated: one gate per visit, closed at rotation arrival.
-class DGatedPolicy : public SchedulingPolicy {
- public:
-  std::string name() const override { return "D-gated"; }
-  int64_t OnVisitStart(size_t queued) override {
-    return static_cast<int64_t>(queued);
-  }
-};
-
-/// T-gated(k): up to k gate rounds per visit.
-class TGatedPolicy : public SchedulingPolicy {
- public:
-  explicit TGatedPolicy(int gate_rounds)
-      : gate_rounds_(std::max(2, gate_rounds)) {}
-  std::string name() const override {
-    return StrFormat("T-gated(%d)", gate_rounds_);
-  }
-  int64_t OnVisitStart(size_t queued) override {
-    return static_cast<int64_t>(queued);
-  }
-  int64_t OnGateExhausted(size_t queued, int rounds_done) override {
-    return rounds_done < gate_rounds_ ? static_cast<int64_t>(queued) : 0;
-  }
-
- private:
-  const int gate_rounds_;
-};
 
 void PinThread(std::thread* thread, int cpu) {
 #if defined(__linux__)
@@ -91,61 +52,26 @@ StagePoolSpec PoolSpecFor(const std::map<std::string, StagePoolSpec>& pools,
   return spec;
 }
 
-std::unique_ptr<SchedulingPolicy> MakeSchedulerPolicy(SchedulerPolicy policy,
-                                                      int gate_rounds) {
-  switch (policy) {
-    case SchedulerPolicy::kFreeRun:
-      return std::make_unique<FreeRunPolicy>();
-    case SchedulerPolicy::kCohort:
-      return std::make_unique<NonGatedPolicy>();
-    case SchedulerPolicy::kDGated:
-      return std::make_unique<DGatedPolicy>();
-    case SchedulerPolicy::kTGated:
-      return std::make_unique<TGatedPolicy>(gate_rounds);
-  }
-  return std::make_unique<FreeRunPolicy>();
-}
-
-// Caller holds the runtime mutex and has already transitioned the packet to
-// kQueued. The single place queue membership is granted, so the wait-time
-// stamp and the rotation update cannot be missed by any enqueue path.
+// The packet is already kQueued. The single place queue membership is
+// granted, so no enqueue path can miss the wait-time stamp.
 void Stage::PushLocked(StageTask* task) {
   task->enqueue_micros_ = NowMicros();
   queue_.push_back(task);
-  // run_mu_ IS runtime_->mu_, but the analysis matches capability
-  // expressions structurally and cannot equate the two spellings; restate
-  // the held lock under the runtime's name for the REQUIRES(mu_) call.
-  runtime_->mu_.AssertHeld();
-  runtime_->MaybeRotateLocked();
+}
+
+void Stage::Push(StageTask* task) {
+  {
+    MutexLock lock(mu_);
+    PushLocked(task);
+  }
+  cv_.NotifyOne();
 }
 
 void Stage::Enqueue(StageTask* task) {
-  // A packet may be (re)queued from idle (fresh, parked, or moving between
-  // stages) or from running (worker requeue after kYield). The CAS winner
-  // re-homes the packet, which is how packets travel through the lifecycle
-  // stages (connect -> parse -> optimize -> execute -> disconnect).
   auto expected = StageTask::State::kIdle;
-  if (!task->state_.compare_exchange_strong(expected,
-                                            StageTask::State::kQueued)) {
-    expected = StageTask::State::kRunning;
-    if (!task->state_.compare_exchange_strong(expected,
-                                              StageTask::State::kQueued)) {
-      return;  // already queued or done
-    }
-  }
-  task->home_stage_ = this;
-  {
-    MutexLock lock(*run_mu_);
-    PushLocked(task);
-  }
-  Wake();
-}
-
-void Stage::Wake() {
-  if (runtime_->free_run_) {
-    cv_.NotifyOne();
-  } else {
-    runtime_->cv_.NotifyAll();
+  if (task->state_.compare_exchange_strong(expected,
+                                           StageTask::State::kQueued)) {
+    Push(task);
   }
 }
 
@@ -156,11 +82,11 @@ void Stage::Activate(StageTask* task) {
     if (expected != StageTask::State::kRunning) {
       return;  // queued or done: it will see the new state itself
     }
-    // Still running: its worker may be about to park it. Retry under the
-    // runtime mutex, which serializes with the park decision in FinishTask;
-    // if the packet is still running there, leave a wake-pending marker the
+    // Still running: its worker may be about to park it. Retry under this
+    // stage's lock, under which FinishTask makes the park decision; if the
+    // packet is still running there, leave a wake-pending marker the
     // parking worker consumes (it requeues instead of parking).
-    MutexLock lock(*run_mu_);
+    MutexLock lock(mu_);
     expected = StageTask::State::kIdle;
     if (!task->state_.compare_exchange_strong(expected,
                                               StageTask::State::kQueued)) {
@@ -169,12 +95,9 @@ void Stage::Activate(StageTask* task) {
       }
       return;
     }
-    PushLocked(task);
-  } else {
-    MutexLock lock(*run_mu_);
-    PushLocked(task);
   }
-  Wake();
+  assert(task->ran_on_ == nullptr || task->ran_on_ == this);
+  Push(task);
 }
 
 void ServiceTask::Activate(Stage* stage) {
@@ -203,17 +126,134 @@ void ServiceTask::WaitRetired(Stage* stage) {
   }
 }
 
+int64_t Stage::packets_processed() const {
+  MutexLock lock(mu_);
+  return processed_;
+}
+
+int64_t Stage::packets_yielded() const {
+  MutexLock lock(mu_);
+  return yielded_;
+}
+
+int64_t Stage::packets_blocked() const {
+  MutexLock lock(mu_);
+  return blocked_;
+}
+
 size_t Stage::queue_depth() const {
-  MutexLock lock(*run_mu_);
+  MutexLock lock(mu_);
   return queue_.size();
 }
 
-StageRuntime::StageRuntime(SchedulerPolicy policy)
-    : StageRuntime(MakeSchedulerPolicy(policy)) {}
+void Stage::CountParallelPackets(int64_t count) {
+  MutexLock lock(mu_);
+  parallel_packets_ += count;
+  ++parallel_groups_;
+}
 
-StageRuntime::StageRuntime(std::unique_ptr<SchedulingPolicy> policy)
-    : policy_(std::move(policy)), free_run_(policy_->free_run()) {
-  assert(policy_ != nullptr);
+StageTask* Stage::WaitForTask() {
+  MutexLock lock(mu_);
+  bool woken = false;
+  while (!stopping_) {
+    if (!queue_.empty()) {
+      StageTask* task = queue_.front();
+      queue_.pop_front();
+      auto expected = StageTask::State::kQueued;
+      const bool ok = task->state_.compare_exchange_strong(
+          expected, StageTask::State::kRunning);
+      assert(ok && "queued packet not in queued state");
+      (void)ok;
+      ++pops_;
+      const int64_t now = NowMicros();
+      wait_micros_.Record(static_cast<double>(now - task->enqueue_micros_));
+      task->service_start_micros_ = now;
+      task->ran_on_ = this;
+      return task;
+    }
+    if (woken) ++spurious_wakeups_;
+    cv_.Wait(mu_);
+    woken = true;
+    ++wakeups_;
+  }
+  return nullptr;
+}
+
+void Stage::FinishTask(StageTask* task, RunOutcome outcome) {
+  const int64_t end = NowMicros();
+  // Decide park-vs-requeue while this worker still owns the packet (state
+  // kRunning): once kIdle is published, another thread may activate, serve,
+  // and retire the packet, so it must never be touched after that store.
+  // CanMakeProgress may take exchange-buffer locks, so it runs before the
+  // stage lock is taken.
+  const bool can_progress =
+      outcome == RunOutcome::kBlocked && task->CanMakeProgress();
+  Stage* next = nullptr;
+  bool requeue = false;
+  {
+    MutexLock lock(mu_);
+    service_micros_.Record(
+        static_cast<double>(end - task->service_start_micros_));
+    switch (outcome) {
+      case RunOutcome::kDone:
+        ++processed_;
+        task->state_.store(StageTask::State::kDone);
+        break;
+      case RunOutcome::kMoved:
+        ++processed_;
+        next = task->next_stage_;
+        task->next_stage_ = nullptr;
+        assert(next != nullptr && "kMoved without a destination stage");
+        task->state_.store(StageTask::State::kQueued);
+        break;
+      case RunOutcome::kYield:
+        ++yielded_;
+        requeue = true;
+        break;
+      case RunOutcome::kBlocked: {
+        ++blocked_;
+        // wake_pending_ (set by an Activate that raced with Run()) is
+        // consumed under the lock Activate's retry takes. A flag set during
+        // a Run that ends in kYield/kMoved survives to the next park and
+        // causes at most one spurious requeue: the packet just re-blocks.
+        const bool woken =
+            task->wake_pending_.exchange(false, std::memory_order_relaxed);
+        requeue = can_progress || woken;
+        if (!requeue) {
+          task->state_.store(StageTask::State::kIdle);  // parked; hands off
+        }
+        break;
+      }
+    }
+    if (requeue) {
+      task->state_.store(StageTask::State::kQueued);
+      PushLocked(task);
+    }
+  }
+  if (outcome == RunOutcome::kDone) {
+    // After OnRetired the packet may be freed by its owner; it must be the
+    // last access in the runtime. A retirement gives no worker anything new
+    // to run, so it wakes no one; neither does a park.
+    task->OnRetired();
+  } else if (next != nullptr) {
+    next->Push(task);
+  } else if (requeue) {
+    cv_.NotifyOne();
+  }
+}
+
+void Stage::WorkerLoop() {
+  while (StageTask* task = WaitForTask()) {
+    FinishTask(task, task->Run());
+  }
+}
+
+void Stage::Stop() {
+  {
+    MutexLock lock(mu_);
+    stopping_ = true;
+  }
+  cv_.NotifyAll();
 }
 
 StageRuntime::~StageRuntime() { Shutdown(); }
@@ -226,244 +266,49 @@ Stage* StageRuntime::CreateStage(const std::string& name, int num_workers) {
 
 Stage* StageRuntime::CreateStage(const std::string& name, StagePoolSpec spec) {
   spec.num_workers = std::max(1, spec.num_workers);
-  std::unique_ptr<Stage> stage(
-      new Stage(this, &mu_, name, static_cast<int>(stages_.size()), spec));
-  Stage* ptr = stage.get();
-  {
-    MutexLock lock(mu_);
-    stages_.push_back(std::move(stage));
-  }
+  MutexLock lock(stages_mu_);
+  stages_.push_back(std::unique_ptr<Stage>(
+      new Stage(name, static_cast<int>(stages_.size()), spec)));
+  Stage* stage = stages_.back().get();
   for (int i = 0; i < spec.num_workers; ++i) {
-    workers_.emplace_back([this, ptr] { WorkerLoop(ptr); });
+    workers_.emplace_back([stage] { stage->WorkerLoop(); });
     PinThread(&workers_.back(), spec.pinned_cpu);
   }
-  return ptr;
+  return stage;
+}
+
+std::vector<Stage*> StageRuntime::stages() const {
+  MutexLock lock(stages_mu_);
+  std::vector<Stage*> out;
+  out.reserve(stages_.size());
+  for (const auto& stage : stages_) out.push_back(stage.get());
+  return out;
 }
 
 void StageRuntime::Shutdown() {
+  std::vector<std::thread> workers;
   {
-    MutexLock lock(mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
+    MutexLock lock(stages_mu_);
+    workers.swap(workers_);
   }
-  cv_.NotifyAll();
-  for (const auto& stage : stages_) stage->cv_.NotifyAll();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
-}
-
-void StageRuntime::MaybeRotateLocked() {
-  if (free_run_ || stages_.empty()) return;
-  if (visit_open_ && active_stage_ < stages_.size()) {
-    Stage* active = stages_[active_stage_].get();
-    // mu_ IS active->run_mu_; the analysis cannot equate the spellings.
-    active->run_mu_->AssertHeld();
-    const bool gate_open = gate_remaining_ == SchedulingPolicy::kUnbounded
-                               ? !active->queue_.empty()
-                               : gate_remaining_ > 0;
-    if (gate_open || active->inflight_ > 0) return;  // visit continues
-    // Gate exhausted and the stage is idle: the policy may re-gate over the
-    // packets that arrived during the visit (T-gated), else the visit ends.
-    // Non-positive admissions (other than kUnbounded) end the visit — an
-    // open visit with an empty gate would stall the rotation forever.
-    if (!active->queue_.empty()) {
-      const int64_t admit = policy_->OnGateExhausted(active->queue_.size(),
-                                                     visit_rounds_);
-      if (admit == SchedulingPolicy::kUnbounded || admit > 0) {
-        gate_remaining_ =
-            admit == SchedulingPolicy::kUnbounded
-                ? admit
-                : std::min<int64_t>(admit, active->queue_.size());
-        ++visit_rounds_;
-        ++active->gate_rounds_;
-        return;
-      }
-    }
-    visit_open_ = false;
-  }
-  // Advance to the next stage with queued packets (round-robin; the current
-  // stage is considered last) and open a fresh visit there. A stage whose
-  // OnVisitStart admits nothing is skipped this scan (no empty-gated visit
-  // is ever opened), so one refusing stage cannot wedge the others; the
-  // scan re-runs on every enqueue/finish event.
-  const size_t n = stages_.size();
-  for (size_t k = 1; k <= n; ++k) {
-    const size_t idx = (active_stage_ + k) % n;
-    Stage* next = stages_[idx].get();
-    next->run_mu_->AssertHeld();  // mu_ under the stage's spelling
-    if (next->queue_.empty()) continue;
-    const int64_t admit = policy_->OnVisitStart(next->queue_.size());
-    if (admit != SchedulingPolicy::kUnbounded && admit <= 0) continue;
-    if (idx != active_stage_) {
-      active_stage_ = idx;
-      stage_switches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    gate_remaining_ = admit == SchedulingPolicy::kUnbounded
-                          ? admit
-                          : std::min<int64_t>(admit, next->queue_.size());
-    visit_rounds_ = 1;
-    visit_open_ = true;
-    ++next->visits_;
-    ++next->gate_rounds_;
-    return;
-  }
-  // No queued work anywhere (or no stage admitted): stay idle until the
-  // next Enqueue/Activate re-runs the scan.
-}
-
-StageTask* StageRuntime::WaitForTask(Stage* stage) {
-  MutexLock lock(mu_);
-  // mu_ IS stage->run_mu_; the analysis cannot equate the two spellings, so
-  // restate the held lock under the stage's name for its guarded fields.
-  stage->run_mu_->AssertHeld();
-  bool woken = false;
-  while (true) {
-    if (shutdown_) return nullptr;
-    bool allowed = free_run_;
-    if (!allowed && visit_open_ && active_stage_ < stages_.size() &&
-        stages_[active_stage_].get() == stage) {
-      allowed = gate_remaining_ == SchedulingPolicy::kUnbounded ||
-                gate_remaining_ > 0;
-    }
-    if (allowed && !stage->queue_.empty()) {
-      StageTask* task = stage->queue_.front();
-      stage->queue_.pop_front();
-      if (gate_remaining_ > 0) --gate_remaining_;
-      auto expected = StageTask::State::kQueued;
-      const bool ok = task->state_.compare_exchange_strong(
-          expected, StageTask::State::kRunning);
-      assert(ok && "queued packet not in queued state");
-      (void)ok;
-      ++stage->inflight_;
-      ++stage->pops_;
-      const int64_t now = NowMicros();
-      stage->wait_micros_.Record(
-          static_cast<double>(now - task->enqueue_micros_));
-      task->service_start_micros_ = now;
-      return task;
-    }
-    if (woken) ++stage->spurious_wakeups_;
-    (free_run_ ? stage->cv_ : cv_).Wait(mu_);
-    woken = true;
-    ++stage->wakeups_;
-  }
-}
-
-void StageRuntime::FinishTask(Stage* stage, StageTask* task,
-                              RunOutcome outcome) {
-  {
-    MutexLock lock(mu_);
-    stage->run_mu_->AssertHeld();  // mu_ under the stage's spelling
-    --stage->inflight_;
-    stage->service_micros_.Record(
-        static_cast<double>(NowMicros() - task->service_start_micros_));
-  }
-  switch (outcome) {
-    case RunOutcome::kDone: {
-      task->state_.store(StageTask::State::kDone);
-      stage->processed_.fetch_add(1, std::memory_order_relaxed);
-      // After OnRetired the packet may be freed by its owner; it must be the
-      // last access in the runtime.
-      task->OnRetired();
-      task = nullptr;
-      // Under a gated policy the inflight decrement above may have ended
-      // the visit; the other outcomes rotate inside their (Push|Enqueue)
-      // calls. Free-run has no rotation, and a retirement gives no other
-      // worker anything new to run, so it wakes no one.
-      if (!free_run_) {
-        {
-          MutexLock lock(mu_);
-          MaybeRotateLocked();
-        }
-        cv_.NotifyAll();
-      }
-      break;
-    }
-    case RunOutcome::kYield:
-      stage->yielded_.fetch_add(1, std::memory_order_relaxed);
-      stage->Enqueue(task);  // transitions kRunning -> kQueued
-      break;
-    case RunOutcome::kMoved: {
-      stage->processed_.fetch_add(1, std::memory_order_relaxed);
-      Stage* next = task->next_stage_;
-      task->next_stage_ = nullptr;
-      assert(next != nullptr && "kMoved without a destination stage");
-      next->Enqueue(task);  // transitions kRunning -> kQueued on `next`
-      break;
-    }
-    case RunOutcome::kBlocked: {
-      stage->blocked_.fetch_add(1, std::memory_order_relaxed);
-      // Decide park-vs-requeue while this worker still owns the packet
-      // (state kRunning): once kIdle is published, another thread may
-      // activate, serve, and retire the packet, so it must never be touched
-      // after that store. CanMakeProgress runs outside the runtime mutex
-      // (it may take exchange-buffer locks); wake_pending_ — set by an
-      // Activate that raced with Run() — is consumed under the mutex, which
-      // serializes with Activate's locked retry. (A flag set during a Run
-      // that ends in kYield/kMoved survives to the next park and causes at
-      // most one spurious requeue — benign, the packet just re-blocks.)
-      const bool can_progress = task->CanMakeProgress();
-      bool requeued = false;
-      {
-        MutexLock lock(mu_);
-        stage->run_mu_->AssertHeld();  // mu_ under the stage's spelling
-        const bool woken =
-            task->wake_pending_.exchange(false, std::memory_order_relaxed);
-        requeued = can_progress || woken;
-        if (requeued) {
-          task->state_.store(StageTask::State::kQueued);
-          stage->PushLocked(task);
-        } else {
-          task->state_.store(StageTask::State::kIdle);  // parked; hands off
-          MaybeRotateLocked();
-        }
-      }
-      // A park gives a free-run worker nothing to run; under a gated policy
-      // it may have ended the visit, so the rotation's next stage must wake.
-      if (requeued) {
-        stage->Wake();
-      } else if (!free_run_) {
-        cv_.NotifyAll();
-      }
-      break;
-    }
-  }
-}
-
-void StageRuntime::WorkerLoop(Stage* stage) {
-  while (true) {
-    StageTask* task = WaitForTask(stage);
-    if (task == nullptr) return;
-    const RunOutcome outcome = task->Run();
-    FinishTask(stage, task, outcome);
-  }
+  for (Stage* stage : stages()) stage->Stop();
+  for (std::thread& t : workers) t.join();
 }
 
 StageRuntime::StatsSnapshot StageRuntime::Stats() const {
-  MutexLock lock(mu_);
   StatsSnapshot snap;
-  snap.policy = policy_->name();
-  snap.stage_switches = stage_switches_.load(std::memory_order_relaxed);
-  snap.stages.reserve(stages_.size());
-  for (const auto& owned : stages_) {
-    const Stage* stage = owned.get();
-    stage->run_mu_->AssertHeld();  // mu_ under the stage's spelling
+  for (const Stage* stage : stages()) {
     StageStats s;
     s.name = stage->name_;
     s.num_workers = stage->spec_.num_workers;
     s.pinned_cpu = stage->spec_.pinned_cpu;
+    MutexLock lock(stage->mu_);
     s.queue_depth = stage->queue_.size();
-    s.processed = stage->processed_.load(std::memory_order_relaxed);
-    s.yielded = stage->yielded_.load(std::memory_order_relaxed);
-    s.blocked = stage->blocked_.load(std::memory_order_relaxed);
-    s.parallel_packets =
-        stage->parallel_packets_.load(std::memory_order_relaxed);
-    s.parallel_groups =
-        stage->parallel_groups_.load(std::memory_order_relaxed);
-    s.visits = stage->visits_;
-    s.gate_rounds = stage->gate_rounds_;
+    s.processed = stage->processed_;
+    s.yielded = stage->yielded_;
+    s.blocked = stage->blocked_;
+    s.parallel_packets = stage->parallel_packets_;
+    s.parallel_groups = stage->parallel_groups_;
     s.pops = stage->pops_;
     s.wakeups = stage->wakeups_;
     s.spurious_wakeups = stage->spurious_wakeups_;
@@ -475,18 +320,14 @@ StageRuntime::StatsSnapshot StageRuntime::Stats() const {
 }
 
 std::string StageRuntime::StatsSnapshot::ToString() const {
-  std::string out =
-      StrFormat("policy=%s stage_switches=%lld\n", policy.c_str(),
-                static_cast<long long>(stage_switches));
+  std::string out;
   for (const StageStats& s : stages) {
     out += StrFormat(
-        "  %-12s workers=%d%s depth=%zu pops=%lld visits=%lld "
-        "pkts/visit=%.1f wakeups=%lld spurious=%lld wait_p50=%.0fus "
-        "wait_p95=%.0fus svc_p50=%.0fus\n",
+        "  %-12s workers=%d%s depth=%zu pops=%lld wakeups=%lld "
+        "spurious=%lld wait_p50=%.0fus wait_p95=%.0fus svc_p50=%.0fus\n",
         s.name.c_str(), s.num_workers,
         s.pinned_cpu >= 0 ? StrFormat("@cpu%d", s.pinned_cpu).c_str() : "",
         s.queue_depth, static_cast<long long>(s.pops),
-        static_cast<long long>(s.visits), s.PacketsPerVisit(),
         static_cast<long long>(s.wakeups),
         static_cast<long long>(s.spurious_wakeups),
         s.wait_micros.Percentile(50), s.wait_micros.Percentile(95),

@@ -884,8 +884,6 @@ class DmlTask : public StageTask {
 StagedEngine::StagedEngine(catalog::Catalog* catalog,
                            StagedEngineOptions options)
     : catalog_(catalog), options_(std::move(options)),
-      runtime_(MakeSchedulerPolicy(options_.scheduler,
-                                   options_.scheduler_gate_rounds)),
       shared_scans_(std::make_unique<SharedScanManager>(
           options_.shared_scan_window_pages)) {
   if (options_.granularity == StagedEngineOptions::Granularity::kCoarse) {

@@ -34,11 +34,6 @@ namespace stagedb::engine {
 
 /// Engine knobs (§4.4 tuning parameters).
 struct StagedEngineOptions {
-  /// Global scheduling policy (the Figure-5 family; see engine/runtime.h):
-  /// kFreeRun, kCohort (exhaustive), kDGated, kTGated.
-  SchedulerPolicy scheduler = SchedulerPolicy::kFreeRun;
-  /// Gate rounds per visit when scheduler == kTGated (2 = "T-gated(2)").
-  int scheduler_gate_rounds = 2;
   /// Default worker-pool size for stages without a stage_pools entry.
   int threads_per_stage = 1;
   /// Per-stage pool overrides (size + optional core pinning), keyed by stage

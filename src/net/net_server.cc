@@ -571,8 +571,8 @@ void NetServer::HandleAccepted(int fd) {
     // the task can then run, retire, and be freed before the Enqueue below
     // touches it. Activations take task_mu, so they serialize behind this
     // block and no-op on the already-queued task. Lock order (task_mu, then
-    // the runtime mutex inside Enqueue) matches every activation path, and
-    // OnRetired takes task_mu without the runtime mutex, so there is no
+    // the stage lock inside Enqueue) matches every activation path, and
+    // OnRetired takes task_mu without a stage lock, so there is no
     // inversion.
     MutexLock lock(conn->task_mu);
     conn->read_task = read_task;

@@ -306,13 +306,11 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     opts.exchange_capacity_pages = db->options_.exchange_buffer_pages;
     opts.tuples_per_page = db->options_.tuples_per_page;
     opts.threads_per_stage = db->options_.threads_per_stage;
-    opts.scheduler = db->options_.scheduler;
-    opts.scheduler_gate_rounds = db->options_.scheduler_gate_rounds;
     opts.stage_pools = db->options_.stage_pools;
     opts.max_dop = db->options_.max_dop;
     if (group_commit) {
       // The commit stage rides the engine's own runtime: "commit" appears
-      // beside fscan/join in the stage table and obeys the same policy.
+      // beside fscan/join in the stage table.
       opts.wal = db->wal_.get();
       opts.group_commit_max_batch = db->options_.group_commit_max_batch;
       opts.group_commit_max_wait_us = db->options_.group_commit_max_wait_us;
@@ -327,8 +325,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     // The volcano engine runs every node on the calling thread: parallel
     // plan shapes would only add a partial/merge hop it gains nothing from.
     db->options_.planner.max_dop = 1;
-    db->commit_runtime_ = std::make_unique<engine::StageRuntime>(
-        engine::SchedulerPolicy::kFreeRun);
+    db->commit_runtime_ = std::make_unique<engine::StageRuntime>();
     if (group_commit) {
       engine::GroupCommitStage::Options gc;
       gc.max_batch = db->options_.group_commit_max_batch;

@@ -65,10 +65,6 @@ struct DatabaseOptions {
   size_t exchange_buffer_pages = 4;
   size_t tuples_per_page = 64;
   int threads_per_stage = 1;
-  /// Global scheduling policy across the engine's operator stages (the
-  /// Figure-5 family; see engine/runtime.h) and the T-gated(k) round bound.
-  engine::SchedulerPolicy scheduler = engine::SchedulerPolicy::kFreeRun;
-  int scheduler_gate_rounds = 2;
   /// Partitioned intra-query parallelism (§4.3): maximum number of partition
   /// packets one hash-join or aggregation may fan out to inside the staged
   /// engine. Threaded into both the planner (which tags eligible plan nodes

@@ -315,9 +315,7 @@ void LifecycleTask::OnRetired() {
 // ------------------------------------------------------------ StagedServer --
 
 StagedServer::StagedServer(Database* db, ServerOptions options)
-    : db_(db), options_(std::move(options)),
-      runtime_(engine::MakeSchedulerPolicy(options_.scheduler,
-                                           options_.scheduler_gate_rounds)) {
+    : db_(db), options_(std::move(options)) {
   auto pool = [this](const char* name) {
     return engine::PoolSpecFor(options_.stage_pools, name,
                                options_.threads_per_stage);

@@ -70,10 +70,6 @@ struct ServerOptions {
   /// Admission (connect) queue capacity; a full queue blocks Submit — the
   /// §5.2 overload back-pressure.
   size_t admission_capacity = 128;
-  /// Scheduling policy for the lifecycle runtime (connect/parse/optimize/
-  /// execute/disconnect) — the Figure-5 family, see engine/runtime.h.
-  engine::SchedulerPolicy scheduler = engine::SchedulerPolicy::kFreeRun;
-  int scheduler_gate_rounds = 2;
   /// Per-stage pool overrides for the lifecycle stages ("connect", "parse",
   /// "optimize", "execute", "disconnect"); absent = threads_per_stage.
   std::map<std::string, engine::StagePoolSpec> stage_pools;

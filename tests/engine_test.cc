@@ -52,7 +52,7 @@ class CountingTask : public StageTask {
 };
 
 TEST(RuntimeTest, RunsAndRetiresPackets) {
-  StageRuntime runtime(SchedulerPolicy::kFreeRun);
+  StageRuntime runtime;
   Stage* stage = runtime.CreateStage("s", 2);
   std::atomic<int> runs{0}, retired{0};
   std::vector<std::unique_ptr<CountingTask>> tasks;
@@ -85,7 +85,7 @@ class BlockingTask : public StageTask {
 };
 
 TEST(RuntimeTest, BlockedPacketsParkAndWake) {
-  StageRuntime runtime(SchedulerPolicy::kFreeRun);
+  StageRuntime runtime;
   Stage* stage = runtime.CreateStage("s", 1);
   std::atomic<bool> ready{false};
   std::atomic<int> done{0};
@@ -97,22 +97,6 @@ TEST(RuntimeTest, BlockedPacketsParkAndWake) {
   ready = true;
   stage->Activate(&task);
   while (done.load() == 0) std::this_thread::yield();
-  runtime.Shutdown();
-}
-
-TEST(RuntimeTest, CohortPolicyRotatesBetweenStages) {
-  StageRuntime runtime(SchedulerPolicy::kCohort);
-  Stage* a = runtime.CreateStage("a", 1);
-  Stage* b = runtime.CreateStage("b", 1);
-  std::atomic<int> runs{0}, retired{0};
-  std::vector<std::unique_ptr<CountingTask>> tasks;
-  for (int i = 0; i < 6; ++i) {
-    tasks.push_back(std::make_unique<CountingTask>(2, &runs, &retired));
-    (i % 2 == 0 ? a : b)->Enqueue(tasks.back().get());
-  }
-  while (retired.load() < 6) std::this_thread::yield();
-  EXPECT_EQ(runs.load(), 12);
-  EXPECT_GE(runtime.stage_switches(), 1);
   runtime.Shutdown();
 }
 
@@ -339,14 +323,6 @@ TEST_F(StagedEngineTest, TinyExchangeBuffersStillComplete) {
   Differential(&engine, "SELECT b, COUNT(*) FROM t1 GROUP BY b");
 }
 
-TEST_F(StagedEngineTest, CohortSchedulingProducesSameResults) {
-  StagedEngineOptions opts;
-  opts.scheduler = SchedulerPolicy::kCohort;
-  StagedEngine engine(catalog_.get(), opts);
-  Differential(&engine, "SELECT t1.a, t2.c FROM t1 JOIN t2 ON t1.a = t2.a");
-  EXPECT_GE(engine.runtime()->stage_switches(), 1);
-}
-
 TEST_F(StagedEngineTest, CoarseGranularitySingleStage) {
   StagedEngineOptions opts;
   opts.granularity = StagedEngineOptions::Granularity::kCoarse;
@@ -399,8 +375,8 @@ TEST_F(StagedEngineTest, DmlRunsOnDmlStage) {
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_GT((*rows)[0][0].int_value(), 0);
   Stage* dml = nullptr;
-  for (const auto& stage : engine.runtime()->stages()) {
-    if (stage->name() == "dml") dml = stage.get();
+  for (Stage* stage : engine.runtime()->stages()) {
+    if (stage->name() == "dml") dml = stage;
   }
   ASSERT_NE(dml, nullptr);
   EXPECT_GE(dml->packets_processed(), 1);

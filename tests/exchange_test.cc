@@ -229,7 +229,7 @@ TEST(ExchangeCloseTest, CloseWakesEveryParkedConsumer) {
   // Lost-wakeup regression: two consumer packets park on an empty mutex
   // buffer; Close() (query cancellation) must wake BOTH so they observe
   // EOF and finish — a Close that only signals producers deadlocks here.
-  StageRuntime runtime(SchedulerPolicy::kFreeRun);
+  StageRuntime runtime;
   Stage* stage = runtime.CreateStage("drain", 2);
   ExchangeBuffer buffer(4);
   std::atomic<int> consumed{0};
@@ -250,7 +250,7 @@ TEST(ExchangeCloseTest, BatchedPushesWakeParkedConsumersUntilDrained) {
   // Empty→non-empty signaling under batched pushes: each push of a
   // multi-row batch must wake parked consumers; the pair together must
   // account for every row exactly once.
-  StageRuntime runtime(SchedulerPolicy::kFreeRun);
+  StageRuntime runtime;
   Stage* stage = runtime.CreateStage("drain", 2);
   ExchangeBuffer buffer(2);  // tiny: pushes alternate full/empty
   std::atomic<int> consumed{0};

@@ -146,7 +146,7 @@ TEST(ExchangeEdgeTest, MultiConsumerWakeup) {
   // Two parked consumer packets share one buffer; every push must wake them
   // (a lost wakeup deadlocks this test), and together they must drain
   // exactly what was produced.
-  StageRuntime runtime(SchedulerPolicy::kFreeRun);
+  StageRuntime runtime;
   Stage* stage = runtime.CreateStage("drain", 2);
   ExchangeBuffer buffer(4);
   std::atomic<int> consumed{0};

@@ -217,7 +217,7 @@ TEST(GroupCommitTest, ConcurrentCommitsShareSyncs) {
   auto& wal = *wal_or;
   constexpr int kCommits = 32;
   {
-    engine::StageRuntime runtime(engine::SchedulerPolicy::kFreeRun);
+    engine::StageRuntime runtime;
     engine::GroupCommitStage::Options opts;
     opts.max_batch = 64;
     opts.max_wait_us = 3000;  // wide window so concurrent commits coalesce
@@ -263,7 +263,7 @@ TEST(GroupCommitTest, DrainFlushesPendingAndRejectsNew) {
   std::remove(path.c_str());
   auto wal_or = WriteAheadLog::Open(path);
   ASSERT_TRUE(wal_or.ok());
-  engine::StageRuntime runtime(engine::SchedulerPolicy::kFreeRun);
+  engine::StageRuntime runtime;
   engine::GroupCommitStage::Options opts;
   opts.max_wait_us = 1000000;  // window would hold commits for a second...
   engine::GroupCommitStage gc(&runtime, wal_or->get(), opts,

@@ -116,22 +116,6 @@ TEST_F(ServerTest, StatsReportsAreInformative) {
   EXPECT_NE(threaded.StatsReport().find("served=1"), std::string::npos);
 }
 
-TEST_F(ServerTest, StagedServerWithCohortScheduling) {
-  ServerOptions opts;
-  opts.scheduler = engine::SchedulerPolicy::kCohort;
-  StagedServer server(db_.get(), opts);
-  std::vector<std::shared_ptr<Request>> requests;
-  for (int i = 0; i < 10; ++i) {
-    requests.push_back(server.Submit("SELECT COUNT(*) FROM t WHERE b = 1"));
-  }
-  for (auto& r : requests) {
-    auto result = r->Await();
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->rows[0][0].int_value(), 3);
-  }
-  EXPECT_GE(server.runtime().stage_switches(), 1);
-}
-
 TEST_F(ServerTest, StagedDatabaseModeUnderServer) {
   DatabaseOptions dbo;
   dbo.mode = ExecutionMode::kStaged;
