@@ -11,13 +11,6 @@ template <typename T>
 void AppendRaw(std::string* out, T v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
-template <typename T>
-bool ReadRaw(std::string_view* in, T* v) {
-  if (in->size() < sizeof(T)) return false;
-  std::memcpy(v, in->data(), sizeof(T));
-  in->remove_prefix(sizeof(T));
-  return true;
-}
 }  // namespace
 
 std::string EncodeTuple(const Schema& schema, const Tuple& tuple) {
@@ -63,6 +56,113 @@ SlotMap IdentitySlots(size_t width) {
   return slots;
 }
 
+Status LocateColumns(const Schema& schema, std::string_view bytes,
+                     ColumnOffsets* offsets) {
+  const size_t n = schema.num_columns();
+  offsets->resize(n);
+  const size_t bitmap_len = (n + 7) / 8;
+  if (bytes.size() < bitmap_len) {
+    return Status::Corruption("tuple shorter than null bitmap");
+  }
+  if (bytes.size() >= kNullColumn) return Status::Corruption("tuple too long");
+  const std::vector<Column>& columns = schema.columns();
+  const size_t size = bytes.size();
+  size_t at = bitmap_len;
+  for (size_t i = 0; i < n; ++i) {
+    if ((bytes[i / 8] >> (i % 8)) & 1) {
+      (*offsets)[i] = kNullColumn;
+      continue;
+    }
+    (*offsets)[i] = static_cast<uint32_t>(at);
+    switch (columns[i].type) {
+      case TypeId::kBool:
+        if (size - at < sizeof(uint8_t)) {
+          return Status::Corruption("truncated bool");
+        }
+        at += sizeof(uint8_t);
+        break;
+      case TypeId::kInt64:
+        if (size - at < sizeof(int64_t)) {
+          return Status::Corruption("truncated int");
+        }
+        at += sizeof(int64_t);
+        break;
+      case TypeId::kDouble:
+        if (size - at < sizeof(double)) {
+          return Status::Corruption("truncated double");
+        }
+        at += sizeof(double);
+        break;
+      case TypeId::kVarchar: {
+        uint32_t len;
+        if (size - at < sizeof(len)) {
+          return Status::Corruption("truncated varchar");
+        }
+        std::memcpy(&len, bytes.data() + at, sizeof(len));
+        at += sizeof(len);
+        if (size - at < len) return Status::Corruption("truncated varchar");
+        at += len;
+        break;
+      }
+      default:
+        return Status::Corruption("unknown column type");
+    }
+  }
+  return Status::OK();
+}
+
+Status DecodeLocated(const Schema& schema, std::string_view bytes,
+                     const ColumnOffsets& offsets, const SlotMap& slots,
+                     Tuple* out) {
+  const size_t n = schema.num_columns();
+  if (slots.size() != n || offsets.size() != n) {
+    return Status::Internal("slot map does not match the schema width");
+  }
+  const std::vector<Column>& columns = schema.columns();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t slot = slots[i];
+    if (slot == kSkipColumn) continue;
+    if (slot >= out->size()) {
+      return Status::Internal("decode slot past the output row");
+    }
+    Value& v = (*out)[slot];
+    if (offsets[i] == kNullColumn) {
+      v = Value::Null();
+      continue;
+    }
+    const char* at = bytes.data() + offsets[i];
+    switch (columns[i].type) {
+      case TypeId::kBool: {
+        uint8_t b;
+        std::memcpy(&b, at, sizeof(b));
+        v = Value::Bool(b != 0);
+        break;
+      }
+      case TypeId::kInt64: {
+        int64_t x;
+        std::memcpy(&x, at, sizeof(x));
+        v = Value::Int(x);
+        break;
+      }
+      case TypeId::kDouble: {
+        double x;
+        std::memcpy(&x, at, sizeof(x));
+        v = Value::Double(x);
+        break;
+      }
+      case TypeId::kVarchar: {
+        uint32_t len;
+        std::memcpy(&len, at, sizeof(len));
+        v = Value::Varchar(std::string(at + sizeof(len), len));
+        break;
+      }
+      default:
+        return Status::Corruption("unknown column type");
+    }
+  }
+  return Status::OK();
+}
+
 StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
   const size_t n = schema.num_columns();
   Tuple tuple(n);
@@ -72,62 +172,12 @@ StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes) {
 
 Status DecodeTuple(const Schema& schema, std::string_view bytes,
                    const SlotMap& slots, Tuple* out) {
-  const size_t n = schema.num_columns();
-  if (slots.size() != n) {
+  if (slots.size() != schema.num_columns()) {
     return Status::Internal("slot map does not match the schema width");
   }
-  const size_t bitmap_len = (n + 7) / 8;
-  if (bytes.size() < bitmap_len) {
-    return Status::Corruption("tuple shorter than null bitmap");
-  }
-  std::string_view bitmap = bytes.substr(0, bitmap_len);
-  bytes.remove_prefix(bitmap_len);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t slot = slots[i];
-    const bool wanted = slot != kSkipColumn;
-    if (wanted && slot >= out->size()) {
-      return Status::Internal("decode slot past the output row");
-    }
-    const bool null = (bitmap[i / 8] >> (i % 8)) & 1;
-    if (null) {
-      if (wanted) (*out)[slot] = Value::Null();
-      continue;
-    }
-    switch (schema.column(i).type) {
-      case TypeId::kBool: {
-        uint8_t b;
-        if (!ReadRaw(&bytes, &b)) return Status::Corruption("truncated bool");
-        if (wanted) (*out)[slot] = Value::Bool(b != 0);
-        break;
-      }
-      case TypeId::kInt64: {
-        int64_t v;
-        if (!ReadRaw(&bytes, &v)) return Status::Corruption("truncated int");
-        if (wanted) (*out)[slot] = Value::Int(v);
-        break;
-      }
-      case TypeId::kDouble: {
-        double v;
-        if (!ReadRaw(&bytes, &v)) return Status::Corruption("truncated double");
-        if (wanted) (*out)[slot] = Value::Double(v);
-        break;
-      }
-      case TypeId::kVarchar: {
-        uint32_t len;
-        if (!ReadRaw(&bytes, &len) || bytes.size() < len) {
-          return Status::Corruption("truncated varchar");
-        }
-        if (wanted) {
-          (*out)[slot] = Value::Varchar(std::string(bytes.substr(0, len)));
-        }
-        bytes.remove_prefix(len);
-        break;
-      }
-      default:
-        return Status::Corruption("unknown column type");
-    }
-  }
-  return Status::OK();
+  ColumnOffsets offsets;
+  STAGEDB_RETURN_IF_ERROR(LocateColumns(schema, bytes, &offsets));
+  return DecodeLocated(schema, bytes, offsets, slots, out);
 }
 
 std::string TupleToString(const Tuple& tuple) {

@@ -32,13 +32,32 @@ inline constexpr size_t kSkipColumn = SIZE_MAX;
 /// The identity map over `width` columns.
 SlotMap IdentitySlots(size_t width);
 
+/// Where each column of one encoded record starts: entry i is the byte
+/// offset of column i's value (a varchar's length prefix), or kNullColumn
+/// when the column is NULL.
+using ColumnOffsets = std::vector<uint32_t>;
+inline constexpr uint32_t kNullColumn = UINT32_MAX;
+
+/// The one walk over an encoded record: bounds-checks every column and
+/// records where each starts in `*offsets` (resized to the schema width). A
+/// truncated record is Corruption, whichever columns a reader goes on to
+/// use. Every byte the offsets point at is then inside `bytes`.
+Status LocateColumns(const Schema& schema, std::string_view bytes,
+                     ColumnOffsets* offsets);
+
+/// Decodes column i of a record LocateColumns accepted into
+/// (*out)[slots[i]] for every column the map places; `*out` must already
+/// hold every placed slot, and the slots no column lands in keep what they
+/// held.
+Status DecodeLocated(const Schema& schema, std::string_view bytes,
+                     const ColumnOffsets& offsets, const SlotMap& slots,
+                     Tuple* out);
+
 /// Inverse of EncodeTuple: decodes every column.
 StatusOr<Tuple> DecodeTuple(const Schema& schema, std::string_view bytes);
 
-/// Decodes column i into (*out)[slots[i]] for every column the map places;
-/// `*out` must already hold every placed slot, and the slots no column lands
-/// in keep what they held. The whole record is bounds-checked either way, so
-/// a truncated record is the same Corruption whatever the map selects.
+/// LocateColumns, then DecodeLocated: the whole record is bounds-checked
+/// whatever the map selects.
 Status DecodeTuple(const Schema& schema, std::string_view bytes,
                    const SlotMap& slots, Tuple* out);
 

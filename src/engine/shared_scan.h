@@ -51,8 +51,8 @@ struct SharedScanStats {
 /// stage. Owned by the StagedEngine; thread-safe.
 class SharedScanManager {
  public:
-  /// `window_pages` bounds the per-table reuse window (decoded pages kept in
-  /// memory for lagging readers).
+  /// `window_pages` bounds the per-table reuse window (recently read pages,
+  /// kept as copies of their encoded records, for lagging readers).
   // Both special members are out of line: TableScan is incomplete here.
   explicit SharedScanManager(size_t window_pages = 32);
   ~SharedScanManager();

@@ -543,7 +543,7 @@ RunOutcome OperatorInstance::RunSeqScan() {
       }
       continue;
     }
-    // Decode a morsel's worth of the page and hand the rows that qualify
+    // Read a morsel's worth of the page and hand the rows that qualify
     // downstream (a partial morsel waits in the output staging batch until
     // a page fills). Visibility is evaluated against this packet's own
     // snapshot: elevator riders share page deliveries but never visibility

@@ -68,7 +68,8 @@ struct StagedEngineOptions {
   /// When false, each seq-scan packet walks the heap on its own, one
   /// HeapFile::ReadPage per page.
   bool shared_scans = true;
-  /// Recently read pages the elevator keeps decoded for lagging readers.
+  /// Recently read pages the elevator keeps, as copies of their encoded
+  /// records, for lagging readers.
   size_t shared_scan_window_pages = 32;
   /// Partitioned intra-query parallelism cap (§4.3): the engine instantiates
   /// min(plan-node dop, max_dop) partition packets for a dop>1 hash-join or

@@ -11,13 +11,16 @@
 #ifndef STAGEDB_EXEC_EXECUTOR_H_
 #define STAGEDB_EXEC_EXECUTOR_H_
 
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/tuple.h"
 #include "common/status.h"
+#include "exec/scan_predicate.h"
 #include "optimizer/plan.h"
 
 namespace stagedb::exec {
@@ -30,8 +33,8 @@ struct OperatorTraceEntry {
   std::string detail;     // e.g. table name
   int64_t tuples_out = 0;
   int64_t invocations = 0;
-  /// Scans only: visible rows decoded, before the scan's own predicate
-  /// drops any (tuples_out counts the survivors).
+  /// Scans only: visible rows read, before the scan's own predicate drops
+  /// any (tuples_out counts the survivors).
   int64_t rows_read = 0;
 };
 
@@ -102,22 +105,27 @@ enum class ScanRow {
 
 /// Reads the rows of one scan-like node: a kSeqScan or kIndexScan, or the
 /// target search of a kDelete/kUpdate. For each row it checks visibility,
-/// decodes only the columns the node's predicate reads, evaluates the
-/// predicate, and decodes the rest of the node's read set only for a row
-/// that qualifies. The row it emits holds the read set's columns in table
-/// order, which is the layout the planner gave the node's schema and its
-/// predicate (a node without a read set, such as a DML target search, reads
-/// whole rows for WAL before-images and new versions). Shared by the volcano
+/// locates every column of the record in one bounds-checked walk, and runs
+/// the node's predicate: on the raw bytes when the whole predicate compiles
+/// to a ScanPredicate, so a rejected row never becomes Values, otherwise by
+/// decoding the predicate's columns and interpreting it. Only a qualifying
+/// row has the rest of its read set decoded, from the offsets the walk
+/// found. The row it emits holds the read set's columns in table order,
+/// which is the layout the planner gave the node's schema and its predicate
+/// (a node without a read set, such as a DML target search, reads whole
+/// rows for WAL before-images and new versions). Shared by the volcano
 /// scans, the staged fscan/iscan drivers and the DML target collector, so
 /// every engine reads rows identically.
 class ScanRowReader {
  public:
   explicit ScanRowReader(const optimizer::PhysicalPlan& node);
+  ~ScanRowReader();
+  ScanRowReader(const ScanRowReader&) = delete;
+  ScanRowReader& operator=(const ScanRowReader&) = delete;
 
   /// One heap record (version header + payload) of a sequential scan.
   StatusOr<ScanRow> ReadRecord(const storage::MvccReadView& view,
-                               std::string_view record,
-                               catalog::Tuple* out) const;
+                               std::string_view record, catalog::Tuple* out);
 
   /// One index entry `key` -> `head`: `head` is the key's newest version,
   /// and the walk down its `prev` chain stops at the version visible in
@@ -127,18 +135,27 @@ class ScanRowReader {
                                 storage::Rid* rid, catalog::Tuple* out);
 
  private:
-  /// Evaluates the predicate on a row whose first_ columns are decoded and
-  /// completes a qualifying row from `payload`.
-  StatusOr<ScanRow> Qualify(std::string_view payload,
-                            catalog::Tuple* out) const;
+  friend class ScanRowReaderTestPeer;  // decode counts, program suppression
+
+  /// Runs the predicate on a record whose columns are in offsets_ and
+  /// decodes a qualifying row into `*out`.
+  StatusOr<ScanRow> Qualify(std::string_view payload, catalog::Tuple* out);
 
   const optimizer::PhysicalPlan& node_;
   size_t width_ = 0;            // columns in an emitted row
-  catalog::SlotMap first_;      // decoded before the predicate runs
+  std::optional<ScanPredicate> program_;  // when the predicate compiles
+  /// Decoded first: an interpreted predicate's columns, else the read set.
+  catalog::SlotMap first_;
   catalog::SlotMap rest_;       // decoded once the row qualifies
   bool has_rest_ = false;
-  size_t key_slot_ = catalog::kSkipColumn;  // index key, rechecked first
+  catalog::ColumnOffsets offsets_;  // the current record's columns
   std::string record_;          // the index path's fetched record
+  int64_t rows_decoded_ = 0;    // rows that became Values
+
+  /// Every reader's rows_decoded_, added when the reader is destroyed.
+  static std::atomic<int64_t> rows_decoded_total_;
+  /// Makes readers constructed while set interpret every predicate.
+  static std::atomic<bool> suppress_program_;
 };
 
 /// Pull-based operator.

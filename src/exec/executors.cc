@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 
 #include "common/string_util.h"
 #include "exec/executor.h"
@@ -18,23 +19,32 @@ using optimizer::PlanKind;
 
 // ---------------------------------------------------------- ScanRowReader --
 
+std::atomic<int64_t> ScanRowReader::rows_decoded_total_{0};
+std::atomic<bool> ScanRowReader::suppress_program_{false};
+
 ScanRowReader::ScanRowReader(const PhysicalPlan& node) : node_(node) {
-  const size_t columns = node.table->schema.num_columns();
-  // Where each table column lands in the emitted row: its rank in the read
-  // set (every column when the node has none).
-  catalog::SlotMap slots(columns);
+  const Schema& schema = node.table->schema;
+  const size_t columns = schema.num_columns();
+  // Where each table column lands in the emitted row (its rank in the read
+  // set, every column when the node has none), and the table column at
+  // each emitted slot.
+  catalog::SlotMap slots(columns, catalog::kSkipColumn);
+  std::vector<size_t> slot_columns;
   for (size_t i = 0; i < columns; ++i) {
-    const bool read = node.read_set.empty() || node.read_set[i];
-    slots[i] = read ? width_++ : catalog::kSkipColumn;
+    if (!node.read_set.empty() && !node.read_set[i]) continue;
+    slots[i] = slot_columns.size();
+    slot_columns.push_back(i);
   }
-  // The predicate names emitted slots; an index read rechecks the entry's
-  // key before anything else.
-  catalog::ColumnSet early(width_, node.predicate == nullptr);
-  if (node.predicate != nullptr) node.predicate->MarkColumns(&early);
-  if (node.index != nullptr) {
-    key_slot_ = slots[node.index->column];
-    if (key_slot_ < width_) early[key_slot_] = true;
+  width_ = slot_columns.size();
+  if (node.predicate != nullptr && !suppress_program_) {
+    program_ = ScanPredicate::Compile(*node.predicate, schema, slot_columns);
   }
+  // An interpreted predicate needs its columns (emitted slots) decoded
+  // before it runs; otherwise a qualifying row's read set is decoded at
+  // once.
+  const bool interpret = node.predicate != nullptr && !program_.has_value();
+  catalog::ColumnSet early(width_, !interpret);
+  if (interpret) node.predicate->MarkColumns(&early);
   first_.assign(columns, catalog::kSkipColumn);
   rest_.assign(columns, catalog::kSkipColumn);
   for (size_t i = 0; i < columns; ++i) {
@@ -48,26 +58,23 @@ ScanRowReader::ScanRowReader(const PhysicalPlan& node) : node_(node) {
   }
 }
 
+ScanRowReader::~ScanRowReader() { rows_decoded_total_ += rows_decoded_; }
+
 StatusOr<ScanRow> ScanRowReader::ReadRecord(const storage::MvccReadView& view,
                                             std::string_view record,
-                                            Tuple* out) const {
+                                            Tuple* out) {
   if (!storage::VersionVisible(storage::DecodeVersionHeader(record), view)) {
     return ScanRow::kInvisible;
   }
   const std::string_view payload = storage::RowPayload(record);
-  out->clear();
-  out->resize(width_);
   STAGEDB_RETURN_IF_ERROR(
-      catalog::DecodeTuple(node_.table->schema, payload, first_, out));
+      catalog::LocateColumns(node_.table->schema, payload, &offsets_));
   return Qualify(payload, out);
 }
 
 StatusOr<ScanRow> ScanRowReader::ReadIndexed(const storage::MvccReadView& view,
                                              int64_t key, storage::Rid head,
                                              storage::Rid* rid, Tuple* out) {
-  if (key_slot_ >= width_) {
-    return Status::Internal("index scan does not read its key column");
-  }
   // The walk follows `prev` links from the newest version to the (unique)
   // visible one. A dangling prev (vacuumed tail) ends it: deeper versions
   // are strictly older than the vacuum horizon, hence invisible to us
@@ -83,29 +90,40 @@ StatusOr<ScanRow> ScanRowReader::ReadIndexed(const storage::MvccReadView& view,
     at = h.prev;
   }
   const std::string_view payload = storage::RowPayload(record_);
-  out->clear();
-  out->resize(width_);
   STAGEDB_RETURN_IF_ERROR(
-      catalog::DecodeTuple(node_.table->schema, payload, first_, out));
-  // Key recheck: with several indexes a chain can cross keys (DESIGN.md
-  // §12), so a visible version whose key is not `key` does not match in
-  // this view.
-  const Value& v = (*out)[key_slot_];
-  if (v.is_null() || v.int_value() != key) return ScanRow::kInvisible;
+      catalog::LocateColumns(node_.table->schema, payload, &offsets_));
+  // Key recheck, on the record's bytes (index keys are int64): with several
+  // indexes a chain can cross keys (DESIGN.md §12), so a visible version
+  // whose key is not `key` does not match in this view.
+  const uint32_t key_at = offsets_[node_.index->column];
+  if (key_at == catalog::kNullColumn) return ScanRow::kInvisible;
+  int64_t found;
+  std::memcpy(&found, payload.data() + key_at, sizeof(found));
+  if (found != key) return ScanRow::kInvisible;
   *rid = at;
   return Qualify(payload, out);
 }
 
 StatusOr<ScanRow> ScanRowReader::Qualify(std::string_view payload,
-                                         Tuple* out) const {
-  if (node_.predicate != nullptr) {
-    auto pass = EvalPredicate(*node_.predicate, *out);
-    if (!pass.ok()) return pass.status();
-    if (!*pass) return ScanRow::kRejected;
+                                         Tuple* out) {
+  if (program_.has_value() && !program_->Matches(payload, offsets_)) {
+    return ScanRow::kRejected;
   }
+  const Schema& schema = node_.table->schema;
+  out->clear();
+  out->resize(width_);
+  ++rows_decoded_;
+  STAGEDB_RETURN_IF_ERROR(
+      catalog::DecodeLocated(schema, payload, offsets_, first_, out));
+  if (node_.predicate == nullptr || program_.has_value()) {
+    return ScanRow::kQualified;
+  }
+  auto pass = EvalPredicate(*node_.predicate, *out);
+  if (!pass.ok()) return pass.status();
+  if (!*pass) return ScanRow::kRejected;
   if (has_rest_) {
     STAGEDB_RETURN_IF_ERROR(
-        catalog::DecodeTuple(node_.table->schema, payload, rest_, out));
+        catalog::DecodeLocated(schema, payload, offsets_, rest_, out));
   }
   return ScanRow::kQualified;
 }

@@ -1,7 +1,11 @@
-// Tests for types, values, schemas, tuples, stats, symbol table, catalog.
+// Tests for types, values, schemas, tuples (and the scan predicates compiled
+// to run on encoded tuples), stats, symbol table, catalog.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,11 +16,17 @@
 #include "catalog/table_stats.h"
 #include "catalog/tuple.h"
 #include "catalog/value.h"
+#include "common/rng.h"
+#include "exec/scan_predicate.h"
+#include "optimizer/bound_expr.h"
 #include "storage/disk_manager.h"
 
 namespace stagedb::catalog {
 namespace {
 
+using exec::ScanPredicate;
+using optimizer::BoundExpr;
+using parser::BinaryOp;
 using storage::BufferPool;
 using storage::MemDiskManager;
 
@@ -192,6 +202,296 @@ TEST(TupleTest, ReadSetDecodeMatchesFullDecode) {
       const Status st = DecodeTuple(s, truncated, map, &partial);
       EXPECT_EQ(st.code(), full.status().code()) << cut;
       EXPECT_EQ(st.message(), full.status().message()) << cut;
+    }
+  }
+}
+
+// ---------------------------------------------- compiled scan predicates ---
+
+constexpr TypeId kCellTypes[] = {TypeId::kBool, TypeId::kInt64,
+                                 TypeId::kDouble, TypeId::kVarchar};
+constexpr BinaryOp kComparisons[] = {BinaryOp::kEq, BinaryOp::kNeq,
+                                     BinaryOp::kLt, BinaryOp::kLe,
+                                     BinaryOp::kGt, BinaryOp::kGe};
+
+/// The edge cases of a type: the int64 extremes and ints past double
+/// precision, NaN, infinities, signed zeros and doubles equal to ints, and
+/// varchars that differ past a shared prefix or in bytes above 0x7f.
+std::vector<Value> EdgeValues(TypeId type) {
+  switch (type) {
+    case TypeId::kBool:
+      return {Value::Bool(false), Value::Bool(true)};
+    case TypeId::kInt64: {
+      std::vector<Value> out;
+      for (int64_t v : {INT64_MIN, INT64_MIN + 1, int64_t{-3}, int64_t{0},
+                        int64_t{2}, int64_t{3}, int64_t{1} << 53,
+                        (int64_t{1} << 53) + 1, INT64_MAX - 1, INT64_MAX}) {
+        out.push_back(Value::Int(v));
+      }
+      return out;
+    }
+    case TypeId::kDouble: {
+      const double inf = std::numeric_limits<double>::infinity();
+      std::vector<Value> out;
+      for (double v : {std::nan(""), -inf, -9.223372036854775808e18, -3.0,
+                       -0.0, 0.0, 2.5, 3.0, 9007199254740992.0,
+                       9.223372036854775807e18, inf}) {
+        out.push_back(Value::Double(v));
+      }
+      return out;
+    }
+    default: {
+      std::vector<Value> out;
+      for (const char* v :
+           {"", "a", "ab", "abc", "b", "B", "\x7f", "\x80", "a\x80", "\xff"}) {
+        out.push_back(Value::Varchar(v));
+      }
+      return out;
+    }
+  }
+}
+
+Value RandomEdgeValue(Rng* rng, TypeId type) {
+  const std::vector<Value> values = EdgeValues(type);
+  return values[rng->Uniform(values.size())];
+}
+
+/// `#slot op literal`, or `literal op #slot` when `flip`.
+std::unique_ptr<BoundExpr> Comparison(BinaryOp op, size_t slot, TypeId type,
+                                      Value literal, bool flip) {
+  auto column = BoundExpr::Column(slot, type);
+  auto value = BoundExpr::Literal(std::move(literal));
+  return flip ? BoundExpr::Binary(op, std::move(value), std::move(column))
+              : BoundExpr::Binary(op, std::move(column), std::move(value));
+}
+
+/// The compiled verdict on `row`, which must equal EvalPredicate's on the
+/// row decoded into the slots `read` names.
+void ExpectSameVerdict(const BoundExpr& pred, const Schema& schema,
+                       const std::vector<size_t>& read, const Tuple& row,
+                       int64_t* passed) {
+  auto program = ScanPredicate::Compile(pred, schema, read);
+  ASSERT_TRUE(program.has_value()) << pred.ToString();
+  const std::string bytes = EncodeTuple(schema, row);
+  ColumnOffsets offsets;
+  ASSERT_TRUE(LocateColumns(schema, bytes, &offsets).ok());
+  SlotMap slots(schema.num_columns(), kSkipColumn);
+  for (size_t s = 0; s < read.size(); ++s) slots[read[s]] = s;
+  Tuple decoded(read.size());
+  ASSERT_TRUE(DecodeTuple(schema, bytes, slots, &decoded).ok());
+  auto expected = optimizer::EvalPredicate(pred, decoded);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(program->Matches(bytes, offsets), *expected)
+      << pred.ToString() << " on " << TupleToString(decoded);
+  if (*expected) ++*passed;
+}
+
+TEST(ScanPredicateTest, EveryTermMatchesTheInterpreter) {
+  // Every column type against every literal type, every operator, the
+  // literal on both sides, over every edge value and NULL. A varchar column
+  // comes first so the tested column sits past a variable-length one.
+  int64_t passed = 0, checked = 0;
+  for (TypeId col_type : kCellTypes) {
+    const Schema schema({{"pad", TypeId::kVarchar, ""}, {"c", col_type, ""}});
+    std::vector<Value> cells = EdgeValues(col_type);
+    cells.push_back(Value::Null());
+    for (TypeId lit_type : kCellTypes) {
+      for (BinaryOp op : kComparisons) {
+        for (bool flip : {false, true}) {
+          for (const Value& literal : EdgeValues(lit_type)) {
+            auto pred = Comparison(op, 1, col_type, literal, flip);
+            for (const Value& cell : cells) {
+              ExpectSameVerdict(*pred, schema, {0, 1},
+                                {Value::Varchar("xyz"), cell}, &passed);
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(passed, checked / 4);
+  EXPECT_LT(passed, checked);
+}
+
+TEST(ScanPredicateTest, RandomConjunctionsMatchTheInterpreter) {
+  // Random schemas and read sets; AND-trees of up to five terms over the
+  // read set's slots, nested on either side; rows with NULLs.
+  Rng rng(23);
+  int64_t passed = 0, checked = 0;
+  for (int round = 0; round < 400; ++round) {
+    const size_t n = 1 + rng.Uniform(10);
+    std::vector<Column> cols;
+    for (size_t i = 0; i < n; ++i) {
+      cols.push_back({"c" + std::to_string(i), kCellTypes[rng.Uniform(4)], ""});
+    }
+    const Schema schema(cols);
+    std::vector<size_t> read;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Uniform(3) != 0) read.push_back(i);
+    }
+    if (read.empty()) read.push_back(rng.Uniform(n));
+    std::unique_ptr<BoundExpr> pred;
+    const uint64_t terms = 1 + rng.Uniform(5);
+    for (uint64_t t = 0; t < terms; ++t) {
+      const size_t slot = rng.Uniform(read.size());
+      const TypeId col_type = schema.column(read[slot]).type;
+      // Mostly a literal of the column's own type, so verdicts vary.
+      const TypeId lit_type =
+          rng.Uniform(4) == 0 ? kCellTypes[rng.Uniform(4)] : col_type;
+      auto term = Comparison(kComparisons[rng.Uniform(6)], slot, col_type,
+                             RandomEdgeValue(&rng, lit_type),
+                             rng.Uniform(2) == 0);
+      if (pred == nullptr) {
+        pred = std::move(term);
+      } else if (rng.Uniform(2) == 0) {
+        pred = BoundExpr::Binary(BinaryOp::kAnd, std::move(pred),
+                                 std::move(term));
+      } else {
+        pred = BoundExpr::Binary(BinaryOp::kAnd, std::move(term),
+                                 std::move(pred));
+      }
+    }
+    for (int r = 0; r < 25; ++r) {
+      Tuple row(n);
+      for (size_t i = 0; i < n; ++i) {
+        row[i] = rng.Uniform(6) == 0
+                     ? Value::Null()
+                     : RandomEdgeValue(&rng, schema.column(i).type);
+      }
+      ExpectSameVerdict(*pred, schema, read, row, &passed);
+      ++checked;
+    }
+  }
+  EXPECT_GT(passed, checked / 50);
+  EXPECT_LT(passed, checked);
+}
+
+TEST(ScanPredicateTest, ShapesOutsideTheSubsetBuildNoProgram) {
+  const Schema schema({{"a", TypeId::kInt64, ""},
+                       {"b", TypeId::kInt64, ""},
+                       {"s", TypeId::kVarchar, ""}});
+  const std::vector<size_t> columns = {0, 1, 2};
+  const auto col = [](size_t slot) {
+    return BoundExpr::Column(slot, TypeId::kInt64);
+  };
+  const auto lit = [](int64_t v) { return BoundExpr::Literal(Value::Int(v)); };
+  const auto eq = [](std::unique_ptr<BoundExpr> l,
+                     std::unique_ptr<BoundExpr> r) {
+    return BoundExpr::Binary(BinaryOp::kEq, std::move(l), std::move(r));
+  };
+  std::vector<std::unique_ptr<BoundExpr>> shapes;
+  shapes.push_back(BoundExpr::Binary(BinaryOp::kOr, eq(col(0), lit(1)),
+                                     eq(col(1), lit(2))));
+  shapes.push_back(BoundExpr::Unary(parser::UnaryOp::kNot, eq(col(0), lit(1))));
+  shapes.push_back(BoundExpr::Binary(
+      BinaryOp::kLt, BoundExpr::Binary(BinaryOp::kAdd, col(0), lit(1)),
+      lit(5)));
+  shapes.push_back(eq(BoundExpr::Unary(parser::UnaryOp::kNeg, col(0)), lit(1)));
+  shapes.push_back(eq(col(0), col(1)));
+  shapes.push_back(eq(col(0), BoundExpr::Literal(Value::Null())));
+  shapes.push_back(eq(col(0), BoundExpr::Param(0, TypeId::kInt64)));
+  shapes.push_back(eq(lit(1), lit(1)));
+  shapes.push_back(BoundExpr::Literal(Value::Bool(true)));
+  shapes.push_back(BoundExpr::Column(0, TypeId::kBool));
+  shapes.push_back(eq(col(3), lit(1)));  // past the row the predicate reads
+  // One term outside the subset keeps the whole conjunction interpreted.
+  shapes.push_back(BoundExpr::Binary(
+      BinaryOp::kAnd, eq(col(0), lit(1)),
+      BoundExpr::Binary(BinaryOp::kOr, eq(col(1), lit(2)),
+                        eq(col(1), lit(3)))));
+  shapes.push_back(BoundExpr::Binary(BinaryOp::kAnd, eq(col(0), col(1)),
+                                     eq(col(1), lit(3))));
+  for (const auto& shape : shapes) {
+    EXPECT_FALSE(ScanPredicate::Compile(*shape, schema, columns).has_value())
+        << shape->ToString();
+  }
+  // The same terms in the subset do compile.
+  auto conjunction = BoundExpr::Binary(
+      BinaryOp::kAnd, eq(col(0), lit(1)),
+      BoundExpr::Binary(BinaryOp::kAnd, eq(lit(2), col(1)),
+                        eq(BoundExpr::Column(2, TypeId::kVarchar),
+                           BoundExpr::Literal(Value::Varchar("x")))));
+  EXPECT_TRUE(
+      ScanPredicate::Compile(*conjunction, schema, columns).has_value());
+}
+
+/// The decoder's record walk as it was before LocateColumns: the status it
+/// gave a record.
+Status WalkBeforeLocate(const Schema& schema, std::string_view bytes) {
+  const size_t n = schema.num_columns();
+  const size_t bitmap_len = (n + 7) / 8;
+  if (bytes.size() < bitmap_len) {
+    return Status::Corruption("tuple shorter than null bitmap");
+  }
+  const std::string_view bitmap = bytes.substr(0, bitmap_len);
+  bytes.remove_prefix(bitmap_len);
+  const auto take = [&](size_t len) {
+    if (bytes.size() < len) return false;
+    bytes.remove_prefix(len);
+    return true;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if ((bitmap[i / 8] >> (i % 8)) & 1) continue;
+    switch (schema.column(i).type) {
+      case TypeId::kBool:
+        if (!take(1)) return Status::Corruption("truncated bool");
+        break;
+      case TypeId::kInt64:
+        if (!take(8)) return Status::Corruption("truncated int");
+        break;
+      case TypeId::kDouble:
+        if (!take(8)) return Status::Corruption("truncated double");
+        break;
+      case TypeId::kVarchar: {
+        uint32_t len = 0;
+        if (bytes.size() >= sizeof(len)) {
+          std::memcpy(&len, bytes.data(), sizeof(len));
+        }
+        if (!take(sizeof(len)) || !take(len)) {
+          return Status::Corruption("truncated varchar");
+        }
+        break;
+      }
+      default:
+        return Status::Corruption("unknown column type");
+    }
+  }
+  return Status::OK();
+}
+
+TEST(ScanPredicateTest, LocateColumnsRejectsEveryTruncationLikeTheDecoder) {
+  Rng rng(29);
+  for (int round = 0; round < 150; ++round) {
+    const size_t n = 1 + rng.Uniform(12);  // bitmaps of one and two bytes
+    std::vector<Column> cols;
+    for (size_t i = 0; i < n; ++i) {
+      cols.push_back({"c" + std::to_string(i), kCellTypes[rng.Uniform(4)], ""});
+    }
+    const Schema schema(cols);
+    Tuple row(n);
+    for (size_t i = 0; i < n; ++i) {
+      row[i] = rng.Uniform(4) == 0
+                   ? Value::Null()
+                   : RandomEdgeValue(&rng, schema.column(i).type);
+    }
+    const std::string bytes = EncodeTuple(schema, row);
+    ColumnOffsets offsets;
+    ASSERT_TRUE(LocateColumns(schema, bytes, &offsets).ok());
+    ASSERT_EQ(offsets.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(offsets[i] == kNullColumn, row[i].is_null());
+      if (!row[i].is_null()) {
+        EXPECT_LT(offsets[i], bytes.size());
+      }
+    }
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      const std::string_view truncated(bytes.data(), cut);
+      const Status before = WalkBeforeLocate(schema, truncated);
+      ASSERT_EQ(before.code(), StatusCode::kCorruption) << cut;
+      const Status located = LocateColumns(schema, truncated, &offsets);
+      EXPECT_EQ(located.code(), before.code()) << cut;
+      EXPECT_EQ(located.message(), before.message()) << cut;
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "optimizer/planner.h"
 #include "parser/parser.h"
 #include "planner_test_peer.h"
+#include "scan_row_reader_test_peer.h"
 #include "storage/disk_manager.h"
 
 namespace stagedb::engine {
@@ -642,8 +643,10 @@ TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
   // involved. Each query is planned twice more, narrowed and whole-row, and
   // both run on the volcano engine, the staged engine, and (planned at
   // max_dop=4: partial/merge aggregates, partitioned joins) a parallel
-  // staged engine. All six must give the reference answer, and their scans'
-  // rows-read / rows-qualified counts must agree.
+  // staged engine; the narrowed plans run on all three once more with the
+  // scan predicates interpreted rather than compiled. All nine must give
+  // the reference answer, and their scans' rows-read / rows-qualified
+  // counts must agree.
   StagedEngine engine(catalog_.get());
   StagedEngineOptions parallel_opts;
   parallel_opts.max_dop = 4;
@@ -720,6 +723,12 @@ TEST_F(FusedScanPredicateTest, ReadSetsChangeNoResult) {
     run("staged, whole rows", whole.get(), &engine);
     run("staged dop 4, narrowed", dop_plan.get(), &parallel);
     run("staged dop 4, whole rows", dop_whole.get(), &parallel);
+    // The same narrowed plans with every scan predicate interpreted on
+    // decoded columns instead of compiled to run on the encoded record.
+    exec::ScanRowReaderTestPeer::InterpretPredicates interpret;
+    run("volcano, interpreted", plan.get(), nullptr);
+    run("staged, interpreted", plan.get(), &engine);
+    run("staged dop 4, interpreted", dop_plan.get(), &parallel);
   }
   EXPECT_GT(narrowed, 20);  // most shapes read a strict subset
 }

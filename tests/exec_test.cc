@@ -13,7 +13,9 @@
 #include "exec/executor.h"
 #include "optimizer/planner.h"
 #include "parser/parser.h"
+#include "scan_row_reader_test_peer.h"
 #include "storage/disk_manager.h"
+#include "workload/wisconsin.h"
 
 namespace stagedb::exec {
 namespace {
@@ -532,6 +534,48 @@ TEST_F(ExecTest, ProjectionArithmeticOnNullYieldsNull) {
   for (Engine e : kEngines) {
     SCOPED_TRACE(EngineName(e));
     EXPECT_EQ(Rows(e, "SELECT v + 1, v FROM t"), (Strings{"(NULL, NULL)"}));
+  }
+}
+
+TEST_F(ExecTest, SelectiveScanDecodesOnlyQualifyingRows) {
+  // A 1% unique2 range over 6,000 Wisconsin rows: the scan's predicate runs
+  // on the encoded records, so only the 60 rows that qualify become Values.
+  ASSERT_TRUE(workload::CreateWisconsinTable(catalog_.get(), "w", 6000).ok());
+  const auto decoded_by = [](const auto& run) {
+    const int64_t before = ScanRowReaderTestPeer::RowsDecoded();
+    run();
+    return ScanRowReaderTestPeer::RowsDecoded() - before;
+  };
+  const std::string select =
+      "SELECT unique1, stringu1 FROM w WHERE unique2 >= 1200 AND "
+      "unique2 < 1260";
+  for (Engine e : kEngines) {
+    SCOPED_TRACE(EngineName(e));
+    const auto run = [&] {
+      auto rows = Query(e, select);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows->size(), 60u);
+    };
+    EXPECT_EQ(decoded_by(run), 60);
+    // The interpreter decodes every visible row's predicate column first.
+    ScanRowReaderTestPeer::InterpretPredicates interpret;
+    EXPECT_EQ(decoded_by(run), 6000);
+  }
+  // A DML target search reads through the same reader.
+  int64_t lo = 2000;
+  for (Engine e : kEngines) {
+    SCOPED_TRACE(EngineName(e));
+    const std::string range = "unique2 >= " + std::to_string(lo) +
+                              " AND unique2 < " + std::to_string(lo + 60);
+    EXPECT_EQ(decoded_by([&] {
+                auto done = Query(e, "UPDATE w SET ten = ten + 1 WHERE " +
+                                         range);
+                ASSERT_TRUE(done.ok()) << done.status().ToString();
+              }),
+              60);
+    EXPECT_EQ(Rows(e, "SELECT COUNT(*) FROM w WHERE " + range),
+              (Strings{"(60)"}));
+    lo += 1000;
   }
 }
 
