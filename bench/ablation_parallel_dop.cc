@@ -213,27 +213,25 @@ int main(int argc, char** argv) {
                   agg_ms > 0 ? agg_ms_dop1 / agg_ms : 0.0);
     }
   }
-  // Batch-size sweep: same queries at DOP=4 with the planner stamping an
-  // explicit morsel size onto every operator. Each run must reproduce the
-  // DOP=1 unbatched reference byte-for-byte — partial-batch handling at EOF
-  // and batch-aware partition routing are exactly the code paths a wrong
-  // morsel boundary would break.
+  // Batch-size sweep: same plans at DOP=4 on engines with an explicit page
+  // size (tuples_per_page). Each run must reproduce the DOP=1 reference
+  // byte-for-byte — partial-batch handling at EOF and batch-aware partition
+  // routing are exactly the code paths a wrong morsel boundary would break.
   constexpr int kBatchRows[] = {8, 64, 256};
   report.Add("batch_rows_sweep", "8,64,256");
-  for (const int batch_rows : kBatchRows) {
-    PlannerOptions popts;
-    popts.max_dop = 4;
-    popts.batch_rows = batch_rows;
-    Planner planner(&catalog, popts);
-    auto join_stmt = stagedb::parser::ParseStatement(join_sql);
-    auto agg_stmt = stagedb::parser::ParseStatement(agg_sql);
-    if (!join_stmt.ok() || !agg_stmt.ok()) return 1;
-    auto join_plan = planner.Plan(**join_stmt);
-    auto agg_plan = planner.Plan(**agg_stmt);
-    if (!join_plan.ok() || !agg_plan.ok()) return 1;
-
+  PlannerOptions popts;
+  popts.max_dop = 4;
+  Planner planner(&catalog, popts);
+  auto join_stmt = stagedb::parser::ParseStatement(join_sql);
+  auto agg_stmt = stagedb::parser::ParseStatement(agg_sql);
+  if (!join_stmt.ok() || !agg_stmt.ok()) return 1;
+  auto join_plan = planner.Plan(**join_stmt);
+  auto agg_plan = planner.Plan(**agg_stmt);
+  if (!join_plan.ok() || !agg_plan.ok()) return 1;
+  for (const int tuples_per_page : kBatchRows) {
     StagedEngineOptions opts;
     opts.max_dop = 4;
+    opts.tuples_per_page = tuples_per_page;
     opts.stage_pools["join"] = {kPoolWorkers, -1};
     opts.stage_pools["aggr"] = {kPoolWorkers, -1};
     opts.stage_pools["fscan"] = {2, -1};
@@ -247,12 +245,12 @@ int main(int argc, char** argv) {
     if (join_rows != join_ref) ++mismatches;
     if (agg_rows != agg_ref) ++mismatches;
 
-    const std::string suffix = "_batch" + std::to_string(batch_rows);
+    const std::string suffix = "_batch" + std::to_string(tuples_per_page);
     report.Add("join_ms" + suffix, join_ms);
     report.Add("agg_ms" + suffix, agg_ms);
     if (!args.json) {
       std::printf("batch=%-4d dop=4 %10.1f join ms %10.1f agg ms\n",
-                  batch_rows, join_ms, agg_ms);
+                  tuples_per_page, join_ms, agg_ms);
     }
   }
 

@@ -6,7 +6,7 @@
 //     executions with varying literals, concurrent clients — the paper's
 //     §2/§5 claim that the parse/optimize stages should serve repeated
 //     statements from memoized results. Reports hit rate, end-to-end wall
-//     clock, and optimize-stage visit counts (StageRuntime::Stats()).
+//     clock, and optimize-stage pop counts (StageRuntime::Stats()).
 //   * unique-statement mix: every statement a distinct shape — the
 //     adversarial case; shows the cache overhead and a ~0% hit rate.
 //   * DDL-interleaved mode: prepared statements race CREATE/DROP epoch

@@ -104,9 +104,9 @@ RunResult RunUncontended(bool spsc, int64_t iters) {
   return r;
 }
 
-/// Producer thread pushes `total_items` in batches of `batch_rows`; the
+/// Producer thread pushes `total_items` in batches of `batch_size`; the
 /// calling thread drains. Wall time covers first push to last pop.
-RunResult RunStreaming(bool spsc, int64_t total_items, int batch_rows) {
+RunResult RunStreaming(bool spsc, int64_t total_items, int batch_size) {
   auto buf = MakeBuffer(spsc);
   RunResult r;
   const double t0 = NowMs();
@@ -114,7 +114,7 @@ RunResult RunStreaming(bool spsc, int64_t total_items, int batch_rows) {
     RowBatch b;
     for (int64_t sent = 0; sent < total_items;) {
       const int rows = static_cast<int>(
-          std::min<int64_t>(batch_rows, total_items - sent));
+          std::min<int64_t>(batch_size, total_items - sent));
       b = MakeBatch(sent, rows);
       while (buf->TryPush(&b) == ExchangeBuffer::PushResult::kFull) {
         std::this_thread::yield();
@@ -141,7 +141,7 @@ RunResult RunStreaming(bool spsc, int64_t total_items, int batch_rows) {
 }
 
 /// Two threads bounce one batch over a request/reply pair of buffers.
-RunResult RunPingpong(bool spsc, int64_t round_trips, int batch_rows) {
+RunResult RunPingpong(bool spsc, int64_t round_trips, int batch_size) {
   auto request = MakeBuffer(spsc);
   auto reply = MakeBuffer(spsc);
   RunResult r;
@@ -165,7 +165,7 @@ RunResult RunPingpong(bool spsc, int64_t round_trips, int batch_rows) {
   RowBatch b;
   bool eof = false;
   for (int64_t i = 0; i < round_trips; ++i) {
-    b = MakeBatch(i, batch_rows);
+    b = MakeBatch(i, batch_size);
     while (request->TryPush(&b) == ExchangeBuffer::PushResult::kFull) {
       std::this_thread::yield();
     }
@@ -215,20 +215,20 @@ int main(int argc, char** argv) {
   // b1 per-item micros are the headline per-item cost the CI gate records.
   double mutex_stream_us = 0;
   double spsc_stream_us = 0;
-  for (const int batch_rows : {1, 64}) {
+  for (const int batch_size : {1, 64}) {
     const RunResult ms_ = BestOf(reps, [&] {
-      return RunStreaming(false, stream_items, batch_rows);
+      return RunStreaming(false, stream_items, batch_size);
     });
     const RunResult ss = BestOf(reps, [&] {
-      return RunStreaming(true, stream_items, batch_rows);
+      return RunStreaming(true, stream_items, batch_size);
     });
     if (ms_.items != ss.items || ms_.checksum != ss.checksum) ++divergence;
-    const std::string suffix = "_b" + std::to_string(batch_rows);
+    const std::string suffix = "_b" + std::to_string(batch_size);
     report.Add("mutex_stream" + suffix + "_items_per_sec",
                ms_.items * 1000.0 / ms_.ms);
     report.Add("spsc_stream" + suffix + "_items_per_sec",
                ss.items * 1000.0 / ss.ms);
-    if (batch_rows == 1) {
+    if (batch_size == 1) {
       mutex_stream_us = ms_.ms * 1000.0 / static_cast<double>(ms_.items);
       spsc_stream_us = ss.ms * 1000.0 / static_cast<double>(ss.items);
       report.Add("mutex_stream_b1_micros_per_item", mutex_stream_us);

@@ -43,15 +43,6 @@ void PinThread(std::thread* thread, int cpu) {
 
 }  // namespace
 
-StagePoolSpec PoolSpecFor(const std::map<std::string, StagePoolSpec>& pools,
-                          const std::string& name, int default_workers) {
-  auto it = pools.find(name);
-  if (it != pools.end()) return it->second;
-  StagePoolSpec spec;
-  spec.num_workers = default_workers;
-  return spec;
-}
-
 // The packet is already kQueued. The single place queue membership is
 // granted, so no enqueue path can miss the wait-time stamp.
 void Stage::PushLocked(StageTask* task) {

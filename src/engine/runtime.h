@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -129,11 +128,6 @@ struct StagePoolSpec {
   /// process's affinity mask excludes the CPU, the workers run unpinned.
   int pinned_cpu = -1;
 };
-
-/// The stage_pools lookup shared by the engine and the staged server: the
-/// entry for `name` if present, else `default_workers` unpinned.
-StagePoolSpec PoolSpecFor(const std::map<std::string, StagePoolSpec>& pools,
-                          const std::string& name, int default_workers);
 
 /// A stage: queue + worker pool + monitoring counters.
 class Stage {

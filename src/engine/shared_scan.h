@@ -29,6 +29,10 @@
 
 namespace stagedb::engine {
 
+/// The engine's reuse window: recently read pages each elevator keeps, as
+/// copies of their encoded records, for lagging readers.
+inline constexpr size_t kSharedScanWindowPages = 32;
+
 /// Monitoring counters for one table's elevator (or the sum over all
 /// tables) — the fscan-stage half of §5.2's per-stage monitoring.
 struct SharedScanStats {
@@ -51,10 +55,10 @@ struct SharedScanStats {
 /// stage. Owned by the StagedEngine; thread-safe.
 class SharedScanManager {
  public:
-  /// `window_pages` bounds the per-table reuse window (recently read pages,
-  /// kept as copies of their encoded records, for lagging readers).
+  /// `window_pages` bounds the per-table reuse window; tests shrink it to
+  /// push readers past the window.
   // Both special members are out of line: TableScan is incomplete here.
-  explicit SharedScanManager(size_t window_pages = 32);
+  explicit SharedScanManager(size_t window_pages = kSharedScanWindowPages);
   ~SharedScanManager();
 
   SharedScanManager(const SharedScanManager&) = delete;

@@ -88,6 +88,9 @@ bool StagedQuery::failed() const {
 
 namespace {
 
+/// Pages an operator processes per packet invocation before yielding.
+constexpr int kWorkQuantumPages = 4;
+
 /// Why a packet parked (drives CanMakeProgress).
 enum class BlockReason { kNone, kInput0, kInput1, kAnyInput, kOutput };
 
@@ -154,15 +157,10 @@ class OperatorInstance : public StageTask {
     size_t pos = 0;
   };
 
-  /// Morsel size at this node's output edge: the optimizer's per-node hint
-  /// when stamped, else the engine-wide §4.4(c) page size.
-  size_t page_size() const {
-    return plan_->batch_hint > 0 ? static_cast<size_t>(plan_->batch_hint)
-                                 : engine_->options().tuples_per_page;
-  }
+  /// Morsel size at this node's output edge: the §4.4(c) page size.
+  size_t page_size() const { return engine_->options().tuples_per_page; }
   int quantum_tuples() const {
-    return static_cast<int>(page_size()) *
-           engine_->options().work_quantum_pages;
+    return static_cast<int>(page_size()) * kWorkQuantumPages;
   }
 
   Fetch NextInput(size_t idx, Tuple* out) {
@@ -884,11 +882,9 @@ class DmlTask : public StageTask {
 StagedEngine::StagedEngine(catalog::Catalog* catalog,
                            StagedEngineOptions options)
     : catalog_(catalog), options_(std::move(options)),
-      shared_scans_(std::make_unique<SharedScanManager>(
-          options_.shared_scan_window_pages)) {
+      shared_scans_(std::make_unique<SharedScanManager>()) {
   if (options_.granularity == StagedEngineOptions::Granularity::kCoarse) {
     execute_stage_ = runtime_.CreateStage("execute", PoolFor("execute"));
-    MaybeCreateCommitStage();
     return;
   }
   iscan_stage_ = runtime_.CreateStage("iscan", PoolFor("iscan"));
@@ -897,34 +893,19 @@ StagedEngine::StagedEngine(catalog::Catalog* catalog,
   join_stage_ = runtime_.CreateStage("join", PoolFor("join"));
   aggr_stage_ = runtime_.CreateStage("aggr", PoolFor("aggr"));
   dml_stage_ = runtime_.CreateStage("dml", PoolFor("dml"));
-  MaybeCreateCommitStage();
-}
-
-void StagedEngine::MaybeCreateCommitStage() {
-  if (options_.wal == nullptr) return;
-  GroupCommitStage::Options gc;
-  gc.max_batch = options_.group_commit_max_batch;
-  gc.max_wait_us = options_.group_commit_max_wait_us;
-  group_commit_ = std::make_unique<GroupCommitStage>(&runtime_, options_.wal,
-                                                     gc, PoolFor("commit"));
 }
 
 StagePoolSpec StagedEngine::PoolFor(const std::string& stage_name) const {
+  auto it = options_.stage_pools.find(stage_name);
   // Per-table scan stages fall back to the "fscan" key before the default.
-  if (stage_name.rfind("fscan.", 0) == 0 &&
-      options_.stage_pools.count(stage_name) == 0) {
-    return PoolSpecFor(options_.stage_pools, "fscan",
-                       options_.threads_per_stage);
+  if (it == options_.stage_pools.end() && stage_name.rfind("fscan.", 0) == 0) {
+    it = options_.stage_pools.find("fscan");
   }
-  return PoolSpecFor(options_.stage_pools, stage_name,
-                     options_.threads_per_stage);
+  if (it != options_.stage_pools.end()) return it->second;
+  return StagePoolSpec{options_.threads_per_stage, -1};
 }
 
-StagedEngine::~StagedEngine() {
-  // Flush pending commits while the stage workers are still alive, then stop.
-  if (group_commit_ != nullptr) group_commit_->Drain();
-  runtime_.Shutdown();
-}
+StagedEngine::~StagedEngine() { runtime_.Shutdown(); }
 
 Stage* StagedEngine::StageFor(const PhysicalPlan& node) {
   if (options_.granularity == StagedEngineOptions::Granularity::kCoarse) {
@@ -1035,8 +1016,7 @@ std::shared_ptr<StagedQuery> StagedEngine::Submit(const PhysicalPlan* plan,
         // one consumer by construction); fan-in edges — M producer
         // partitions merging into one consumer — keep the mutex buffer,
         // which handles any endpoint shape.
-        const bool spsc_edge =
-            engine->options().spsc_exchange && producers.size() == 1;
+        const bool spsc_edge = producers.size() == 1;
         // max(1, ...): a zero-capacity buffer rejects every push, which
         // would park the producer forever.
         const size_t capacity =

@@ -18,17 +18,16 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/mutex.h"
-#include "engine/commit_stage.h"
 #include "engine/exchange.h"
 #include "engine/runtime.h"
 #include "engine/shared_scan.h"
 #include "exec/executor.h"
 #include "optimizer/plan.h"
-#include "storage/wal.h"
 
 namespace stagedb::engine {
 
@@ -44,20 +43,9 @@ struct StagedEngineOptions {
   /// Exchange buffer capacity in pages (back-pressure depth).
   size_t exchange_capacity_pages = 4;
   /// Tuples per exchanged batch (§4.4c: "the page size for exchanging
-  /// intermediate results among the execution engine stages"). This is the
-  /// morsel size of the batch ABI; a plan node's batch_hint (optimizer
-  /// batch-size hint) overrides it per node.
+  /// intermediate results among the execution engine stages"): the morsel
+  /// size of the batch ABI on every edge.
   size_t tuples_per_page = 64;
-  /// Lock-free SPSC ring fast path: exchange edges with exactly one
-  /// producer and one consumer packet (the DOP=1 shape, and every scatter
-  /// edge of a 1->N fan-out) use a SpscRingBuffer instead of the mutex
-  /// ExchangeBuffer. MxN fan-in edges always fall back to the mutex buffer
-  /// (the ring is strictly single-producer/single-consumer). When false,
-  /// every edge uses the mutex buffer — wiring identical to the pre-ring
-  /// engine.
-  bool spsc_exchange = true;
-  /// Pages an operator processes per packet invocation before yielding.
-  int work_quantum_pages = 4;
   /// Fine = operator stages as in Figure 3; coarse = one execute stage
   /// hosting every operator (the monolithic end of §4.4's granularity
   /// trade-off).
@@ -68,25 +56,12 @@ struct StagedEngineOptions {
   /// When false, each seq-scan packet walks the heap on its own, one
   /// HeapFile::ReadPage per page.
   bool shared_scans = true;
-  /// Recently read pages the elevator keeps, as copies of their encoded
-  /// records, for lagging readers.
-  size_t shared_scan_window_pages = 32;
   /// Partitioned intra-query parallelism cap (§4.3): the engine instantiates
   /// min(plan-node dop, max_dop) partition packets for a dop>1 hash-join or
-  /// partial-aggregation node. The default of 1 keeps every plan on the
-  /// single-packet-per-operator path, bit-compatible with the pre-DOP
-  /// engine; raise it together with the stage's worker-pool size (a lone
+  /// partial-aggregation node. The default of 1 runs every plan node as one
+  /// packet; raise it together with the stage's worker-pool size (a lone
   /// worker serializes the partition packets again).
   int max_dop = 1;
-  /// When non-null, the engine creates a "commit" stage (engine/
-  /// commit_stage.h) over this log: committing clients submit tickets and
-  /// one fdatasync covers every commit in a batch window. The WAL must
-  /// outlive the engine.
-  storage::WriteAheadLog* wal = nullptr;
-  /// Flush when this many commits are pending...
-  int group_commit_max_batch = 64;
-  /// ...or when the oldest pending commit has waited this long.
-  int64_t group_commit_max_wait_us = 200;
 };
 
 /// Tracks one in-flight query: its operator packets, exchange buffers,
@@ -159,8 +134,6 @@ class StagedEngine {
   const StagedEngineOptions& options() const { return options_; }
   /// The per-table elevator cursors the fscan stages share (§5.4).
   SharedScanManager* shared_scans() { return shared_scans_.get(); }
-  /// The commit stage (null unless options.wal was set).
-  GroupCommitStage* group_commit() { return group_commit_.get(); }
 
   /// The stage responsible for a plan node (exposed for tests/monitoring).
   Stage* StageFor(const optimizer::PhysicalPlan& node);
@@ -169,15 +142,11 @@ class StagedEngine {
   /// Pool configuration for a stage: exact stage_pools entry, the "fscan"
   /// fallback for per-table scan stages, else threads_per_stage unpinned.
   StagePoolSpec PoolFor(const std::string& stage_name) const;
-  /// Creates the commit stage when options_.wal is set (ctor helper).
-  void MaybeCreateCommitStage();
 
   catalog::Catalog* catalog_;
   StagedEngineOptions options_;
   StageRuntime runtime_;
   std::unique_ptr<SharedScanManager> shared_scans_;
-  // Declared after runtime_; the dtor drains it before runtime_.Shutdown().
-  std::unique_ptr<GroupCommitStage> group_commit_;
 
   // Guards the lazily-built per-table fscan stage map below; the named
   // stages are created in the constructor and immutable afterwards.

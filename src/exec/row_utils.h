@@ -51,7 +51,7 @@ inline catalog::Tuple JoinRows(const catalog::Tuple& left,
 
 /// One morsel of rows exchanged between operator stages. The batch size (in
 /// tuples) is the §4.4(c) tuning parameter (StagedEngineOptions::
-/// tuples_per_page, overridable per plan node via PhysicalPlan::batch_hint).
+/// tuples_per_page).
 struct RowBatch {
   std::vector<catalog::Tuple> tuples;
   bool empty() const { return tuples.empty(); }

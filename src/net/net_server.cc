@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -431,9 +432,9 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
 Status NetServer::Init() {
   // The SQL pipeline must admit at least the network-side budget, otherwise
   // TrySubmit would shed work this layer already admitted.
-  server::ServerOptions pipeline = options_.pipeline;
-  if (pipeline.admission_capacity < options_.max_inflight_queries + 8)
-    pipeline.admission_capacity = options_.max_inflight_queries + 8;
+  server::ServerOptions pipeline;
+  pipeline.admission_capacity = std::max(pipeline.admission_capacity,
+                                         options_.max_inflight_queries + 8);
   pipeline_ = std::make_unique<server::StagedServer>(db_, pipeline);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,

@@ -76,8 +76,6 @@ struct NetServerOptions {
   /// A connection with a request outstanding (queued, executing, or awaiting
   /// in-order delivery) is never idle, however long the query runs.
   int64_t idle_timeout_ms = 0;
-  /// Options for the embedded SQL lifecycle pipeline (StagedServer).
-  server::ServerOptions pipeline;
 };
 
 class Connection;

@@ -59,7 +59,6 @@ std::unique_ptr<PhysicalPlan> PhysicalPlan::Clone() const {
   p->schema = schema;
   p->dop = dop;
   p->agg_mode = agg_mode;
-  p->batch_hint = batch_hint;
   p->table = table;
   p->index = index;
   p->index_lo = index_lo;

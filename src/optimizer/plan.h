@@ -81,14 +81,6 @@ struct PhysicalPlan {
   int dop = 1;
   AggMode agg_mode = AggMode::kComplete;
 
-  /// Optimizer batch-size hint for the staged engine's batch ABI: tuples per
-  /// exchanged morsel at this node's output edge. 0 (the default) defers to
-  /// the engine-wide StagedEngineOptions::tuples_per_page, so plans without
-  /// a hint execute exactly as before. Stamped by the planner from
-  /// PlannerOptions::batch_rows; deliberately excluded from ToString so plan
-  /// text (and the plan-cache keys derived from it) is hint-independent.
-  int batch_hint = 0;
-
   // Scans and mutations.
   catalog::TableInfo* table = nullptr;
   catalog::IndexInfo* index = nullptr;

@@ -296,31 +296,19 @@ StatusOr<std::unique_ptr<PhysicalPlan>> Planner::Plan(
     const parser::Statement& stmt,
     const std::vector<catalog::TypeId>* param_types) {
   param_types_ = param_types;
-  StatusOr<std::unique_ptr<PhysicalPlan>> plan =
-      Status::NotSupported("statement kind is handled outside the planner");
   switch (stmt.kind) {
     case parser::Statement::Kind::kSelect:
-      plan = PlanSelect(static_cast<const parser::SelectStmt&>(stmt));
-      break;
+      return PlanSelect(static_cast<const parser::SelectStmt&>(stmt));
     case parser::Statement::Kind::kInsert:
-      plan = PlanInsert(static_cast<const parser::InsertStmt&>(stmt));
-      break;
+      return PlanInsert(static_cast<const parser::InsertStmt&>(stmt));
     case parser::Statement::Kind::kDelete:
-      plan = PlanDelete(static_cast<const parser::DeleteStmt&>(stmt));
-      break;
+      return PlanDelete(static_cast<const parser::DeleteStmt&>(stmt));
     case parser::Statement::Kind::kUpdate:
-      plan = PlanUpdate(static_cast<const parser::UpdateStmt&>(stmt));
-      break;
+      return PlanUpdate(static_cast<const parser::UpdateStmt&>(stmt));
     default:
-      break;
+      return Status::NotSupported(
+          "statement kind is handled outside the planner");
   }
-  if (plan.ok() && options_.batch_rows > 0) StampBatchHints(plan->get());
-  return plan;
-}
-
-void Planner::StampBatchHints(PhysicalPlan* node) const {
-  node->batch_hint = options_.batch_rows;
-  for (auto& child : node->children) StampBatchHints(child.get());
 }
 
 // --------------------------------------------------------- base relations --

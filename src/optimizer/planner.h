@@ -26,22 +26,14 @@ struct PlannerOptions {
   bool enable_join_reorder = true;
   /// Maximum degree of intra-operator parallelism (§4.3) the planner may
   /// assign to a node. 1 (the default) disables the parallelization pass
-  /// entirely: plans are byte-identical to pre-DOP plans. Values > 1 only
-  /// help on the staged engine (the volcano engine runs every node on the
-  /// calling thread), so the Database facade leaves this at 1 in volcano
-  /// mode.
+  /// entirely. Values > 1 only help on a staged engine whose own max_dop
+  /// allows the fan-out (the volcano engine runs every node on the calling
+  /// thread).
   int max_dop = 1;
   /// DOP heuristic: a node gets one partition packet per this many estimated
   /// input rows (clamped to [1, max_dop]), so small inputs never pay the
   /// fan-out/fan-in overhead (docs/DESIGN.md §7).
   double parallel_min_rows = 512.0;
-  /// Batch-size hint stamped onto every plan node (PhysicalPlan::batch_hint):
-  /// tuples per exchanged morsel in the staged engine's batch ABI. 0 (the
-  /// default) stamps nothing — the engine-wide tuples_per_page applies and
-  /// plans are byte-identical to pre-hint plans. The ablation_parallel_dop
-  /// bench sweeps this to expose the batch-size / responsiveness trade-off
-  /// (§4.4c).
-  int batch_rows = 0;
 };
 
 /// Stateless per-statement planner over a catalog.
@@ -107,10 +99,6 @@ class Planner {
   void Parallelize(std::unique_ptr<PhysicalPlan>* node_ptr) const;
   /// The DOP for a node with `input_rows` estimated input rows.
   int ChooseDop(double input_rows) const;
-  /// Stamps options_.batch_rows onto every node of the tree (batch_rows > 0
-  /// only); runs on every statement kind so prepared/cached templates carry
-  /// the hint too.
-  void StampBatchHints(PhysicalPlan* node) const;
 
   friend class PlannerTestPeer;  // plans whole-row reference answers
 

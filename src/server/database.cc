@@ -216,9 +216,7 @@ class CatalogRecoveryApplier : public storage::RecoveryApplier {
 /// include in the public API).
 class StagedEngineHandle {
  public:
-  StagedEngineHandle(catalog::Catalog* catalog,
-                     engine::StagedEngineOptions options)
-      : engine(catalog, options) {}
+  explicit StagedEngineHandle(catalog::Catalog* catalog) : engine(catalog) {}
   engine::StagedEngine engine;
 };
 
@@ -260,15 +258,7 @@ void PendingQuery::NotifyOnDone(std::function<void()> callback) {
 
 Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
 
-Database::~Database() {
-  // Drain order: vacuum first (its passes touch catalog state the engines
-  // read), then the commit stage, then stop the volcano-mode runtime. The
-  // staged engine drains its own commit stage; the volcano-mode commit
-  // runtime is ours: drain while its workers are alive, then stop them.
-  if (vacuum_ != nullptr) vacuum_->Drain();  // null only if Open failed
-  if (own_group_commit_ != nullptr) own_group_commit_->Drain();
-  if (commit_runtime_ != nullptr) commit_runtime_->Shutdown();
-}
+Database::~Database() = default;
 
 StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   std::unique_ptr<Database> db(new Database(std::move(options)));
@@ -300,52 +290,29 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     db->plan_cache_ = std::make_unique<frontend::PlanCache>(
         db->options_.plan_cache_capacity, db->options_.plan_cache_shards);
   }
-  const bool group_commit = db->durable() && db->options_.group_commit;
   if (db->options_.mode == ExecutionMode::kStaged) {
-    engine::StagedEngineOptions opts;
-    opts.exchange_capacity_pages = db->options_.exchange_buffer_pages;
-    opts.tuples_per_page = db->options_.tuples_per_page;
-    opts.threads_per_stage = db->options_.threads_per_stage;
-    opts.stage_pools = db->options_.stage_pools;
-    opts.max_dop = db->options_.max_dop;
-    if (group_commit) {
-      // The commit stage rides the engine's own runtime: "commit" appears
-      // beside fscan/join in the stage table.
-      opts.wal = db->wal_.get();
-      opts.group_commit_max_batch = db->options_.group_commit_max_batch;
-      opts.group_commit_max_wait_us = db->options_.group_commit_max_wait_us;
-    }
-    // Let the planner emit parallel shapes up to the engine's cap. Volcano
-    // mode skips this (below), so its planner never produces them.
-    db->options_.planner.max_dop = db->options_.max_dop;
-    db->staged_ =
-        std::make_unique<StagedEngineHandle>(db->catalog_.get(), opts);
-    db->group_commit_ = db->staged_->engine.group_commit();
+    db->staged_ = std::make_unique<StagedEngineHandle>(db->catalog_.get());
   } else {
-    // The volcano engine runs every node on the calling thread: parallel
-    // plan shapes would only add a partial/merge hop it gains nothing from.
-    db->options_.planner.max_dop = 1;
-    db->commit_runtime_ = std::make_unique<engine::StageRuntime>();
-    if (group_commit) {
-      engine::GroupCommitStage::Options gc;
-      gc.max_batch = db->options_.group_commit_max_batch;
-      gc.max_wait_us = db->options_.group_commit_max_wait_us;
-      db->own_group_commit_ = std::make_unique<engine::GroupCommitStage>(
-          db->commit_runtime_.get(), db->wal_.get(), gc,
-          engine::StagePoolSpec{1, -1});
-      db->group_commit_ = db->own_group_commit_.get();
-    }
+    db->own_runtime_ = std::make_unique<engine::StageRuntime>();
   }
-  // The vacuum stage rides the staged engine's runtime so "vacuum" shows up
-  // beside fscan/commit in the stage table; in volcano mode it shares the
-  // private commit runtime.
+  // The service stages ride the host runtime, so "commit" and "vacuum" show
+  // up beside fscan/join in the stage table.
+  if (db->durable() && db->options_.group_commit) {
+    engine::GroupCommitStage::Options gc;
+    gc.max_batch = db->options_.group_commit_max_batch;
+    gc.max_wait_us = db->options_.group_commit_max_wait_us;
+    db->group_commit_ = std::make_unique<engine::GroupCommitStage>(
+        db->host_runtime(), db->wal_.get(), gc, engine::StagePoolSpec{1, -1});
+  }
   engine::VacuumStage::Options vo;
   vo.window_us = db->options_.vacuum_window_us;
   db->vacuum_ = std::make_unique<engine::VacuumStage>(
-      db->staged_ != nullptr ? db->staged_->engine.runtime()
-                             : db->commit_runtime_.get(),
-      db->catalog_.get(), vo, engine::StagePoolSpec{1, -1});
+      db->host_runtime(), db->catalog_.get(), vo, engine::StagePoolSpec{1, -1});
   return db;
+}
+
+engine::StageRuntime* Database::host_runtime() const {
+  return staged_ != nullptr ? staged_->engine.runtime() : own_runtime_.get();
 }
 
 void Database::set_wal_fault_injector(storage::WriteFaultInjector* injector) {
@@ -411,8 +378,7 @@ bool IsDmlPlan(const PhysicalPlan* plan) {
 }  // namespace
 
 engine::StageRuntime::StatsSnapshot Database::EngineStats() const {
-  engine::StageRuntime::StatsSnapshot snap;
-  if (staged_ != nullptr) snap = staged_->engine.runtime()->Stats();
+  engine::StageRuntime::StatsSnapshot snap = host_runtime()->Stats();
   if (plan_cache_ != nullptr) {
     const frontend::PlanCacheStats cache = plan_cache_->Stats();
     snap.plan_cache.hits = cache.hits;
@@ -422,14 +388,6 @@ engine::StageRuntime::StatsSnapshot Database::EngineStats() const {
     snap.plan_cache.entries = cache.entries;
   }
   if (group_commit_ != nullptr) snap.group_commit = group_commit_->counters();
-  if (commit_runtime_ != nullptr) {
-    // Volcano mode has no engine snapshot; surface its private runtime's
-    // rows so `vacuum` (and `commit`, when group commit is on) are
-    // observable there too.
-    for (auto& stage : commit_runtime_->Stats().stages) {
-      snap.stages.push_back(std::move(stage));
-    }
-  }
   return snap;
 }
 
@@ -461,7 +419,7 @@ StatusOr<std::shared_ptr<const frontend::CachedPlan>> Database::GetOrPlanCached(
     }
   }
   // The facade performs the parse and optimize work itself, so it owns the
-  // per-stage counters here; the staged server counts its own stage visits.
+  // per-stage counters here; the staged server counts its own stage pops.
   stats_.GetCounter("stage.parse.packets")->Add(1);
   parser::internal::Parser parser(norm.tokens, catalog_->symbols());
   auto stmt = parser.ParseSingle();

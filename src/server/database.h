@@ -5,7 +5,6 @@
 #define STAGEDB_SERVER_DATABASE_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,23 +59,8 @@ struct DatabaseOptions {
   /// Injected per-I/O latency on the (memory-backed) disk; 0 = fast.
   int64_t disk_latency_micros = 0;
   optimizer::PlannerOptions planner;
+  /// kStaged runs the staged engine with its default StagedEngineOptions.
   ExecutionMode mode = ExecutionMode::kVolcano;
-  /// Staged engine knobs (ignored in volcano mode).
-  size_t exchange_buffer_pages = 4;
-  size_t tuples_per_page = 64;
-  int threads_per_stage = 1;
-  /// Partitioned intra-query parallelism (§4.3): maximum number of partition
-  /// packets one hash-join or aggregation may fan out to inside the staged
-  /// engine. Threaded into both the planner (which tags eligible plan nodes
-  /// with a DOP; see PlannerOptions::max_dop / parallel_min_rows) and the
-  /// engine (which clamps at instantiation). Ignored in volcano mode. The
-  /// default of 1 keeps plans and execution identical to pre-DOP builds;
-  /// pair values > 1 with stage_pools entries sized to match (e.g. "join"
-  /// and "aggr" pools of max_dop workers).
-  int max_dop = 1;
-  /// Per-stage worker-pool overrides (size + optional core pin), keyed by
-  /// stage name; stages without an entry get threads_per_stage workers.
-  std::map<std::string, engine::StagePoolSpec> stage_pools;
   /// Front-end work reuse (§2/§5): cache normalized statements' bound plan
   /// templates so repeated/parameterized statements skip parse + optimize.
   /// Shared by Execute, Prepare/ExecutePrepared, and both servers.
@@ -270,11 +254,12 @@ class Database {
   /// mirroring the monitoring hooks of the staged design.
   int64_t statements_executed() const;
 
-  /// Per-stage scheduling/latency snapshot of the staged engine's runtime
-  /// (queue depths, visits, packets per visit, wait/service histograms —
-  /// §5.2 monitoring at stage granularity). Empty in volcano mode (except
-  /// the group-commit counters, which a durable volcano database fills from
-  /// its private commit runtime).
+  /// Per-stage scheduling/latency snapshot of the runtime hosting the
+  /// service stages (queue depths, pops, wait/service histograms — §5.2
+  /// monitoring at stage granularity): the staged engine's runtime, or in
+  /// volcano mode the database's own, whose only rows are `vacuum` and
+  /// (with group commit) `commit`. Carries the plan-cache and group-commit
+  /// counters too.
   engine::StageRuntime::StatsSnapshot EngineStats() const;
 
   /// True when this database is backed by a WAL (options().wal_path set).
@@ -303,6 +288,10 @@ class Database {
   friend class CatalogRecoveryApplier;
   friend class PendingQuery;
   explicit Database(DatabaseOptions options);
+
+  /// The runtime hosting the commit and vacuum stages: the staged engine's
+  /// in kStaged mode, own_runtime_ in kVolcano mode.
+  engine::StageRuntime* host_runtime() const;
 
   /// Appends BEGIN for a fresh wal transaction and returns its id.
   StatusOr<int64_t> BeginWalTxn();
@@ -360,22 +349,15 @@ class Database {
   // wal txn id of the open BEGIN (0 = none).
   int64_t active_wal_txn_ GUARDED_BY(txn_mu_) = 0;
 
-  // Staged engine instance (created lazily in staged mode).
+  // Exactly one of these hosts the service stages below: the staged engine
+  // (kStaged mode) or a runtime of our own (kVolcano mode).
   std::unique_ptr<class StagedEngineHandle> staged_;
+  std::unique_ptr<engine::StageRuntime> own_runtime_;
 
-  // Volcano mode: a private free-run runtime hosting the vacuum stage and
-  // (with group commit) the commit stage; in staged mode both ride the
-  // engine's runtime. Declaration order matters: own_group_commit_ is
-  // destroyed before commit_runtime_, while the runtime's workers are still
-  // alive to serve the drain.
-  std::unique_ptr<engine::StageRuntime> commit_runtime_;
-  std::unique_ptr<engine::GroupCommitStage> own_group_commit_;
-  engine::GroupCommitStage* group_commit_ = nullptr;  // whichever exists
-
-  // The vacuum stage rides the staged engine's runtime (staged mode) or
-  // commit_runtime_ (volcano mode). Declared last so it drains — while the
-  // host runtime's workers are still alive — before either runtime is
-  // destroyed.
+  // The service stages. Declared after their host runtime, so each drains
+  // (in its destructor) while the host's workers are still alive: vacuum
+  // first, since its passes touch catalog state, then commit.
+  std::unique_ptr<engine::GroupCommitStage> group_commit_;  // durable only
   std::unique_ptr<engine::VacuumStage> vacuum_;
 };
 

@@ -130,7 +130,7 @@ RunOutcome LifecycleTask::Run() {
       // Front-end work reuse (§2/§5): consult the shared plan cache for a
       // repeated/parameterized statement before doing any parse work. A hit
       // routes the packet straight to the execute stage — Figure 3's
-      // precompiled-query bypass — visible as reduced optimize-stage visits
+      // precompiled-query bypass — visible as fewer optimize-stage pops
       // in StageRuntime::Stats().
       frontend::PlanCache* cache = db->plan_cache();
       if (cache != nullptr) {
@@ -225,15 +225,7 @@ RunOutcome LifecycleTask::Run() {
         set_next_stage(server_->execute_);
         return RunOutcome::kMoved;
       }
-      optimizer::PlannerOptions popts = db->options().planner;
-      // Staged mode only: the volcano engine runs a dop>1 planner's
-      // partial/merge aggregate shapes serially, gaining nothing (the
-      // facade clamps its own planner options the same way).
-      if (server_->options_.max_dop > 0 &&
-          db->options().mode == ExecutionMode::kStaged) {
-        popts.max_dop = server_->options_.max_dop;
-      }
-      optimizer::Planner planner(db->catalog(), popts);
+      optimizer::Planner planner(db->catalog(), db->options().planner);
       auto plan = planner.Plan(*stmt_);
       if (!plan.ok()) {
         result_ = plan.status();
@@ -316,15 +308,12 @@ void LifecycleTask::OnRetired() {
 
 StagedServer::StagedServer(Database* db, ServerOptions options)
     : db_(db), options_(std::move(options)) {
-  auto pool = [this](const char* name) {
-    return engine::PoolSpecFor(options_.stage_pools, name,
-                               options_.threads_per_stage);
-  };
-  connect_ = runtime_.CreateStage("connect", pool("connect"));
-  parse_ = runtime_.CreateStage("parse", pool("parse"));
-  optimize_ = runtime_.CreateStage("optimize", pool("optimize"));
-  execute_ = runtime_.CreateStage("execute", pool("execute"));
-  disconnect_ = runtime_.CreateStage("disconnect", pool("disconnect"));
+  const int workers = options_.threads_per_stage;
+  connect_ = runtime_.CreateStage("connect", workers);
+  parse_ = runtime_.CreateStage("parse", workers);
+  optimize_ = runtime_.CreateStage("optimize", workers);
+  execute_ = runtime_.CreateStage("execute", workers);
+  disconnect_ = runtime_.CreateStage("disconnect", workers);
 }
 
 StagedServer::~StagedServer() {

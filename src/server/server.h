@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,15 +69,6 @@ struct ServerOptions {
   /// Admission (connect) queue capacity; a full queue blocks Submit — the
   /// §5.2 overload back-pressure.
   size_t admission_capacity = 128;
-  /// Per-stage pool overrides for the lifecycle stages ("connect", "parse",
-  /// "optimize", "execute", "disconnect"); absent = threads_per_stage.
-  std::map<std::string, engine::StagePoolSpec> stage_pools;
-  /// Overrides the planner DOP (§4.3 intra-query parallelism) for statements
-  /// this server plans on its optimize stage. 0 = inherit the database's
-  /// DatabaseOptions::max_dop. Cached plan templates keep the database-wide
-  /// DOP (they are shared across entry points), and the engine's own
-  /// max_dop still caps whatever the plan asks for.
-  int max_dop = 0;
 };
 
 /// Abstract server interface shared by both architectures.

@@ -3,8 +3,8 @@
 // the ring protocol in isolation — wraparound at the capacity boundary,
 // full/empty interleavings, EOF ordering around a final partial batch,
 // cancellation — the mutex buffer's multi-consumer Close wakeup (lost-wakeup
-// regression), the Submit builder's per-edge impl selection, the optimizer's
-// batch_hint reaching the operator morsel size, and a DOP × batch-size
+// regression), the Submit builder's per-edge impl selection, the engine's
+// tuples_per_page reaching the operator morsel size, and a DOP × morsel-size
 // differential over joins/aggregations (results must be byte-identical).
 #include <algorithm>
 #include <atomic>
@@ -289,14 +289,12 @@ class ExchangeEngineTest : public ::testing::Test {
         workload::CreateWisconsinTable(catalog_.get(), "t2", kRows).ok());
   }
 
-  std::unique_ptr<PhysicalPlan> PlanFor(const std::string& sql, int max_dop,
-                                        int batch_rows = 0) {
+  std::unique_ptr<PhysicalPlan> PlanFor(const std::string& sql, int max_dop) {
     auto stmt = parser::ParseStatement(sql);
     EXPECT_TRUE(stmt.ok()) << sql;
     PlannerOptions opts;
     opts.max_dop = max_dop;
     opts.parallel_min_rows = 1;
-    opts.batch_rows = batch_rows;
     Planner planner(catalog_.get(), opts);
     auto plan = planner.Plan(**stmt);
     EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().message();
@@ -315,10 +313,10 @@ class ExchangeEngineTest : public ::testing::Test {
     return out;
   }
 
-  StagedEngineOptions EngineOptions(int max_dop, bool spsc) {
+  StagedEngineOptions EngineOptions(int max_dop, size_t tuples_per_page) {
     StagedEngineOptions opts;
     opts.max_dop = max_dop;
-    opts.spsc_exchange = spsc;
+    opts.tuples_per_page = tuples_per_page;
     opts.stage_pools["join"] = {max_dop, -1};
     opts.stage_pools["aggr"] = {max_dop, -1};
     return opts;
@@ -337,8 +335,8 @@ TEST_F(ExchangeEngineTest, SubmitSelectsRingForSingleProducerEdges) {
       "WHERE t2.two = 0";
   auto plan = PlanFor(sql, 4);
 
-  StagedEngine with_ring(catalog_.get(), EngineOptions(4, true));
-  auto query = with_ring.Submit(plan.get());
+  StagedEngine engine(catalog_.get(), EngineOptions(4, 64));
+  auto query = engine.Submit(plan.get());
   ASSERT_TRUE(query->Await().ok());
   int rings = 0, mutexes = 0;
   for (const auto& buffer : query->buffers) {
@@ -348,42 +346,31 @@ TEST_F(ExchangeEngineTest, SubmitSelectsRingForSingleProducerEdges) {
   // fan-in into the qual packet is 4-producer (mutex).
   EXPECT_GT(rings, 0);
   EXPECT_GT(mutexes, 0);
-
-  StagedEngine no_ring(catalog_.get(), EngineOptions(4, false));
-  auto query_off = no_ring.Submit(plan.get());
-  ASSERT_TRUE(query_off->Await().ok());
-  for (const auto& buffer : query_off->buffers) {
-    EXPECT_EQ(buffer->impl(), ExchangeBuffer::Impl::kMutex);
-  }
 }
 
-TEST_F(ExchangeEngineTest, BatchHintControlsMorselSizeOnTheWire) {
-  // The same scan shipped with an 8-row vs 256-row batch_hint must move
+TEST_F(ExchangeEngineTest, TuplesPerPageControlsMorselSizeOnTheWire) {
+  // The same scan on an engine with 8-row vs 256-row pages must move
   // correspondingly more vs fewer pages through its exchange edge.
-  const std::string sql = "SELECT unique1 FROM t1 WHERE unique1 >= 0";
-  auto small = PlanFor(sql, 1, /*batch_rows=*/8);
-  auto large = PlanFor(sql, 1, /*batch_rows=*/256);
-  StagedEngine engine(catalog_.get(), EngineOptions(1, true));
-
-  auto count_pages = [&](const PhysicalPlan* plan) {
-    auto query = engine.Submit(plan);
+  auto plan = PlanFor("SELECT unique1 FROM t1 WHERE unique1 >= 0", 1);
+  auto count_pages = [&](size_t tuples_per_page) {
+    StagedEngine engine(catalog_.get(), EngineOptions(1, tuples_per_page));
+    auto query = engine.Submit(plan.get());
     EXPECT_TRUE(query->Await().ok());
     int64_t pages = 0;
     for (const auto& buffer : query->buffers) pages += buffer->pages_pushed();
     return pages;
   };
-  const int64_t pages_small = count_pages(small.get());
-  const int64_t pages_large = count_pages(large.get());
+  const int64_t pages_small = count_pages(8);
+  const int64_t pages_large = count_pages(256);
   // 2000 rows: ≥250 morsels at 8 rows, ≤9 at 256 (+EOF slack either way).
   EXPECT_GT(pages_small, 20 * pages_large);
   EXPECT_GE(pages_large, kRows / 256);
 }
 
 TEST_F(ExchangeEngineTest, DopAndBatchSizeDifferentialIsByteIdentical) {
-  // Joins and aggregations across DOP ∈ {1,2,4}, batching off (batch_rows
-  // 0 = engine default morsels) and on (explicit 16-row morsels), with the
-  // ring fast path on and off: every combination must reproduce the serial
-  // reference byte-for-byte.
+  // Joins and aggregations across DOP ∈ {1,2,4} and 64- or 16-row pages must
+  // reproduce the serial reference byte-for-byte. Single-producer edges run
+  // the ring; the fan-in edges at DOP 2 and 4 run the mutex buffer.
   const std::vector<std::string> sqls = {
       "SELECT t1.unique1, t2.stringu1 FROM t1 JOIN t2 "
       "ON t1.unique1 = t2.unique2 WHERE t2.two = 0",
@@ -397,15 +384,11 @@ TEST_F(ExchangeEngineTest, DopAndBatchSizeDifferentialIsByteIdentical) {
     const auto expect = RunSorted(&serial, PlanFor(sql, 1).get());
     ASSERT_FALSE(expect.empty());
     for (const int dop : {1, 2, 4}) {
-      for (const int batch_rows : {0, 16}) {
-        for (const bool spsc : {false, true}) {
-          StagedEngine engine(catalog_.get(), EngineOptions(dop, spsc));
-          const auto got =
-              RunSorted(&engine, PlanFor(sql, dop, batch_rows).get());
-          EXPECT_EQ(expect, got)
-              << sql << " dop=" << dop << " batch_rows=" << batch_rows
-              << " spsc=" << spsc;
-        }
+      for (const size_t tuples_per_page : {64, 16}) {
+        StagedEngine engine(catalog_.get(),
+                            EngineOptions(dop, tuples_per_page));
+        EXPECT_EQ(expect, RunSorted(&engine, PlanFor(sql, dop).get()))
+            << sql << " dop=" << dop << " tuples_per_page=" << tuples_per_page;
       }
     }
   }

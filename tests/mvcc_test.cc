@@ -820,22 +820,25 @@ TEST(MvccVacuumSqlTest, VacuumStageWakesOnCommittedDeletes) {
   EXPECT_GE(db->vacuum_stage()->passes(), 1);
 }
 
-// Vacuum always runs on the Volcano database's private runtime, with or
-// without a commit stage beside it, so its row is always in the stage table.
-TEST(MvccVacuumSqlTest, VolcanoInMemoryReportsVacuumStage) {
-  DatabaseOptions options;
-  options.mode = ExecutionMode::kVolcano;
-  auto db_or = Database::Open(options);
-  ASSERT_TRUE(db_or.ok());
-  auto db = std::move(*db_or);
-  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER)").ok());
-  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1)").ok());
-  const auto snap = db->EngineStats();
-  EXPECT_FALSE(snap.group_commit.enabled);
-  std::vector<std::string> names;
-  for (const auto& stage : snap.stages) names.push_back(stage.name);
-  EXPECT_NE(std::find(names.begin(), names.end(), "vacuum"), names.end());
-  EXPECT_EQ(std::find(names.begin(), names.end(), "commit"), names.end());
+// An in-memory database has a vacuum stage and no commit stage in either
+// mode: both rows come from the one path that builds the service stages.
+TEST(MvccVacuumSqlTest, InMemoryReportsVacuumStageInBothModes) {
+  for (const auto mode : {ExecutionMode::kVolcano, ExecutionMode::kStaged}) {
+    SCOPED_TRACE(mode == ExecutionMode::kStaged ? "staged" : "volcano");
+    DatabaseOptions options;
+    options.mode = mode;
+    auto db_or = Database::Open(options);
+    ASSERT_TRUE(db_or.ok());
+    auto db = std::move(*db_or);
+    ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1)").ok());
+    const auto snap = db->EngineStats();
+    EXPECT_FALSE(snap.group_commit.enabled);
+    std::vector<std::string> names;
+    for (const auto& stage : snap.stages) names.push_back(stage.name);
+    EXPECT_NE(std::find(names.begin(), names.end(), "vacuum"), names.end());
+    EXPECT_EQ(std::find(names.begin(), names.end(), "commit"), names.end());
+  }
 }
 
 TEST(MvccRecoveryTest, RecoveryRestoresRowsAndTimestampHighWater) {

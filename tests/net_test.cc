@@ -2,10 +2,13 @@
 // oversized frames, partial writes), end-to-end query/prepare/execute over
 // a real socket, admission-control shedding and fairness, chaos behavior
 // (mid-query disconnects, slow-loris), and bounded shutdown.
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -478,6 +481,64 @@ TEST_F(NetTest, OversizedResultAnsweredWithErrorNotPoisonFrame) {
   ASSERT_TRUE(small.ok()) << small.status().ToString();
   EXPECT_EQ(small->rows[0][0].int_value(), 210);
   EXPECT_GE(srv_->GetStats().oversized_results, 1);
+}
+
+TEST_F(NetTest, UnreadOutputPastBoundClosesConnection) {
+  NetServerOptions options;
+  options.max_output_buffer_bytes = 64 << 10;
+  StartServer(options);
+  // 2000 rows of ~200 bytes: each result is ~420 KiB, under one frame, and
+  // the burst below (~10 MB) outgrows the kernel's socket buffers (at most
+  // 4 MiB of send buffer under Linux's default tcp_wmem).
+  ASSERT_TRUE(db_->Execute("CREATE TABLE wide (k INTEGER, pad VARCHAR(200))")
+                  .ok());
+  const std::string pad(200, 'p');
+  for (int batch = 0; batch < 40; ++batch) {
+    std::string sql = "INSERT INTO wide VALUES ";
+    for (int i = 0; i < 50; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(batch * 50 + i) + ", '" + pad + "')";
+    }
+    ASSERT_TRUE(db_->Execute(sql).ok());
+  }
+
+  // A raw client with a small receive buffer (set before connect, so the
+  // advertised window stays small) pipelines every query the server admits
+  // on one connection, then never reads.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(srv_->port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string burst;
+  const size_t depth = options.max_inflight_per_conn + options.pending_per_conn;
+  for (size_t i = 0; i < depth; ++i) {
+    burst += EncodeFrame(FrameType::kQuery, "SELECT k, pad FROM wide");
+  }
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (srv_->GetStats().closed_overflow == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(srv_->GetStats().closed_overflow, 1);
+  ::close(fd);
+
+  // Only the hoarding connection was cut: a second one is still answered.
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  auto result = client->Query("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows[0][0].int_value(), 10);
 }
 
 TEST_F(NetTest, OutstandingRequestIsNotIdle) {

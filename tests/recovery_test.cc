@@ -469,30 +469,35 @@ TEST_F(DatabaseRecoveryTest, ExplicitTxnCommitDurableRollbackNot) {
             std::vector<std::string>{"(1)"});
 }
 
-TEST_F(DatabaseRecoveryTest, StagedModeCommitStageAndRestart) {
-  std::vector<std::string> before;
-  {
-    auto db = OpenDb(server::ExecutionMode::kStaged);
+// Both modes build the commit and vacuum stages on one path: each is a row
+// of EngineStats() beside the host runtime's own stages.
+TEST_F(DatabaseRecoveryTest, CommitStageAndRestartInBothModes) {
+  for (const auto mode :
+       {server::ExecutionMode::kVolcano, server::ExecutionMode::kStaged}) {
+    SCOPED_TRACE(mode == server::ExecutionMode::kStaged ? "staged" : "volcano");
+    std::remove(wal_path_.c_str());
+    std::vector<std::string> before;
+    {
+      auto db = OpenDb(mode);
+      ASSERT_NE(db, nullptr);
+      Exec(db.get(), "CREATE TABLE t (k INTEGER, v VARCHAR(16))");
+      for (int i = 0; i < 20; ++i) {
+        Exec(db.get(), "INSERT INTO t VALUES (" + std::to_string(i) + ", 'r" +
+                           std::to_string(i) + "')");
+      }
+      before = Dump(db.get(), "SELECT * FROM t");
+      const auto snap = db->EngineStats();
+      EXPECT_TRUE(snap.group_commit.enabled);
+      EXPECT_EQ(snap.group_commit.commits, 20);
+      std::vector<std::string> names;
+      for (const auto& stage : snap.stages) names.push_back(stage.name);
+      EXPECT_NE(std::find(names.begin(), names.end(), "commit"), names.end());
+      EXPECT_NE(std::find(names.begin(), names.end(), "vacuum"), names.end());
+    }
+    auto db = OpenDb(mode);
     ASSERT_NE(db, nullptr);
-    Exec(db.get(), "CREATE TABLE t (k INTEGER, v VARCHAR(16))");
-    for (int i = 0; i < 20; ++i) {
-      Exec(db.get(), "INSERT INTO t VALUES (" + std::to_string(i) + ", 'r" +
-                         std::to_string(i) + "')");
-    }
-    before = Dump(db.get(), "SELECT * FROM t");
-    const auto snap = db->EngineStats();
-    EXPECT_TRUE(snap.group_commit.enabled);
-    EXPECT_EQ(snap.group_commit.commits, 20);
-    // The commit stage is a first-class runtime stage.
-    bool has_commit_stage = false;
-    for (const auto& s : snap.stages) {
-      if (s.name == "commit") has_commit_stage = true;
-    }
-    EXPECT_TRUE(has_commit_stage);
+    EXPECT_EQ(Dump(db.get(), "SELECT * FROM t"), before);
   }
-  auto db = OpenDb(server::ExecutionMode::kStaged);
-  ASSERT_NE(db, nullptr);
-  EXPECT_EQ(Dump(db.get(), "SELECT * FROM t"), before);
 }
 
 TEST_F(DatabaseRecoveryTest, GroupCommitOffStillDurable) {

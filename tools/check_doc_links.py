@@ -30,7 +30,8 @@ It also keeps the knob reference in docs/OPERATIONS.md in step with the
 options structs it documents (KNOB_TABLES): every data member of each
 struct needs a row in its table, and every backticked name in a row's
 first cell must be a member. A row may name several members
-(`host` / `port`).
+(`host` / `port`). Every table has a "used by" column, and every row fills
+it with the bench, test or tool that sets the knob (or `deployment`).
 
 Usage:  check_doc_links.py [--root DIR]
 Prints findings as `path:line: message` and exits non-zero if any exist.
@@ -61,8 +62,11 @@ KNOB_TABLES = (
     ("DatabaseOptions", "src/server/database.h"),
     ("ServerOptions", "src/server/server.h"),
     ("NetServerOptions", "src/net/net_server.h"),
+    ("StagedEngineOptions", "src/engine/staged_engine.h"),
+    ("PlannerOptions", "src/optimizer/planner.h"),
 )
-TABLE_ROW = re.compile(r"^\|([^|]*)\|")
+USED_BY = "used by"
+TABLE_SEPARATOR = re.compile(r"^\|[\s:|-]+\|\s*$")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -176,7 +180,9 @@ def struct_fields(header, struct):
     Good enough for plain aggregates like the options structs: comments are
     stripped, nested braces (brace initializers, nested types) are skipped,
     and each top-level `...;` declaration without a parenthesis yields the
-    identifier before its initializer. Returns None if the struct is absent.
+    identifier before its initializer. Nested `enum`, `struct` and `class`
+    declarations are types, not members. Returns None if the struct is
+    absent.
     """
     with open(header, encoding="utf-8") as f:
         text = re.sub(r"//[^\n]*", "", f.read())
@@ -195,7 +201,8 @@ def struct_fields(header, struct):
             if ch == ";":
                 head = decl.split("=")[0].strip()
                 if head and "(" not in head and not head.startswith(
-                        ("using ", "friend ", "static ")):
+                        ("using ", "friend ", "static ", "enum ", "struct ",
+                         "class ")):
                     fields.append(IDENTIFIER.findall(head)[-1])
                 decl = ""
             else:
@@ -203,45 +210,73 @@ def struct_fields(header, struct):
     return fields
 
 
+def table_cells(line):
+    """The stripped cells of a markdown table row, or None for a non-row."""
+    line = line.strip()
+    if not line.startswith("|"):
+        return None
+    return [cell.strip() for cell in line.strip("|").split("|")]
+
+
 def knob_rows(doc, struct):
-    """(heading line, {name: lineno}) for `struct`'s knob table; the names
-    are the backticked ones in each row's first cell. Line 0 = no heading."""
+    """(heading line, used-by column index, {name: (lineno, used_by)}) for
+    `struct`'s knob table; the names are the backticked ones in each row's
+    first cell. Line 0 = no heading; column None = no "used by" column."""
     heading = re.compile(r"^#{2,6}\s+`(?:\w+::)*%s`" % re.escape(struct))
-    heading_line, rows, in_section = 0, {}, False
+    heading_line, used_by_col, rows, in_section = 0, None, {}, False
+    header_seen = False
     for lineno, line in strip_fences(doc):
         if HEADING.match(line):
             in_section = bool(heading.match(line))
             if in_section:
-                heading_line = lineno
+                heading_line, header_seen = lineno, False
             continue
-        row = TABLE_ROW.match(line) if in_section else None
-        if row:
-            for name in INLINE_CODE.findall(row.group(1)):
-                rows.setdefault(name, lineno)
-    return heading_line, rows
+        cells = table_cells(line) if in_section else None
+        if cells is None or TABLE_SEPARATOR.match(line.strip()):
+            continue
+        if not header_seen:
+            header_seen = True
+            lowered = [cell.lower() for cell in cells]
+            if USED_BY in lowered:
+                used_by_col = lowered.index(USED_BY)
+            continue
+        used_by = ""
+        if used_by_col is not None and used_by_col < len(cells):
+            used_by = cells[used_by_col]
+        for name in INLINE_CODE.findall(cells[0]):
+            rows.setdefault(name, (lineno, used_by))
+    return heading_line, used_by_col, rows
 
 
-def check_knob_tables(findings):
-    for struct, header in KNOB_TABLES:
+def check_knob_tables(findings, doc=OPERATIONS_DOC, tables=KNOB_TABLES):
+    for struct, header in tables:
         fields = struct_fields(header, struct)
         if fields is None:
             findings.append((header, 1, "struct %s not found" % struct))
             continue
-        heading_line, rows = knob_rows(OPERATIONS_DOC, struct)
+        heading_line, used_by_col, rows = knob_rows(doc, struct)
         if not heading_line:
-            findings.append((OPERATIONS_DOC, 1,
-                             "no knob table for %s" % struct))
+            findings.append((doc, 1, "no knob table for %s" % struct))
             continue
+        if used_by_col is None:
+            findings.append((doc, heading_line,
+                             "knob table for %s has no \"%s\" column"
+                             % (struct, USED_BY)))
         for field in fields:
             if field not in rows:
-                findings.append((OPERATIONS_DOC, heading_line,
+                findings.append((doc, heading_line,
                                  "%s::%s (%s) has no knob row"
                                  % (struct, field, header)))
-        for name, lineno in sorted(rows.items(), key=lambda kv: kv[1]):
+        for name, (lineno, used_by) in sorted(rows.items(),
+                                              key=lambda kv: kv[1][0]):
             if name not in fields:
-                findings.append((OPERATIONS_DOC, lineno,
+                findings.append((doc, lineno,
                                  "knob row names %s, not a field of %s"
                                  % (name, struct)))
+            elif used_by_col is not None and not used_by:
+                findings.append((doc, lineno,
+                                 "knob row %s::%s has an empty \"%s\" cell"
+                                 % (struct, name, USED_BY)))
 
 
 def main(argv):
