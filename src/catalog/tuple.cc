@@ -153,7 +153,7 @@ Status DecodeLocated(const Schema& schema, std::string_view bytes,
       case TypeId::kVarchar: {
         uint32_t len;
         std::memcpy(&len, at, sizeof(len));
-        v = Value::Varchar(std::string(at + sizeof(len), len));
+        v.AssignVarchar(std::string_view(at + sizeof(len), len));
         break;
       }
       default:

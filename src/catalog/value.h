@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "catalog/types.h"
 #include "common/status.h"
@@ -40,6 +41,13 @@ class Value {
     v.type_ = TypeId::kVarchar;
     v.str_ = std::move(s);
     return v;
+  }
+
+  /// Makes this a VARCHAR holding `s`, reusing the storage the string
+  /// already has (a decode into a recycled row allocates nothing).
+  void AssignVarchar(std::string_view s) {
+    type_ = TypeId::kVarchar;
+    str_.assign(s.data(), s.size());
   }
 
   TypeId type() const { return type_; }

@@ -34,9 +34,15 @@ ExchangeBuffer::PushResult ExchangeBuffer::TryPush(RowBatch* batch) {
     if (pages_.size() >= capacity_) return PushResult::kFull;
     was_empty = pages_.empty();
     pages_.push_back(std::move(*batch));
-    batch->tuples.clear();
+    if (returned_.empty()) {
+      *batch = RowBatch{};
+    } else {
+      *batch = std::move(returned_.back());
+      returned_.pop_back();
+    }
     ++pages_pushed_;
   }
+  batch->Truncate(0, morsel_rows_);
   // Parent activation: the empty -> non-empty transition wakes the parked
   // (or not yet activated) consumers. A consumer can only be parked when it
   // observed an empty buffer (the runtime re-checks CanMakeProgress just
@@ -78,14 +84,20 @@ void ExchangeBuffer::ForceEof() {
 bool ExchangeBuffer::TryPop(RowBatch* out, bool* eof) {
   bool popped = false;
   bool was_full = false;
+  RowBatch drained;  // freed outside the lock when no push wants it
   {
     MutexLock lock(mu_);
     *eof = false;
     if (!pages_.empty()) {
       was_full = pages_.size() >= capacity_;
+      drained = std::move(*out);
       *out = std::move(pages_.front());
       pages_.pop_front();
       popped = true;
+      if (returned_.size() < capacity_ &&
+          !(drained.tuples.empty() && drained.spares.empty())) {
+        returned_.push_back(std::move(drained));
+      }
     } else if (eof_ || closed_) {
       // Closed counts as end of stream: Close() discards the buffered
       // batches and guarantees no producer will deliver more, so a consumer
@@ -105,6 +117,7 @@ void ExchangeBuffer::Close() {
     MutexLock lock(mu_);
     closed_ = true;
     pages_.clear();
+    returned_.clear();
   }
   WakeAll(producers_);
   // Lost-wakeup fix: with several consumers bound, the closing consumer
@@ -150,8 +163,8 @@ size_t RoundUpPow2(size_t n) {
 }
 }  // namespace
 
-SpscRingBuffer::SpscRingBuffer(size_t capacity_pages)
-    : ExchangeBuffer(capacity_pages),
+SpscRingBuffer::SpscRingBuffer(size_t capacity_pages, size_t morsel_rows)
+    : ExchangeBuffer(capacity_pages, morsel_rows),
       mask_(RoundUpPow2(std::max<size_t>(1, capacity_pages)) - 1),
       slots_(mask_ + 1) {}
 
@@ -186,8 +199,9 @@ ExchangeBuffer::PushResult SpscRingBuffer::TryPush(RowBatch* batch) {
   if (tail - head_.load(std::memory_order_acquire) > mask_) {
     return PushResult::kFull;
   }
-  slots_[tail & mask_] = std::move(*batch);
-  batch->tuples.clear();
+  // The slot holds the batch the consumer handed back when it last popped
+  // this slot; the swap gives it to the producer.
+  std::swap(slots_[tail & mask_], *batch);
   // seq_cst (not just release): the publication store is the first half of
   // the Dekker pair in WakeConsumerIfWaiting below.
   tail_.store(tail + 1, std::memory_order_seq_cst);
@@ -204,6 +218,7 @@ ExchangeBuffer::PushResult SpscRingBuffer::TryPush(RowBatch* batch) {
   } else {
     WakeConsumerIfWaiting();
   }
+  batch->Truncate(0, morsel_rows_);
   return PushResult::kOk;
 }
 
@@ -244,8 +259,9 @@ bool SpscRingBuffer::TryPop(RowBatch* out, bool* eof) {
     *eof = end;
     return false;
   }
-  *out = std::move(slots_[head & mask_]);
-  slots_[head & mask_].clear();
+  // The drained batch stays in the slot until the producer's next push into
+  // it takes it back.
+  std::swap(*out, slots_[head & mask_]);
   // seq_cst: first half of the Dekker pair in WakeProducerIfWaiting.
   head_.store(head + 1, std::memory_order_seq_cst);
   WakeProducerIfWaiting();

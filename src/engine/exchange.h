@@ -26,6 +26,11 @@
 //                         Dekker-style waiting flags (see the .cc).
 // The Submit builder picks the implementation per edge; bench/
 // exchange_pingpong measures the swap in isolation.
+//
+// Rows circulate: a consumer's next pop hands the rows it drained back to
+// the edge, and a producer's push receives them as RowBatch spares (at most
+// one morsel per batch), so a scan's rows are allocated once per edge slot
+// and refilled, not allocated on one worker and freed on another.
 #ifndef STAGEDB_ENGINE_EXCHANGE_H_
 #define STAGEDB_ENGINE_EXCHANGE_H_
 
@@ -62,8 +67,10 @@ using exec::RowBatch;
 /// semantics.
 class ExchangeBuffer {
  public:
-  explicit ExchangeBuffer(size_t capacity_pages)
-      : capacity_(capacity_pages) {}
+  /// `morsel_rows` bounds the spare rows a push hands back to its producer.
+  explicit ExchangeBuffer(size_t capacity_pages,
+                          size_t morsel_rows = exec::kDefaultMorselRows)
+      : capacity_(capacity_pages), morsel_rows_(morsel_rows) {}
   virtual ~ExchangeBuffer() = default;
 
   /// Which data path this edge runs on (monitoring / tests; the Submit
@@ -85,7 +92,9 @@ class ExchangeBuffer {
   /// caller keeps the batch and re-enqueues its packet); kClosed = the
   /// consumer no longer wants data (caller should finish early). A
   /// zero-capacity buffer rejects every push with kFull (kClosed once
-  /// closed); the engine therefore never creates one.
+  /// closed); the engine therefore never creates one. On kOk, *batch comes
+  /// back with no tuples and, as spares, up to one morsel of rows that a
+  /// consumer drained.
   [[nodiscard]] virtual PushResult TryPush(RowBatch* batch);
 
   /// Marks end-of-stream for one producer and, once every bound producer has
@@ -100,6 +109,8 @@ class ExchangeBuffer {
 
   /// Takes the next batch if available. Returns false with *eof=false when
   /// the buffer is momentarily empty, false with *eof=true at end of stream.
+  /// On success the rows *out held before (the consumer's drained batch)
+  /// go back to the edge for a producer to refill.
   /// A closed buffer reports end of stream once drained: closed means no
   /// further data will ever be delivered, so a parked peer consumer must not
   /// wait for an EOF mark that will never come (see Close).
@@ -130,6 +141,7 @@ class ExchangeBuffer {
   void WakeAll(const std::vector<Endpoint>& endpoints);
 
   const size_t capacity_;
+  const size_t morsel_rows_;
   // Endpoint vectors are appended to only during query wiring (before any
   // packet runs) and read unlocked by WakeAll afterwards.
   std::vector<Endpoint> producers_;
@@ -138,6 +150,9 @@ class ExchangeBuffer {
  private:
   mutable Mutex mu_;
   std::deque<RowBatch> pages_ GUARDED_BY(mu_);
+  // Drained batches consumers handed back, for the next pushes (at most
+  // capacity_ of them).
+  std::vector<RowBatch> returned_ GUARDED_BY(mu_);
   bool eof_ GUARDED_BY(mu_) = false;
   bool closed_ GUARDED_BY(mu_) = false;
   size_t eof_marks_ GUARDED_BY(mu_) = 0;  // producers that have MarkEof'd
@@ -166,9 +181,14 @@ class ExchangeBuffer {
 /// Cancellation (Close / ForceEof) works through atomic flags and may be
 /// called from any thread; the data slots themselves are only ever touched
 /// by the two owning endpoints. Capacity is rounded up to a power of two.
+///
+/// A pop swaps the consumer's drained batch into the slot it empties, and
+/// the push that next fills that slot swaps it out to the producer, so rows
+/// go back upstream without any shared state beyond the two indices.
 class SpscRingBuffer : public ExchangeBuffer {
  public:
-  explicit SpscRingBuffer(size_t capacity_pages);
+  explicit SpscRingBuffer(size_t capacity_pages,
+                          size_t morsel_rows = exec::kDefaultMorselRows);
 
   Impl impl() const override { return Impl::kSpscRing; }
   /// Actual slot count (capacity_pages rounded up to a power of two).

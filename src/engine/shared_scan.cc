@@ -40,23 +40,21 @@ class TableScan {
   /// Delivers the next page for `reader_id`. Returns false at end-of-scan
   /// (reader detached) or on error (*status non-OK, reader stays attached).
   bool NextPage(int64_t reader_id,
-                std::shared_ptr<const std::vector<std::string>>* records,
+                std::shared_ptr<const storage::PageRecords>* records,
                 Status* status) {
     MutexLock lock(mu_);
     auto it = readers_.find(reader_id);
     if (it == readers_.end()) return false;  // completed earlier
     Reader& reader = it->second;
     const storage::PageId want = reader.next;
-    std::shared_ptr<const std::vector<std::string>> page;
-    storage::PageId next = storage::kInvalidPageId;
+    std::shared_ptr<const storage::PageRecords> page;
     // A cached page is only served while the heap is at the version it was
-    // read at: any DML since makes the copy potentially stale, and the
+    // read at: any DML since makes the image potentially stale, and the
     // reader must go back through the (latched) buffer-pool read.
     const uint64_t version = heap_->version();
     for (const CachedPage& cached : window_) {
       if (cached.id == want && cached.version == version) {
         page = cached.records;
-        next = cached.next;
         ++stats_.window_hits;
         break;
       }
@@ -65,19 +63,20 @@ class TableScan {
       // The elevator's physical read. Performed under the table mutex: a
       // heap-page read is short (buffer-pool hit or one I/O) and serializing
       // it keeps the window and cursor trivially consistent.
-      auto fresh = std::make_shared<std::vector<std::string>>();
-      Status s = heap_->ReadPage(want, fresh.get(), &next);
+      auto fresh = std::make_shared<storage::PageRecords>();
+      Status s = heap_->ReadPage(want, fresh.get());
       if (!s.ok()) {
         *status = std::move(s);
         return false;
       }
       page = std::move(fresh);
-      window_.push_back(CachedPage{want, next, version, page});
+      window_.push_back(CachedPage{want, version, page});
       if (window_.size() > window_pages_) window_.pop_front();
       cursor_ = want;  // new readers attach at the elevator's head
       ++stats_.heap_page_reads;
     }
     // Advance circularly; wrapping back to the attach point ends the scan.
+    const storage::PageId next = page->next_page();
     const storage::PageId wrapped =
         next == storage::kInvalidPageId ? first_page_ : next;
     if (wrapped == reader.attach) {
@@ -102,9 +101,8 @@ class TableScan {
   };
   struct CachedPage {
     storage::PageId id;
-    storage::PageId next;
     uint64_t version;  // heap version the page was read at
-    std::shared_ptr<const std::vector<std::string>> records;
+    std::shared_ptr<const storage::PageRecords> records;
   };
 
   void DetachLocked(int64_t reader_id) REQUIRES(mu_) {
@@ -149,7 +147,7 @@ SharedScanManager::Cursor& SharedScanManager::Cursor::operator=(
 }
 
 bool SharedScanManager::Cursor::NextPage(
-    std::shared_ptr<const std::vector<std::string>>* records) {
+    std::shared_ptr<const storage::PageRecords>* records) {
   if (table_ == nullptr) return false;
   Status status;
   if (table_->NextPage(reader_id_, records, &status)) return true;

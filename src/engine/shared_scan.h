@@ -19,8 +19,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -30,7 +28,7 @@
 namespace stagedb::engine {
 
 /// The engine's reuse window: recently read pages each elevator keeps, as
-/// copies of their encoded records, for lagging readers.
+/// page images (storage::PageRecords), for lagging readers.
 inline constexpr size_t kSharedScanWindowPages = 32;
 
 /// Monitoring counters for one table's elevator (or the sum over all
@@ -76,7 +74,7 @@ class SharedScanManager {
     /// Delivers the live records of the next page in elevator order. Returns
     /// false when the scan has wrapped to its attach point (end of scan) or
     /// on error — distinguish via status(). End-of-scan detaches the reader.
-    bool NextPage(std::shared_ptr<const std::vector<std::string>>* records);
+    bool NextPage(std::shared_ptr<const storage::PageRecords>* records);
 
     /// Non-OK when NextPage stopped because of an error.
     const Status& status() const { return status_; }

@@ -179,27 +179,25 @@ class OperatorInstance : public StageTask {
     }
   }
 
-  /// Batch-at-a-time fetch: takes the next whole morsel from input `idx`
-  /// (zero-copy when the cursor holds an untouched batch — the common case
-  /// for operators that never interleave with NextInput on the same input).
-  /// kTuple means "got a non-empty batch".
-  Fetch NextBatch(size_t idx, RowBatch* out) {
+  /// Batch-at-a-time fetch: points *out at the next whole morsel of input
+  /// `idx`, which the caller consumes entirely (what NextInput has not yet
+  /// taken, when the two interleave on one input). The batch is the input
+  /// cursor's, so the next pop hands its drained rows back to the edge for
+  /// the producer to refill. kTuple means "got a batch".
+  Fetch NextBatch(size_t idx, RowBatch** out) {
     InputCursor& cur = cursors_[idx];
-    if (cur.pos < cur.batch.tuples.size()) {
-      if (cur.pos == 0) {
-        *out = std::move(cur.batch);
-      } else {
-        out->tuples.assign(
-            std::make_move_iterator(cur.batch.tuples.begin() + cur.pos),
-            std::make_move_iterator(cur.batch.tuples.end()));
+    if (cur.pos >= cur.batch.tuples.size()) {
+      bool eof = false;
+      if (!inputs_[idx]->TryPop(&cur.batch, &eof)) {
+        return eof ? Fetch::kEof : Fetch::kWait;
       }
-      cur.batch.clear();
-      cur.pos = 0;
-      return Fetch::kTuple;
+    } else if (cur.pos > 0) {
+      cur.batch.tuples.erase(cur.batch.tuples.begin(),
+                             cur.batch.tuples.begin() + cur.pos);
     }
-    bool eof = false;
-    if (inputs_[idx]->TryPop(out, &eof)) return Fetch::kTuple;
-    return eof ? Fetch::kEof : Fetch::kWait;
+    cur.pos = cur.batch.tuples.size();
+    *out = &cur.batch;
+    return Fetch::kTuple;
   }
 
   /// Batch-at-a-time emit. Always consumes *batch: tuples either reach an
@@ -316,18 +314,16 @@ class OperatorInstance : public StageTask {
   /// page-sized morsels from emit_pos_ and emits them batch-at-a-time.
   RunOutcome EmitStagedRows(int budget) {
     RunOutcome oc;
-    RowBatch morsel;
     while (budget > 0) {
       if (emit_pos_ >= staged_rows_.size()) return Finish();
       const size_t n = std::min({page_size(), static_cast<size_t>(budget),
                                  staged_rows_.size() - emit_pos_});
-      morsel.clear();
-      morsel.reserve(n);
+      morsel_.reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        morsel.push_back(std::move(staged_rows_[emit_pos_++]));
+        morsel_.push_back(std::move(staged_rows_[emit_pos_++]));
       }
       budget -= static_cast<int>(n);
-      if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
+      if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
     }
     return RunOutcome::kYield;
   }
@@ -369,7 +365,7 @@ class OperatorInstance : public StageTask {
   template <typename Fold>
   bool DrainInput(size_t idx, Fold fold, RunOutcome* outcome) {
     int budget = quantum_tuples();
-    RowBatch in;
+    RowBatch* in = nullptr;
     while (budget > 0) {
       switch (NextBatch(idx, &in)) {
         case Fetch::kWait:
@@ -379,8 +375,8 @@ class OperatorInstance : public StageTask {
         case Fetch::kEof:
           return true;
         case Fetch::kTuple: {
-          budget -= static_cast<int>(in.size());
-          Status s = fold(&in);
+          budget -= static_cast<int>(in->size());
+          Status s = fold(in);
           if (!s.ok()) {
             *outcome = Abort(std::move(s));
             return false;
@@ -399,6 +395,19 @@ class OperatorInstance : public StageTask {
     if (trace_ == nullptr || row == exec::ScanRow::kInvisible) return;
     trace_->CountRead(trace_id_);
     if (row == exec::ScanRow::kQualified) trace_->CountTuple(trace_id_);
+  }
+
+  /// The row a scan driver decodes into next: a spare row's storage when an
+  /// output edge has handed one back (into morsel_ or a staging batch).
+  Tuple SpareRow() {
+    if (morsel_.spares.empty()) {
+      for (RowBatch& staged : out_batches_) {
+        if (staged.spares.empty()) continue;
+        std::swap(morsel_.spares, staged.spares);
+        break;
+      }
+    }
+    return morsel_.TakeSpare();
   }
 
   RunOutcome RunSeqScan();
@@ -420,6 +429,10 @@ class OperatorInstance : public StageTask {
   size_t trace_id_ = 0;
 
   InputCursor cursors_[2];
+  /// The morsel this packet fills and emits. It outlives one Run, so the
+  /// spare rows a push hands back stay with the packet.
+  RowBatch morsel_;
+  Tuple scan_row_;  // the scan drivers' decode target; a rejected row stays
   std::vector<RowBatch> out_batches_;  // one staging batch per output
   std::vector<uint32_t> route_scratch_;  // ScatterBatch per-tuple targets
   size_t blocked_output_ = 0;            // partition that returned kFull
@@ -441,7 +454,8 @@ class OperatorInstance : public StageTask {
   // comes from — the table's elevator (shared_scans) or a private walk.
   SharedScanManager::Cursor shared_cursor_;
   storage::PageId private_next_page_ = storage::kInvalidPageId;
-  std::shared_ptr<const std::vector<std::string>> scan_page_;
+  std::shared_ptr<storage::PageRecords> private_page_;  // reused per page
+  std::shared_ptr<const storage::PageRecords> scan_page_;
   size_t scan_page_pos_ = 0;
   bool scan_started_ = false;
   std::vector<std::pair<int64_t, storage::Rid>> index_matches_;
@@ -511,11 +525,12 @@ bool OperatorInstance::CanMakeProgress() {
   return true;
 }
 
-/// The fscan driver. It drains one heap page at a time: a delivery from the
-/// table's elevator (shared_scans, §5.4: the packet attaches at the
+/// The fscan driver. It drains one heap page image at a time: a delivery
+/// from the table's elevator (shared_scans, §5.4: the packet attaches at the
 /// elevator's current position and finishes when it wraps back to its attach
 /// point) or the next page of a private ReadPage walk from the first page.
-/// Output back-pressure parks the packet between morsels of a page; the
+/// A morsel fills across page boundaries, so a full-table scan pushes full
+/// morsels. Output back-pressure parks the packet between morsels; the
 /// scan_page_ reference keeps the page alive across the park.
 RunOutcome OperatorInstance::RunSeqScan() {
   RunOutcome oc;
@@ -531,43 +546,51 @@ RunOutcome OperatorInstance::RunSeqScan() {
   }
   const storage::MvccReadView view = MvccView();
   int budget = quantum_tuples();
-  RowBatch morsel;
   while (budget > 0) {
-    if (scan_page_ == nullptr || scan_page_pos_ == scan_page_->size()) {
-      Status s;
-      if (!NextScanPage(&s)) {
-        if (!s.ok()) return Abort(std::move(s));
-        return Finish();
-      }
-      continue;
-    }
-    // Read a morsel's worth of the page and hand the rows that qualify
-    // downstream (a partial morsel waits in the output staging batch until
-    // a page fills). Visibility is evaluated against this packet's own
-    // snapshot: elevator riders share page deliveries but never visibility
-    // decisions.
-    morsel.clear();
+    // Read a morsel's worth of rows, across page boundaries, and hand the
+    // rows that qualify downstream (a partial morsel waits in the output
+    // staging batch until a page fills). Visibility is evaluated against
+    // this packet's own snapshot: elevator riders share page deliveries but
+    // never visibility decisions. Rows are decoded into spare rows; a
+    // rejected row keeps its storage for the next record.
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
-    morsel.reserve(target);
+    morsel_.reserve(target);
     size_t read = 0;
-    Tuple tuple;  // a rejected row's storage is reused for the next one
-    while (read < target && scan_page_pos_ < scan_page_->size()) {
+    bool end = false;
+    while (read < target) {
+      if (scan_page_ == nullptr || scan_page_pos_ == scan_page_->size()) {
+        Status s;
+        if (!NextScanPage(&s)) {
+          if (!s.ok()) return Abort(std::move(s));
+          end = true;
+          break;
+        }
+        continue;
+      }
+      if (scan_row_.capacity() == 0) scan_row_ = SpareRow();
       auto row = scan_reader_->ReadRecord(view, (*scan_page_)[scan_page_pos_],
-                                          &tuple);
+                                          &scan_row_);
       ++scan_page_pos_;
       if (!row.ok()) return Abort(row.status());
       TraceScanRow(*row);
       if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
-      if (*row == exec::ScanRow::kQualified) morsel.push_back(std::move(tuple));
+      if (*row == exec::ScanRow::kQualified) {
+        morsel_.push_back(std::move(scan_row_));
+        scan_row_.clear();  // moved-from: make it the empty row it must be
+      }
     }
     budget -= static_cast<int>(read);
-    if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
+    if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
+    if (end) return Finish();
   }
   return RunOutcome::kYield;
 }
 
 bool OperatorInstance::NextScanPage(Status* status) {
+  // Drop the drained page first: at the end of the table no page is left,
+  // so a packet resumed after a park at the end cannot read one twice.
+  scan_page_.reset();
   scan_page_pos_ = 0;
   if (engine_->options().shared_scans) {
     if (shared_cursor_.NextPage(&scan_page_)) return true;
@@ -575,11 +598,14 @@ bool OperatorInstance::NextScanPage(Status* status) {
     return false;
   }
   if (private_next_page_ == storage::kInvalidPageId) return false;
-  auto page = std::make_shared<std::vector<std::string>>();
-  *status = plan_->table->heap->ReadPage(private_next_page_, page.get(),
-                                         &private_next_page_);
+  if (private_page_ == nullptr) {
+    private_page_ = std::make_shared<storage::PageRecords>();
+  }
+  *status = plan_->table->heap->ReadPage(private_next_page_,
+                                         private_page_.get());
   if (!status->ok()) return false;
-  scan_page_ = std::move(page);
+  private_next_page_ = private_page_->next_page();
+  scan_page_ = private_page_;
   return true;
 }
 
@@ -594,25 +620,26 @@ RunOutcome OperatorInstance::RunIndexScan() {
   }
   const storage::MvccReadView view = MvccView();
   int budget = quantum_tuples();
-  RowBatch morsel;
   while (budget > 0) {
-    morsel.clear();
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
-    morsel.reserve(target);
+    morsel_.reserve(target);
     size_t read = 0;
-    Tuple tuple;  // a rejected row's storage is reused for the next one
     while (read < target && index_pos_ < index_matches_.size()) {
       const auto& [key, head] = index_matches_[index_pos_++];
       storage::Rid rid;
-      auto row = scan_reader_->ReadIndexed(view, key, head, &rid, &tuple);
+      if (scan_row_.capacity() == 0) scan_row_ = SpareRow();
+      auto row = scan_reader_->ReadIndexed(view, key, head, &rid, &scan_row_);
       if (!row.ok()) return Abort(row.status());
       TraceScanRow(*row);
       if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
-      if (*row == exec::ScanRow::kQualified) morsel.push_back(std::move(tuple));
+      if (*row == exec::ScanRow::kQualified) {
+        morsel_.push_back(std::move(scan_row_));
+        scan_row_.clear();
+      }
     }
     budget -= static_cast<int>(std::max<size_t>(1, read));
-    if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
+    if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
     if (index_pos_ >= index_matches_.size()) return Finish();
   }
   return RunOutcome::kYield;
@@ -622,7 +649,7 @@ RunOutcome OperatorInstance::RunQual() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
   int budget = quantum_tuples();
-  RowBatch in;
+  RowBatch* in = nullptr;
   Tuple projected;
   while (budget > 0) {
     switch (NextBatch(0, &in)) {
@@ -634,30 +661,31 @@ RunOutcome OperatorInstance::RunQual() {
       case Fetch::kTuple:
         break;
     }
-    budget -= static_cast<int>(in.size());
+    budget -= static_cast<int>(in->size());
     switch (plan_->kind) {
       case PlanKind::kFilter: {
         // Compact the batch in place: survivors slide left, the batch moves
-        // on whole (no per-tuple re-staging downstream).
+        // on whole (no per-tuple re-staging downstream), and the rows the
+        // predicate dropped keep their storage as spares.
         size_t w = 0;
-        for (size_t i = 0; i < in.tuples.size(); ++i) {
-          auto pass = EvalPredicate(*plan_->predicate, in.tuples[i]);
+        for (size_t i = 0; i < in->tuples.size(); ++i) {
+          auto pass = EvalPredicate(*plan_->predicate, in->tuples[i]);
           if (!pass.ok()) return Abort(pass.status());
           if (!*pass) continue;
-          if (w != i) in.tuples[w] = std::move(in.tuples[i]);
+          if (w != i) std::swap(in->tuples[w], in->tuples[i]);
           ++w;
         }
-        in.tuples.resize(w);
-        if (!HandleSink(EmitBatch(&in), &oc)) return oc;
+        in->Truncate(w, page_size());  // dropped rows become spares
+        if (!HandleSink(EmitBatch(in), &oc)) return oc;
         break;
       }
       case PlanKind::kProject: {
-        for (Tuple& t : in.tuples) {
+        for (Tuple& t : in->tuples) {
           Status s = exec::ProjectRow(*plan_, t, &projected);
           if (!s.ok()) return Abort(std::move(s));
           std::swap(t, projected);
         }
-        if (!HandleSink(EmitBatch(&in), &oc)) return oc;
+        if (!HandleSink(EmitBatch(in), &oc)) return oc;
         break;
       }
       case PlanKind::kLimit: {
@@ -666,11 +694,11 @@ RunOutcome OperatorInstance::RunQual() {
           // Satisfied: cancel upstream and finish.
           return FinishEarly();
         }
-        if (static_cast<int64_t>(in.size()) > want) {
-          in.tuples.resize(static_cast<size_t>(want));
+        if (static_cast<int64_t>(in->size()) > want) {
+          in->Truncate(static_cast<size_t>(want), page_size());
         }
-        limit_produced_ += static_cast<int64_t>(in.size());
-        if (!HandleSink(EmitBatch(&in), &oc)) return oc;
+        limit_produced_ += static_cast<int64_t>(in->size());
+        if (!HandleSink(EmitBatch(in), &oc)) return oc;
         if (limit_produced_ >= plan_->limit) {
           for (ExchangeBuffer* input : inputs_) input->Close();
           return Finish();
@@ -704,14 +732,14 @@ RunOutcome OperatorInstance::RunJoin() {
     phase_ = 1;
   }
   int budget = quantum_tuples();
-  RowBatch out;
   Tuple row;
   while (budget-- > 0) {
     auto match = join_table_->NextMatch(&row);
     if (!match.ok()) return Abort(match.status());
     if (*match) {
-      out.push_back(std::move(row));
-      if (out.size() >= page_size() && !HandleSink(EmitBatch(&out), &oc)) {
+      morsel_.push_back(std::move(row));
+      if (morsel_.size() >= page_size() &&
+          !HandleSink(EmitBatch(&morsel_), &oc)) {
         return oc;
       }
       continue;
@@ -722,12 +750,12 @@ RunOutcome OperatorInstance::RunJoin() {
       if (!s.ok()) return Abort(std::move(s));
       continue;
     }
-    if (!HandleSink(EmitBatch(&out), &oc)) return oc;
+    if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
     if (fetch == Fetch::kEof) return Finish();
     block_ = BlockReason::kInput0;
     return RunOutcome::kBlocked;
   }
-  if (!HandleSink(EmitBatch(&out), &oc)) return oc;
+  if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
   return RunOutcome::kYield;
 }
 
@@ -736,7 +764,7 @@ RunOutcome OperatorInstance::RunMergeJoin() {
   if (!EnsureOutputWritable(&oc)) return oc;
   if (phase_ == 0) {  // drain both inputs, a batch at a time per side
     int budget = quantum_tuples();
-    RowBatch in;
+    RowBatch* in = nullptr;
     while (!input_eof_[0] || !input_eof_[1]) {
       if (budget <= 0) return RunOutcome::kYield;
       bool progressed = false;
@@ -744,8 +772,8 @@ RunOutcome OperatorInstance::RunMergeJoin() {
         if (input_eof_[side]) continue;
         switch (NextBatch(side, &in)) {
           case Fetch::kTuple:
-            budget -= static_cast<int>(in.size());
-            for (Tuple& t : in.tuples) merge_join_->Add(side, std::move(t));
+            budget -= static_cast<int>(in->size());
+            for (Tuple& t : in->tuples) merge_join_->Add(side, std::move(t));
             progressed = true;
             break;
           case Fetch::kEof:
@@ -767,21 +795,21 @@ RunOutcome OperatorInstance::RunMergeJoin() {
     phase_ = 1;
   }
   int budget = quantum_tuples();
-  RowBatch out;
   Tuple row;
   while (budget-- > 0) {
     auto joined = merge_join_->Next(&row);
     if (!joined.ok()) return Abort(joined.status());
     if (!*joined) {
-      if (!HandleSink(EmitBatch(&out), &oc)) return oc;
+      if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
       return Finish();
     }
-    out.push_back(std::move(row));
-    if (out.size() >= page_size() && !HandleSink(EmitBatch(&out), &oc)) {
+    morsel_.push_back(std::move(row));
+    if (morsel_.size() >= page_size() &&
+        !HandleSink(EmitBatch(&morsel_), &oc)) {
       return oc;
     }
   }
-  if (!HandleSink(EmitBatch(&out), &oc)) return oc;
+  if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
   return RunOutcome::kYield;
 }
 
@@ -833,16 +861,14 @@ RunOutcome OperatorInstance::RunValues() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
   int budget = quantum_tuples();
-  RowBatch morsel;
   while (budget > 0) {
     if (values_pos_ >= plan_->rows.size()) return Finish();
-    morsel.clear();
     const size_t target = std::min(page_size(), static_cast<size_t>(budget));
-    while (morsel.size() < target && values_pos_ < plan_->rows.size()) {
-      morsel.push_back(plan_->rows[values_pos_++]);
+    while (morsel_.size() < target && values_pos_ < plan_->rows.size()) {
+      morsel_.push_back(plan_->rows[values_pos_++]);
     }
-    budget -= static_cast<int>(morsel.size());
-    if (!HandleSink(EmitBatch(&morsel), &oc)) return oc;
+    budget -= static_cast<int>(morsel_.size());
+    if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
   }
   return RunOutcome::kYield;
 }
@@ -1021,14 +1047,15 @@ std::shared_ptr<StagedQuery> StagedEngine::Submit(const PhysicalPlan* plan,
         // would park the producer forever.
         const size_t capacity =
             std::max<size_t>(1, engine->options().exchange_capacity_pages);
+        const size_t morsel = engine->options().tuples_per_page;
         std::vector<ExchangeBuffer*> parts;
         parts.reserve(group.size());
         for (OperatorInstance* consumer : group) {
           std::unique_ptr<ExchangeBuffer> buffer;
           if (spsc_edge) {
-            buffer = std::make_unique<SpscRingBuffer>(capacity);
+            buffer = std::make_unique<SpscRingBuffer>(capacity, morsel);
           } else {
-            buffer = std::make_unique<ExchangeBuffer>(capacity);
+            buffer = std::make_unique<ExchangeBuffer>(capacity, morsel);
           }
           ExchangeBuffer* b = buffer.get();
           query->buffers.push_back(std::move(buffer));

@@ -45,7 +45,7 @@ struct StagedEngineOptions {
   /// Tuples per exchanged batch (§4.4c: "the page size for exchanging
   /// intermediate results among the execution engine stages"): the morsel
   /// size of the batch ABI on every edge.
-  size_t tuples_per_page = 64;
+  size_t tuples_per_page = exec::kDefaultMorselRows;
   /// Fine = operator stages as in Figure 3; coarse = one execute stage
   /// hosting every operator (the monolithic end of §4.4's granularity
   /// trade-off).

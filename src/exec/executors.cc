@@ -109,8 +109,9 @@ StatusOr<ScanRow> ScanRowReader::Qualify(std::string_view payload,
   if (program_.has_value() && !program_->Matches(payload, offsets_)) {
     return ScanRow::kRejected;
   }
+  // No clear: every slot a qualifying row emits is decoded below, so a
+  // recycled row keeps its Values' storage.
   const Schema& schema = node_.table->schema;
-  out->clear();
   out->resize(width_);
   ++rows_decoded_;
   STAGEDB_RETURN_IF_ERROR(

@@ -330,6 +330,10 @@ HashAggregator::HashAggregator(const PhysicalPlan& node)
                      : node.exprs.size()) {}
 
 std::vector<AggAccumulator>& HashAggregator::Group() {
+  if (key_width_ == 0) {
+    if (!global_.has_value()) global_.emplace(node_.aggregates.size());
+    return *global_;
+  }
   std::vector<AggAccumulator>& accs = groups_[key_];
   if (accs.empty()) accs.resize(node_.aggregates.size());
   return accs;
@@ -373,8 +377,10 @@ Status HashAggregator::Add(const Tuple& row) {
 
 std::vector<Tuple> HashAggregator::Finish() {
   const bool partial = node_.agg_mode == AggMode::kPartial;
-  if (groups_.empty() && key_width_ == 0 && !partial) {
-    groups_[RowKey{}].resize(node_.aggregates.size());
+  if (key_width_ == 0 && (global_.has_value() || !partial)) {
+    if (!global_.has_value()) global_.emplace(node_.aggregates.size());
+    groups_.emplace(RowKey{}, std::move(*global_));
+    global_.reset();
   }
   std::vector<Tuple> out;
   out.reserve(groups_.size());

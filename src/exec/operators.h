@@ -9,6 +9,7 @@
 #ifndef STAGEDB_EXEC_OPERATORS_H_
 #define STAGEDB_EXEC_OPERATORS_H_
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -141,11 +142,15 @@ class HashAggregator {
   std::vector<catalog::Tuple> Finish();
 
  private:
+  /// The accumulators of key_'s group; a global aggregate (no key) has one
+  /// group, kept outside the hash table.
   std::vector<AggAccumulator>& Group();
 
   const optimizer::PhysicalPlan& node_;
   size_t key_width_ = 0;  // group key columns at the front of an output row
   std::unordered_map<RowKey, std::vector<AggAccumulator>, RowKeyHash> groups_;
+  /// The keyless group, engaged once it has rows.
+  std::optional<std::vector<AggAccumulator>> global_;
   RowKey key_;  // reused per row: a lookup allocates nothing
 };
 

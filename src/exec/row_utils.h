@@ -4,6 +4,8 @@
 #ifndef STAGEDB_EXEC_ROW_UTILS_H_
 #define STAGEDB_EXEC_ROW_UTILS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "catalog/tuple.h"
@@ -49,11 +51,20 @@ inline catalog::Tuple JoinRows(const catalog::Tuple& left,
   return joined;
 }
 
+/// The morsel size, in rows, when nothing sets one
+/// (StagedEngineOptions::tuples_per_page).
+inline constexpr size_t kDefaultMorselRows = 64;
+
 /// One morsel of rows exchanged between operator stages. The batch size (in
 /// tuples) is the §4.4(c) tuning parameter (StagedEngineOptions::
 /// tuples_per_page).
+///
+/// `spares` are emptied rows whose storage the next fill reuses: an exchange
+/// edge hands the rows a consumer drained back to the producer as spares,
+/// and the scan drivers decode into them, so a steady scan allocates no row.
 struct RowBatch {
   std::vector<catalog::Tuple> tuples;
+  std::vector<catalog::Tuple> spares;
   bool empty() const { return tuples.empty(); }
   size_t size() const { return tuples.size(); }
   void clear() { tuples.clear(); }
@@ -70,6 +81,22 @@ struct RowBatch {
                     std::make_move_iterator(other->tuples.end()));
     }
     other->tuples.clear();
+  }
+  /// Keeps the first `n` tuples and makes the rest spares, holding at most
+  /// `max_spares` in all; a row with no storage, or past the bound, is
+  /// freed.
+  void Truncate(size_t n, size_t max_spares) {
+    for (size_t i = n; i < tuples.size() && spares.size() < max_spares; ++i) {
+      if (tuples[i].capacity() > 0) spares.push_back(std::move(tuples[i]));
+    }
+    tuples.resize(std::min(n, tuples.size()));
+  }
+  /// A row to fill: a spare's storage when there is one, else a new row.
+  catalog::Tuple TakeSpare() {
+    if (spares.empty()) return {};
+    catalog::Tuple t = std::move(spares.back());
+    spares.pop_back();
+    return t;
   }
 };
 

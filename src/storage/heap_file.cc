@@ -1,6 +1,6 @@
 #include "storage/heap_file.h"
 
-#include "storage/slotted_page.h"
+#include <cstring>
 
 namespace stagedb::storage {
 
@@ -8,10 +8,9 @@ namespace stagedb::storage {
 // and Unpin with the frame latch held — shared for readers (Get, ReadPage),
 // exclusive for mutators (Insert, Delete, OverwritePrefix). The pin is what
 // keeps the frame from being recycled while the latch is held. Scans hold
-// neither across pages: ReadPage pins a page once, copies its live records
-// under the shared latch and unpins it, so a scan sees each page as it was
-// at one instant and a writer appending to that page waits for the copy
-// only.
+// neither across pages: ReadPage pins a page once, copies its image under
+// the shared latch and unpins it, so a scan sees each page as it was at one
+// instant and a writer appending to that page waits for one memcpy only.
 
 StatusOr<std::unique_ptr<HeapFile>> HeapFile::Create(BufferPool* pool) {
   auto page_or = pool->NewPage();
@@ -156,43 +155,40 @@ HeapFile::Iterator::Iterator(const HeapFile* file, PageId page_id)
     : file_(file), next_page_(page_id) {}
 
 bool HeapFile::Iterator::Next() {
-  while (pos_ == records_.size()) {
+  while (pos_ == page_.size()) {
     if (next_page_ == kInvalidPageId) return false;
     page_id_ = next_page_;
     pos_ = 0;
-    status_ = file_->ReadPage(page_id_, &records_, &next_page_, &slots_);
+    status_ = file_->ReadPage(page_id_, &page_);  // empty on failure
     if (!status_.ok()) {
-      records_.clear();  // stay at the end
-      next_page_ = kInvalidPageId;
+      next_page_ = kInvalidPageId;  // stay at the end
       return false;
     }
+    next_page_ = page_.next_page();
   }
   ++pos_;
   return true;
 }
 
-Status HeapFile::ReadPage(PageId page_id, std::vector<std::string>* records,
-                          PageId* next, std::vector<uint16_t>* slots) const {
-  records->clear();
-  if (slots != nullptr) slots->clear();
-  *next = kInvalidPageId;
+Status HeapFile::ReadPage(PageId page_id, PageRecords* records) const {
+  records->spans_.clear();
+  records->next_page_ = kInvalidPageId;
   auto page_or = pool_->FetchPage(page_id);
   if (!page_or.ok()) return page_or.status();
   Page* page = *page_or;
-  SlottedPage sp(page);
   {
     SharedLock latch(page->latch());
-    const uint16_t num_slots = sp.num_slots();
-    records->reserve(num_slots);
-    for (uint16_t slot = 0; slot < num_slots; ++slot) {
-      auto rec_or = sp.Get(slot);
-      if (!rec_or.ok()) continue;  // deleted slot
-      records->emplace_back(rec_or->data(), rec_or->size());
-      if (slots != nullptr) slots->push_back(slot);
-    }
-    *next = sp.next_page();
+    std::memcpy(records->image_.data(), page->data(), kPageSize);
   }
-  return pool_->Unpin(page_id, false);
+  STAGEDB_RETURN_IF_ERROR(pool_->Unpin(page_id, false));
+  Status s = SlottedPage::WalkLiveRecords(records->image_.data(),
+                                          &records->spans_,
+                                          &records->next_page_);
+  if (!s.ok()) {
+    records->spans_.clear();
+    records->next_page_ = kInvalidPageId;
+  }
+  return s;
 }
 
 }  // namespace stagedb::storage

@@ -1,10 +1,12 @@
 // Heap files: unordered collections of records in a chain of slotted pages.
 // One heap file per table. Every scan (the fscan stages of the execution
 // engine, the Volcano SeqScan, DML, index backfill, vacuum and recovery)
-// reads it a page at a time through HeapFile::ReadPage.
+// reads it a page at a time through HeapFile::ReadPage, as one private image
+// of the page whose live records are views into that image.
 #ifndef STAGEDB_STORAGE_HEAP_FILE_H_
 #define STAGEDB_STORAGE_HEAP_FILE_H_
 
+#include <array>
 #include <atomic>
 #include <string>
 #include <string_view>
@@ -14,8 +16,40 @@
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
+#include "storage/slotted_page.h"
 
 namespace stagedb::storage {
+
+/// The live records of one heap page, as HeapFile::ReadPage left them: a
+/// private image of the page and a span per live record into that image.
+/// Reusable: each ReadPage into it overwrites the image and the spans, so a
+/// scan that keeps one PageRecords allocates nothing per record, and per
+/// page only when the span list grows.
+class PageRecords {
+ public:
+  // User-provided so that value-initialization (make_shared) does not zero
+  // the image: ReadPage overwrites it before any record is read.
+  PageRecords() {}
+
+  size_t size() const { return spans_.size(); }
+  bool empty() const { return spans_.empty(); }
+  /// Record i's bytes; valid while this object is neither destroyed nor
+  /// read into again.
+  std::string_view operator[](size_t i) const {
+    return std::string_view(image_.data() + spans_[i].offset,
+                            spans_[i].length);
+  }
+  /// Record i's slot on its page.
+  uint16_t slot(size_t i) const { return spans_[i].slot; }
+  /// The page's successor in the heap chain (kInvalidPageId at the tail).
+  PageId next_page() const { return next_page_; }
+
+ private:
+  friend class HeapFile;
+  std::array<char, kPageSize> image_;
+  std::vector<RecordSpan> spans_;
+  PageId next_page_ = kInvalidPageId;
+};
 
 /// A heap file over a buffer pool. Thread-safe for concurrent readers with a
 /// single writer per call (internal mutex serializes structural changes).
@@ -54,10 +88,10 @@ class HeapFile {
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   /// Forward iterator over live records: a thin cursor over ReadPage. Each
-  /// page is pinned once, its live records are copied under the shared page
-  /// latch, and Next() then drains that copy without touching the pool. The
-  /// records of one page are therefore a consistent snapshot of that page;
-  /// a record added to a page after its copy was taken is not returned.
+  /// page is pinned once and imaged under the shared page latch, and Next()
+  /// then walks that image without touching the pool. The records of one
+  /// page are therefore a consistent snapshot of that page; a record added
+  /// to a page after its image was taken is not returned.
   class Iterator {
    public:
     Iterator(const HeapFile* file, PageId page_id);
@@ -65,33 +99,31 @@ class HeapFile {
     bool Next();
     /// The current record and its rid; the record is valid until the next
     /// call to Next().
-    Rid rid() const { return Rid{page_id_, slots_[pos_ - 1]}; }
-    const std::string& record() const { return records_[pos_ - 1]; }
+    Rid rid() const { return Rid{page_id_, page_.slot(pos_ - 1)}; }
+    std::string_view record() const { return page_[pos_ - 1]; }
     /// Non-OK when iteration stopped because of an error (not end-of-file).
     const Status& status() const { return status_; }
 
    private:
     const HeapFile* file_;
-    PageId page_id_ = kInvalidPageId;  // page that records_ was copied from
+    PageId page_id_ = kInvalidPageId;  // page that page_ images
     PageId next_page_;                 // next page to read
-    std::vector<std::string> records_;
-    std::vector<uint16_t> slots_;
-    size_t pos_ = 0;  // records_[pos_ - 1] is the current record
+    PageRecords page_;
+    size_t pos_ = 0;  // page_[pos_ - 1] is the current record
     Status status_;
   };
 
   Iterator Scan() const { return Iterator(this, first_page_); }
 
-  /// Copies every live record of `page_id` into `records` (slot order) and
-  /// reports the successor page in `*next` (kInvalidPageId at the tail).
-  /// When `slots` is non-null it receives each record's slot number. This is
-  /// the only walk over a heap page's slots: Iterator and the staged fscan
-  /// driver both read a page at a time through it. The page is pinned for
-  /// the call only, so a cursor built on ReadPage survives page eviction
-  /// between calls; the page latch is held shared for the copy, so
-  /// concurrent DML never yields a torn record.
-  Status ReadPage(PageId page_id, std::vector<std::string>* records,
-                  PageId* next, std::vector<uint16_t>* slots = nullptr) const;
+  /// Reads `page_id` into `*records`: one copy of the page image, then the
+  /// live records in slot order and the successor page. This is the only
+  /// walk over a heap page's slots: Iterator, the staged fscan driver and
+  /// the shared-scan window all read a page at a time through it. The page
+  /// is pinned for the copy only, so a cursor built on ReadPage survives
+  /// page eviction between calls; the page latch is held shared for the
+  /// copy, so concurrent DML never yields a torn record. A slot whose span
+  /// leaves the page is Corruption. On any error `*records` is left empty.
+  Status ReadPage(PageId page_id, PageRecords* records) const;
 
   /// Number of live records (walks the file).
   StatusOr<int64_t> CountRecords() const;

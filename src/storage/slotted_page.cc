@@ -61,7 +61,37 @@ StatusOr<std::string_view> SlottedPage::Get(uint16_t slot_id) const {
   if (s->length == 0) {
     return Status::NotFound(StrFormat("slot %u deleted", slot_id));
   }
+  if (size_t{s->offset} + s->length > kPageSize) {
+    return Status::Corruption(StrFormat("slot %u leaves the page", slot_id));
+  }
   return std::string_view(page_->data() + s->offset, s->length);
+}
+
+Status SlottedPage::WalkLiveRecords(const char* image,
+                                    std::vector<RecordSpan>* spans,
+                                    PageId* next) {
+  spans->clear();
+  Header h;
+  std::memcpy(&h, image, sizeof(h));
+  *next = h.next_page;
+  const size_t slots_end = sizeof(Header) + size_t{h.num_slots} * sizeof(Slot);
+  if (slots_end > kPageSize) {
+    return Status::Corruption(
+        StrFormat("slot directory of %u slots leaves the page", h.num_slots));
+  }
+  spans->reserve(h.num_slots);
+  for (uint16_t i = 0; i < h.num_slots; ++i) {
+    Slot s;
+    std::memcpy(&s, image + sizeof(Header) + i * sizeof(Slot), sizeof(s));
+    if (s.length == 0) continue;  // deleted
+    if (s.offset < slots_end || size_t{s.offset} + s.length > kPageSize) {
+      return Status::Corruption(StrFormat(
+          "slot %u spans [%u, %u), outside the record area", i, s.offset,
+          s.offset + s.length));
+    }
+    spans->push_back(RecordSpan{i, s.offset, s.length});
+  }
+  return Status::OK();
 }
 
 Status SlottedPage::Delete(uint16_t slot_id) {

@@ -10,11 +10,19 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/page.h"
 
 namespace stagedb::storage {
+
+/// Where one live record of a page image lies: its slot and its bytes.
+struct RecordSpan {
+  uint16_t slot;
+  uint16_t offset;
+  uint16_t length;
+};
 
 /// A view over a Page interpreting it with the slotted layout. Does not own
 /// the page; latching is the caller's concern.
@@ -48,6 +56,14 @@ class SlottedPage {
 
   PageId next_page() const;
   void set_next_page(PageId id);
+
+  /// The one walk over a slot directory, on a private copy of a page
+  /// (kPageSize bytes): appends a span per live record to `*spans` in slot
+  /// order and reports the successor page in `*next`. A dead slot (length
+  /// 0) is skipped. A slot directory or record span that leaves the page,
+  /// or a record that overlaps the directory, is Corruption.
+  static Status WalkLiveRecords(const char* image,
+                                std::vector<RecordSpan>* spans, PageId* next);
 
  private:
   struct Header {

@@ -67,17 +67,22 @@ class SharedScanTest : public ::testing::Test {
   std::vector<std::string> IteratorRecords() const {
     std::vector<std::string> records;
     auto it = table_->heap->Scan();
-    while (it.Next()) records.push_back(it.record());
+    while (it.Next()) records.emplace_back(it.record());
     EXPECT_TRUE(it.status().ok());
     return records;
+  }
+
+  static void AppendRecords(const storage::PageRecords& page,
+                            std::vector<std::string>* out) {
+    for (size_t i = 0; i < page.size(); ++i) out->emplace_back(page[i]);
   }
 
   /// Drains `cursor` to completion, appending to `out`.
   static void Drain(SharedScanManager::Cursor* cursor,
                     std::vector<std::string>* out) {
-    std::shared_ptr<const std::vector<std::string>> page;
+    std::shared_ptr<const storage::PageRecords> page;
     while (cursor->NextPage(&page)) {
-      out->insert(out->end(), page->begin(), page->end());
+      AppendRecords(*page, out);
     }
     EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
   }
@@ -110,10 +115,10 @@ TEST_F(SharedScanTest, AttachMidScanSeesEveryRecordExactlyOnce) {
 
   // Lead consumes a few pages, then a second reader attaches mid-scan.
   std::vector<std::string> lead_got;
-  std::shared_ptr<const std::vector<std::string>> page;
+  std::shared_ptr<const storage::PageRecords> page;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(lead.NextPage(&page));
-    lead_got.insert(lead_got.end(), page->begin(), page->end());
+    AppendRecords(*page, &lead_got);
   }
   auto late = manager.Attach(table_->heap.get());
   EXPECT_EQ(manager.StatsFor(table_->heap.get()).active_readers, 2);
@@ -138,7 +143,7 @@ TEST_F(SharedScanTest, AttachMidScanSeesEveryRecordExactlyOnce) {
 TEST_F(SharedScanTest, LastReaderDetachResetsCursor) {
   SharedScanManager manager;
   auto reader = manager.Attach(table_->heap.get());
-  std::shared_ptr<const std::vector<std::string>> page;
+  std::shared_ptr<const storage::PageRecords> page;
   ASSERT_TRUE(reader.NextPage(&page));
   ASSERT_TRUE(reader.NextPage(&page));
   reader.Detach();  // abandon mid-scan
@@ -163,10 +168,10 @@ TEST_F(SharedScanTest, LaggardBeyondWindowStillSeesEverything) {
   auto laggard = manager.Attach(table_->heap.get());
 
   std::vector<std::string> lead_got, laggard_got;
-  std::shared_ptr<const std::vector<std::string>> page;
+  std::shared_ptr<const storage::PageRecords> page;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(lead.NextPage(&page));
-    lead_got.insert(lead_got.end(), page->begin(), page->end());
+    AppendRecords(*page, &lead_got);
   }
   Drain(&laggard, &laggard_got);
   Drain(&lead, &lead_got);
@@ -178,14 +183,14 @@ TEST_F(SharedScanTest, LockstepReadersShareTheWindow) {
   SharedScanManager manager;
   auto a = manager.Attach(table_->heap.get());
   auto b = manager.Attach(table_->heap.get());
-  std::shared_ptr<const std::vector<std::string>> page;
+  std::shared_ptr<const storage::PageRecords> page;
   std::vector<std::string> a_got, b_got;
   // Alternate page-by-page: b's deliveries should all come from the window.
   while (true) {
     const bool a_more = a.NextPage(&page);
-    if (a_more) a_got.insert(a_got.end(), page->begin(), page->end());
+    if (a_more) AppendRecords(*page, &a_got);
     const bool b_more = b.NextPage(&page);
-    if (b_more) b_got.insert(b_got.end(), page->begin(), page->end());
+    if (b_more) AppendRecords(*page, &b_got);
     if (!a_more && !b_more) break;
   }
   EXPECT_EQ(a_got, IteratorRecords());
@@ -202,9 +207,9 @@ TEST_F(SharedScanTest, WindowInvalidatedByDml) {
   // copy: the deleted record may not re-surface.
   SharedScanManager manager;
   auto lead = manager.Attach(table_->heap.get());
-  std::shared_ptr<const std::vector<std::string>> page;
+  std::shared_ptr<const storage::PageRecords> page;
   ASSERT_TRUE(lead.NextPage(&page));  // caches the first page
-  const std::string victim = page->front();
+  const std::string victim((*page)[0]);
 
   storage::Rid victim_rid;
   {

@@ -260,10 +260,11 @@ TEST_F(SqlTest, FullScanFetchesEachPageOnce) {
   auto table = db_->catalog()->GetTable("big");
   ASSERT_TRUE(table.ok());
   int64_t pages = 0;
-  std::vector<std::string> records;
+  storage::PageRecords records;
   for (storage::PageId id = (*table)->heap->first_page();
        id != storage::kInvalidPageId; ++pages) {
-    ASSERT_TRUE((*table)->heap->ReadPage(id, &records, &id).ok());
+    ASSERT_TRUE((*table)->heap->ReadPage(id, &records).ok());
+    id = records.next_page();
   }
   ASSERT_GT(pages, 4);
   storage::BufferPool* pool = db_->buffer_pool();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -291,11 +292,79 @@ TEST(HeapFileTest, ScanVisitsAllLiveRecordsInOrder) {
   ASSERT_TRUE(file->Delete(rids[17]).ok());
   std::vector<std::string> seen;
   auto it = file->Scan();
-  while (it.Next()) seen.push_back(it.record());
+  while (it.Next()) seen.emplace_back(it.record());
   ASSERT_TRUE(it.status().ok());
   EXPECT_EQ(seen.size(), 18u);
   EXPECT_EQ(seen[0], "rec0");
   EXPECT_EQ(seen[3], "rec4");  // rec3 deleted
+}
+
+// ReadPage images the page once and lists its live records in slot order:
+// deleted slots are skipped, and every span and slot matches a direct Get.
+TEST(HeapFileTest, ReadPageSkipsDeletedSlots) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 16);
+  auto file_or = HeapFile::Create(&pool);
+  ASSERT_TRUE(file_or.ok());
+  auto& file = *file_or;
+  std::vector<Rid> rids;
+  for (int i = 0; i < 10; ++i) {
+    auto rid = file->Insert("rec" + std::to_string(i));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(*rid);
+  }
+  for (int dead : {0, 4, 5, 9}) ASSERT_TRUE(file->Delete(rids[dead]).ok());
+
+  PageRecords page;
+  ASSERT_TRUE(file->ReadPage(file->first_page(), &page).ok());
+  EXPECT_EQ(page.next_page(), kInvalidPageId);
+  const std::vector<int> live = {1, 2, 3, 6, 7, 8};
+  ASSERT_EQ(page.size(), live.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(page.slot(i), rids[live[i]].slot);
+    EXPECT_EQ(page[i], "rec" + std::to_string(live[i]));
+  }
+  EXPECT_EQ(pool.pinned_pages(), 0);
+}
+
+// A slot whose span leaves the page is Corruption, for the page walk, the
+// iterator over it and a direct Get, instead of a read past the page. The
+// forgery writes the slotted layout's directory entry by hand: a 2-byte
+// slot count, 2-byte free end and 4-byte next page, then (offset, length)
+// pairs of 2 bytes each.
+TEST(HeapFileTest, ReadPageRejectsSlotSpanLeavingThePage) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 16);
+  auto file_or = HeapFile::Create(&pool);
+  ASSERT_TRUE(file_or.ok());
+  auto& file = *file_or;
+  auto rid = file->Insert("victim");
+  ASSERT_TRUE(rid.ok());
+  ASSERT_TRUE(file->Insert("bystander").ok());
+  const auto forge = [&](uint16_t offset, uint16_t length) {
+    auto page_or = pool.FetchPage(rid->page_id);
+    ASSERT_TRUE(page_or.ok());
+    char* entry = (*page_or)->data() + 8 + 4 * rid->slot;
+    std::memcpy(entry, &offset, sizeof(offset));
+    std::memcpy(entry + 2, &length, sizeof(length));
+    ASSERT_TRUE(pool.Unpin(rid->page_id, /*dirty=*/true).ok());
+  };
+
+  forge(static_cast<uint16_t>(kPageSize - 4), 64);  // runs off the end
+  PageRecords page;
+  EXPECT_EQ(file->ReadPage(rid->page_id, &page).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(page.empty());
+  std::string out;
+  EXPECT_EQ(file->Get(*rid, &out).code(), StatusCode::kCorruption);
+  auto it = file->Scan();
+  EXPECT_FALSE(it.Next());
+  EXPECT_EQ(it.status().code(), StatusCode::kCorruption);
+
+  forge(2, 6);  // inside the header and slot directory
+  EXPECT_EQ(file->ReadPage(rid->page_id, &page).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(pool.pinned_pages(), 0);
 }
 
 // The iterator pins each page once and drains a copy of its live records,
