@@ -337,27 +337,21 @@ StatusOr<size_t> PartitionedExchange::PartitionOf(const catalog::Tuple& tuple,
                                                   uint64_t* rr_cursor) const {
   const size_t n = partitions_.size();
   if (!key_columns_.empty()) {
-    // Same fold as exec::RowKeyHash, computed straight off the tuple: this
-    // runs once per routed tuple, so it must not materialize a RowKey
-    // (vector allocation + Value copies) just to hash it.
-    size_t h = 0x9e3779b97f4a7c15ULL;
     for (size_t c : key_columns_) {
       if (c >= tuple.size()) {
         return Status::Internal("partition key column out of range");
       }
-      h ^= tuple[c].Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     }
-    return h % n;
+    return exec::HashColumns(tuple, key_columns_) % n;
   }
   if (!key_exprs_.empty()) {
-    exec::RowKey key;
-    key.values.reserve(key_exprs_.size());
+    size_t h = exec::kKeyHashSeed;
     for (const optimizer::BoundExpr* expr : key_exprs_) {
       auto v = optimizer::Eval(*expr, tuple);
       if (!v.ok()) return v.status();
-      key.values.push_back(std::move(*v));
+      h = exec::HashFold(h, *v);
     }
-    return exec::RowKeyHash{}(key) % n;
+    return h % n;
   }
   return (*rr_cursor)++ % n;
 }

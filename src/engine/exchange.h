@@ -235,8 +235,8 @@ class SpscRingBuffer : public ExchangeBuffer {
 /// disjoint, key-complete share of the stream.
 ///
 /// The partition function is the hash of the partition key — either key
-/// *columns* (equi-join keys: both join inputs use the same RowKeyHash, so
-/// matching keys always meet in the same partition) or key *expressions*
+/// *columns* (equi-join keys: both join inputs hash with exec::HashColumns,
+/// so matching keys always meet in the same partition) or key *expressions*
 /// (group-by exprs of a partial aggregation) — taken modulo N. With no key
 /// (a global aggregate), tuples are dealt round-robin from a caller-held
 /// cursor. Does not own the buffers: they live in StagedQuery::buffers with

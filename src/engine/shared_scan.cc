@@ -1,6 +1,7 @@
 #include "engine/shared_scan.h"
 
 #include <utility>
+#include <vector>
 
 namespace stagedb::engine {
 
@@ -32,17 +33,22 @@ class TableScan {
     return id;
   }
 
-  void Detach(int64_t reader_id) {
+  /// Detaches `reader_id` and drops the page it held, `*records`.
+  void Detach(int64_t reader_id,
+              std::shared_ptr<const storage::PageRecords>* records) {
     MutexLock lock(mu_);
+    records->reset();
     DetachLocked(reader_id);
   }
 
-  /// Delivers the next page for `reader_id`. Returns false at end-of-scan
-  /// (reader detached) or on error (*status non-OK, reader stays attached).
+  /// Replaces `*records`, the page `reader_id` held, with its next page.
+  /// Returns false, with *records empty, at end-of-scan (reader detached)
+  /// or on error (*status non-OK, reader stays attached).
   bool NextPage(int64_t reader_id,
                 std::shared_ptr<const storage::PageRecords>* records,
                 Status* status) {
     MutexLock lock(mu_);
+    records->reset();  // under the mutex: see the image reuse below
     auto it = readers_.find(reader_id);
     if (it == readers_.end()) return false;  // completed earlier
     Reader& reader = it->second;
@@ -62,16 +68,26 @@ class TableScan {
     if (page == nullptr) {
       // The elevator's physical read. Performed under the table mutex: a
       // heap-page read is short (buffer-pool hit or one I/O) and serializing
-      // it keeps the window and cursor trivially consistent.
-      auto fresh = std::make_shared<storage::PageRecords>();
+      // it keeps the window and cursor trivially consistent. A full window
+      // drops its oldest image, and the read reuses it when no reader still
+      // holds it. Readers get and drop pages only through their Cursor,
+      // under this mutex, so a use count of one read here is exact and
+      // every reader's last read of the image happened before it.
+      std::shared_ptr<storage::PageRecords> fresh;
+      if (window_.size() >= window_pages_) {
+        if (window_.front().records.use_count() == 1) {
+          fresh = std::move(window_.front().records);
+        }
+        window_.erase(window_.begin());
+      }
+      if (fresh == nullptr) fresh = std::make_shared<storage::PageRecords>();
       Status s = heap_->ReadPage(want, fresh.get());
       if (!s.ok()) {
         *status = std::move(s);
         return false;
       }
+      window_.push_back(CachedPage{want, version, fresh});
       page = std::move(fresh);
-      window_.push_back(CachedPage{want, version, page});
-      if (window_.size() > window_pages_) window_.pop_front();
       cursor_ = want;  // new readers attach at the elevator's head
       ++stats_.heap_page_reads;
     }
@@ -102,7 +118,7 @@ class TableScan {
   struct CachedPage {
     storage::PageId id;
     uint64_t version;  // heap version the page was read at
-    std::shared_ptr<const storage::PageRecords> records;
+    std::shared_ptr<storage::PageRecords> records;  // readers get it const
   };
 
   void DetachLocked(int64_t reader_id) REQUIRES(mu_) {
@@ -126,7 +142,9 @@ class TableScan {
   // Attach point: last page physically read.
   storage::PageId cursor_ GUARDED_BY(mu_);
   std::map<int64_t, Reader> readers_ GUARDED_BY(mu_);
-  std::deque<CachedPage> window_ GUARDED_BY(mu_);
+  /// Oldest first, at most window_pages_ entries: dropping the oldest moves
+  /// a few pointers, and the vector keeps its storage across scans.
+  std::vector<CachedPage> window_ GUARDED_BY(mu_);
   int64_t next_reader_id_ GUARDED_BY(mu_) = 1;
   SharedScanStats stats_ GUARDED_BY(mu_);
 };
@@ -139,6 +157,7 @@ SharedScanManager::Cursor& SharedScanManager::Cursor::operator=(
     Detach();
     table_ = o.table_;
     reader_id_ = o.reader_id_;
+    page_ = std::move(o.page_);
     status_ = std::move(o.status_);
     o.table_ = nullptr;
     o.reader_id_ = -1;
@@ -146,11 +165,10 @@ SharedScanManager::Cursor& SharedScanManager::Cursor::operator=(
   return *this;
 }
 
-bool SharedScanManager::Cursor::NextPage(
-    std::shared_ptr<const storage::PageRecords>* records) {
-  if (table_ == nullptr) return false;
+const storage::PageRecords* SharedScanManager::Cursor::NextPage() {
+  if (table_ == nullptr) return nullptr;
   Status status;
-  if (table_->NextPage(reader_id_, records, &status)) return true;
+  if (table_->NextPage(reader_id_, &page_, &status)) return page_.get();
   if (!status.ok()) {
     status_ = std::move(status);
     Detach();
@@ -158,12 +176,12 @@ bool SharedScanManager::Cursor::NextPage(
     table_ = nullptr;  // clean end-of-scan: TableScan already detached us
     reader_id_ = -1;
   }
-  return false;
+  return nullptr;
 }
 
 void SharedScanManager::Cursor::Detach() {
   if (table_ == nullptr) return;
-  table_->Detach(reader_id_);
+  table_->Detach(reader_id_, &page_);
   table_ = nullptr;
   reader_id_ = -1;
 }

@@ -16,7 +16,6 @@
 #ifndef STAGEDB_ENGINE_SHARED_SCAN_H_
 #define STAGEDB_ENGINE_SHARED_SCAN_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -71,10 +70,12 @@ class SharedScanManager {
     Cursor& operator=(Cursor&& o) noexcept;
     ~Cursor() { Detach(); }
 
-    /// Delivers the live records of the next page in elevator order. Returns
-    /// false when the scan has wrapped to its attach point (end of scan) or
-    /// on error — distinguish via status(). End-of-scan detaches the reader.
-    bool NextPage(std::shared_ptr<const storage::PageRecords>* records);
+    /// Delivers the live records of the next page in elevator order. The
+    /// cursor holds the page, which stays valid until the next NextPage or
+    /// Detach. Returns nullptr when the scan has wrapped to its attach point
+    /// (end of scan) or on error — distinguish via status(). End-of-scan
+    /// detaches the reader.
+    const storage::PageRecords* NextPage();
 
     /// Non-OK when NextPage stopped because of an error.
     const Status& status() const { return status_; }
@@ -87,6 +88,10 @@ class SharedScanManager {
     friend class SharedScanManager;
     class TableScan* table_ = nullptr;
     int64_t reader_id_ = -1;
+    /// The page last delivered. Only the table's mutex ever copies or drops
+    /// a delivered page, which is what lets the elevator reuse an image no
+    /// reader holds.
+    std::shared_ptr<const storage::PageRecords> page_;
     Status status_;
   };
 

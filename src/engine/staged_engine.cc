@@ -163,11 +163,14 @@ class OperatorInstance : public StageTask {
     return static_cast<int>(page_size()) * kWorkQuantumPages;
   }
 
-  Fetch NextInput(size_t idx, Tuple* out) {
+  /// Row-at-a-time fetch: points *out at the next row of input `idx`. The
+  /// row stays in the input cursor's batch, unchanged until the next fetch
+  /// from this input, and goes back to the producer as a spare with it.
+  Fetch NextInput(size_t idx, const Tuple** out) {
     InputCursor& cur = cursors_[idx];
     while (true) {
       if (cur.pos < cur.batch.tuples.size()) {
-        *out = std::move(cur.batch.tuples[cur.pos++]);
+        *out = &cur.batch.tuples[cur.pos++];
         return Fetch::kTuple;
       }
       bool eof = false;
@@ -348,6 +351,7 @@ class OperatorInstance : public StageTask {
   /// Early termination (sink closed, query failed): cancel upstream work.
   RunOutcome FinishEarly() {
     for (ExchangeBuffer* input : inputs_) input->Close();
+    scan_page_ = nullptr;     // the detach drops the cursor's page
     shared_cursor_.Detach();  // leave the elevator promptly, not at teardown
     for (ExchangeBuffer* out : outputs_) out->MarkEof();
     return RunOutcome::kDone;
@@ -397,7 +401,7 @@ class OperatorInstance : public StageTask {
     if (row == exec::ScanRow::kQualified) trace_->CountTuple(trace_id_);
   }
 
-  /// The row a scan driver decodes into next: a spare row's storage when an
+  /// The row a scan or join driver fills next: a spare row's storage when an
   /// output edge has handed one back (into morsel_ or a staging batch).
   Tuple SpareRow() {
     if (morsel_.spares.empty()) {
@@ -432,7 +436,9 @@ class OperatorInstance : public StageTask {
   /// The morsel this packet fills and emits. It outlives one Run, so the
   /// spare rows a push hands back stay with the packet.
   RowBatch morsel_;
-  Tuple scan_row_;  // the scan drivers' decode target; a rejected row stays
+  /// The row the scan and join drivers fill next: a scan's decode target or
+  /// a join's output row. A row a predicate rejects keeps its storage here.
+  Tuple fill_row_;
   std::vector<RowBatch> out_batches_;  // one staging batch per output
   std::vector<uint32_t> route_scratch_;  // ScatterBatch per-tuple targets
   size_t blocked_output_ = 0;            // partition that returned kFull
@@ -454,8 +460,9 @@ class OperatorInstance : public StageTask {
   // comes from — the table's elevator (shared_scans) or a private walk.
   SharedScanManager::Cursor shared_cursor_;
   storage::PageId private_next_page_ = storage::kInvalidPageId;
-  std::shared_ptr<storage::PageRecords> private_page_;  // reused per page
-  std::shared_ptr<const storage::PageRecords> scan_page_;
+  std::unique_ptr<storage::PageRecords> private_page_;  // reused per page
+  /// The page being drained: shared_cursor_'s or private_page_.
+  const storage::PageRecords* scan_page_ = nullptr;
   size_t scan_page_pos_ = 0;
   bool scan_started_ = false;
   std::vector<std::pair<int64_t, storage::Rid>> index_matches_;
@@ -531,7 +538,7 @@ bool OperatorInstance::CanMakeProgress() {
 /// point) or the next page of a private ReadPage walk from the first page.
 /// A morsel fills across page boundaries, so a full-table scan pushes full
 /// morsels. Output back-pressure parks the packet between morsels; the
-/// scan_page_ reference keeps the page alive across the park.
+/// shared cursor (or private_page_) keeps scan_page_ alive across the park.
 RunOutcome OperatorInstance::RunSeqScan() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
@@ -567,17 +574,17 @@ RunOutcome OperatorInstance::RunSeqScan() {
         }
         continue;
       }
-      if (scan_row_.capacity() == 0) scan_row_ = SpareRow();
+      if (fill_row_.capacity() == 0) fill_row_ = SpareRow();
       auto row = scan_reader_->ReadRecord(view, (*scan_page_)[scan_page_pos_],
-                                          &scan_row_);
+                                          &fill_row_);
       ++scan_page_pos_;
       if (!row.ok()) return Abort(row.status());
       TraceScanRow(*row);
       if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
       if (*row == exec::ScanRow::kQualified) {
-        morsel_.push_back(std::move(scan_row_));
-        scan_row_.clear();  // moved-from: make it the empty row it must be
+        morsel_.push_back(std::move(fill_row_));
+        fill_row_.clear();  // moved-from: make it the empty row it must be
       }
     }
     budget -= static_cast<int>(read);
@@ -590,22 +597,23 @@ RunOutcome OperatorInstance::RunSeqScan() {
 bool OperatorInstance::NextScanPage(Status* status) {
   // Drop the drained page first: at the end of the table no page is left,
   // so a packet resumed after a park at the end cannot read one twice.
-  scan_page_.reset();
+  scan_page_ = nullptr;
   scan_page_pos_ = 0;
   if (engine_->options().shared_scans) {
-    if (shared_cursor_.NextPage(&scan_page_)) return true;
+    scan_page_ = shared_cursor_.NextPage();
+    if (scan_page_ != nullptr) return true;
     *status = shared_cursor_.status();
     return false;
   }
   if (private_next_page_ == storage::kInvalidPageId) return false;
   if (private_page_ == nullptr) {
-    private_page_ = std::make_shared<storage::PageRecords>();
+    private_page_ = std::make_unique<storage::PageRecords>();
   }
   *status = plan_->table->heap->ReadPage(private_next_page_,
                                          private_page_.get());
   if (!status->ok()) return false;
   private_next_page_ = private_page_->next_page();
-  scan_page_ = private_page_;
+  scan_page_ = private_page_.get();
   return true;
 }
 
@@ -627,15 +635,15 @@ RunOutcome OperatorInstance::RunIndexScan() {
     while (read < target && index_pos_ < index_matches_.size()) {
       const auto& [key, head] = index_matches_[index_pos_++];
       storage::Rid rid;
-      if (scan_row_.capacity() == 0) scan_row_ = SpareRow();
-      auto row = scan_reader_->ReadIndexed(view, key, head, &rid, &scan_row_);
+      if (fill_row_.capacity() == 0) fill_row_ = SpareRow();
+      auto row = scan_reader_->ReadIndexed(view, key, head, &rid, &fill_row_);
       if (!row.ok()) return Abort(row.status());
       TraceScanRow(*row);
       if (*row == exec::ScanRow::kInvisible) continue;
       ++read;
       if (*row == exec::ScanRow::kQualified) {
-        morsel_.push_back(std::move(scan_row_));
-        scan_row_.clear();
+        morsel_.push_back(std::move(fill_row_));
+        fill_row_.clear();
       }
     }
     budget -= static_cast<int>(std::max<size_t>(1, read));
@@ -714,7 +722,10 @@ RunOutcome OperatorInstance::RunQual() {
 
 /// Hash and nested-loop joins: build the JoinTable from the right input, then
 /// probe it a left row at a time, handing joined rows downstream a morsel at
-/// a time. A packet that parks mid-probe keeps its place in the table.
+/// a time. Build and probe rows are read where they lie in the input batch,
+/// so they go back to their producers as spares, and each joined row is
+/// written into a spare row of the output edge. A packet that parks
+/// mid-probe keeps its place in the table.
 RunOutcome OperatorInstance::RunJoin() {
   RunOutcome oc;
   if (!EnsureOutputWritable(&oc)) return oc;
@@ -722,8 +733,8 @@ RunOutcome OperatorInstance::RunJoin() {
     const bool built = DrainInput(
         1,
         [this](RowBatch* in) -> Status {
-          for (Tuple& t : in->tuples) {
-            STAGEDB_RETURN_IF_ERROR(join_table_->Build(std::move(t)));
+          for (const Tuple& t : in->tuples) {
+            STAGEDB_RETURN_IF_ERROR(join_table_->Build(t));
           }
           return Status::OK();
         },
@@ -732,21 +743,23 @@ RunOutcome OperatorInstance::RunJoin() {
     phase_ = 1;
   }
   int budget = quantum_tuples();
-  Tuple row;
   while (budget-- > 0) {
-    auto match = join_table_->NextMatch(&row);
+    if (fill_row_.capacity() == 0) fill_row_ = SpareRow();
+    auto match = join_table_->NextMatch(&fill_row_);
     if (!match.ok()) return Abort(match.status());
     if (*match) {
-      morsel_.push_back(std::move(row));
+      morsel_.push_back(std::move(fill_row_));
+      fill_row_.clear();  // moved-from: make it the empty row it must be
       if (morsel_.size() >= page_size() &&
           !HandleSink(EmitBatch(&morsel_), &oc)) {
         return oc;
       }
       continue;
     }
-    const Fetch fetch = NextInput(0, &row);
+    const Tuple* probe = nullptr;
+    const Fetch fetch = NextInput(0, &probe);
     if (fetch == Fetch::kTuple) {
-      Status s = join_table_->Probe(std::move(row));
+      Status s = join_table_->Probe(*probe);
       if (!s.ok()) return Abort(std::move(s));
       continue;
     }
@@ -795,15 +808,16 @@ RunOutcome OperatorInstance::RunMergeJoin() {
     phase_ = 1;
   }
   int budget = quantum_tuples();
-  Tuple row;
   while (budget-- > 0) {
-    auto joined = merge_join_->Next(&row);
+    if (fill_row_.capacity() == 0) fill_row_ = SpareRow();
+    auto joined = merge_join_->Next(&fill_row_);
     if (!joined.ok()) return Abort(joined.status());
     if (!*joined) {
       if (!HandleSink(EmitBatch(&morsel_), &oc)) return oc;
       return Finish();
     }
-    morsel_.push_back(std::move(row));
+    morsel_.push_back(std::move(fill_row_));
+    fill_row_.clear();
     if (morsel_.size() >= page_size() &&
         !HandleSink(EmitBatch(&morsel_), &oc)) {
       return oc;

@@ -297,7 +297,7 @@ class HashJoinExec : public TracedExec {
     STAGEDB_RETURN_IF_ERROR(left_->Init());
     STAGEDB_RETURN_IF_ERROR(right_->Init());
     return ForEachRow(right_.get(),
-                      [this](Tuple t) { return table_.Build(std::move(t)); });
+                      [this](const Tuple& t) { return table_.Build(t); });
   }
   StatusOr<bool> Next(Tuple* out) override {
     while (true) {
@@ -309,7 +309,7 @@ class HashJoinExec : public TracedExec {
       }
       auto more = left_->Next(&probe_);
       if (!more.ok() || !*more) return more;
-      STAGEDB_RETURN_IF_ERROR(table_.Probe(std::move(probe_)));
+      STAGEDB_RETURN_IF_ERROR(table_.Probe(probe_));
     }
   }
 
@@ -317,7 +317,7 @@ class HashJoinExec : public TracedExec {
   std::unique_ptr<Executor> left_;
   std::unique_ptr<Executor> right_;
   JoinTable table_;
-  Tuple probe_;
+  Tuple probe_;  // the table reads the probe row here, in place
 };
 
 // -------------------------------------------------------------- MergeJoin --

@@ -95,42 +95,137 @@ Status SortRows(const std::vector<optimizer::SortKey>& keys,
   return Status::OK();
 }
 
+// ----------------------------------------------------------- FlatRowTable --
+
+uint32_t FlatRowTable::Append(const Value* first, size_t width, size_t hash) {
+  if (links_.empty()) width_ = width;
+  values_.insert(values_.end(), first, first + width_);
+  links_.push_back(Link{hash, kEnd});
+  return static_cast<uint32_t>(links_.size() - 1);
+}
+
+uint32_t FlatRowTable::Insert(const Value* first, size_t width, size_t hash) {
+  const uint32_t i = Append(first, width, hash);
+  if (links_.size() > heads_.size()) {
+    Rethread(2 * links_.size());
+  } else {
+    uint32_t& head = heads_[Bucket(hash)];
+    links_[i].next = head;
+    head = i;
+  }
+  return i;
+}
+
+void FlatRowTable::Rethread(size_t min_buckets) {
+  size_t n = 1;
+  while (n < min_buckets) n <<= 1;
+  heads_.assign(n, kEnd);
+  for (size_t i = links_.size(); i-- > 0;) {
+    uint32_t& head = heads_[Bucket(links_[i].hash)];
+    links_[i].next = head;
+    head = static_cast<uint32_t>(i);
+  }
+}
+
+size_t FlatRowTable::Bucket(size_t hash) const {
+  // The murmur3 finalizer: every input bit reaches the low bits the mask
+  // keeps.
+  uint64_t h = hash;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<size_t>(h) & (heads_.size() - 1);
+}
+
+void FlatRowTable::Clear() {
+  width_ = 0;
+  values_.clear();
+  links_.clear();
+  heads_.clear();
+}
+
 // -------------------------------------------------------------- JoinTable --
 
-Status JoinTable::LoadKey(const Tuple& row, const std::vector<size_t>& cols) {
-  key_.values.clear();
-  for (size_t c : cols) {
-    if (c >= row.size()) return Status::Internal("join key out of range");
-    key_.values.push_back(row[c]);
+namespace {
+
+/// One past the largest column in `keys` (0 when there is none).
+size_t MinWidth(const std::vector<size_t>& keys) {
+  size_t w = 0;
+  for (size_t k : keys) w = std::max(w, k + 1);
+  return w;
+}
+
+/// Makes `*out` the `nl` values from `left` followed by the `nr` from
+/// `right`, reusing the row's storage.
+void AssignJoined(const Value* left, size_t nl, const Value* right, size_t nr,
+                  Tuple* out) {
+  out->resize(nl + nr);
+  std::copy(left, left + nl, out->begin());
+  std::copy(right, right + nr, out->begin() + static_cast<ptrdiff_t>(nl));
+}
+
+}  // namespace
+
+JoinTable::JoinTable(const PhysicalPlan& node)
+    : node_(node),
+      min_left_width_(MinWidth(node.left_keys)),
+      min_right_width_(MinWidth(node.right_keys)) {}
+
+Status JoinTable::Build(const Tuple& row) {
+  if (row.size() < min_right_width_) {
+    return Status::Internal("join key out of range");
   }
+  if (!rows_.empty() && row.size() != rows_.width()) {
+    return Status::Internal("join build rows differ in width");
+  }
+  if (rows_.size() >= FlatRowTable::kMaxRows) {
+    return Status::ResourceExhausted("join build side too large");
+  }
+  if (KeyHasNull(row, node_.right_keys)) return Status::OK();  // never match
+  rows_.Append(row.data(), row.size(), HashColumns(row, node_.right_keys));
   return Status::OK();
 }
 
-Status JoinTable::Build(Tuple row) {
-  STAGEDB_RETURN_IF_ERROR(LoadKey(row, node_.right_keys));
-  if (key_.HasNull()) return Status::OK();  // NULL keys never match
-  buckets_[key_].push_back(std::move(row));
+Status JoinTable::Probe(const Tuple& row) {
+  if (rows_.num_buckets() == 0) rows_.Rethread(rows_.size());  // build ends
+  if (row.size() < min_left_width_) {
+    return Status::Internal("join key out of range");
+  }
+  probe_ = &row;
+  if (KeyHasNull(row, node_.left_keys)) {
+    next_ = FlatRowTable::kEnd;
+    return Status::OK();
+  }
+  probe_hash_ = HashColumns(row, node_.left_keys);
+  next_ = rows_.Head(probe_hash_);
   return Status::OK();
 }
 
-Status JoinTable::Probe(Tuple row) {
-  STAGEDB_RETURN_IF_ERROR(LoadKey(row, node_.left_keys));
-  auto it = buckets_.find(key_);
-  matches_ = it == buckets_.end() ? nullptr : &it->second;
-  next_ = 0;
-  probe_ = std::move(row);
-  return Status::OK();
+bool JoinTable::KeysMatch(uint32_t i) const {
+  if (rows_.hash(i) != probe_hash_) return false;
+  const Value* build = rows_.row(i);
+  const std::vector<size_t>& lk = node_.left_keys;
+  const std::vector<size_t>& rk = node_.right_keys;
+  for (size_t k = 0; k < lk.size(); ++k) {
+    if ((*probe_)[lk[k]].Compare(build[rk[k]]) != 0) return false;
+  }
+  return true;
 }
 
 StatusOr<bool> JoinTable::NextMatch(Tuple* out) {
-  while (matches_ != nullptr && next_ < matches_->size()) {
-    Tuple joined = JoinRows(probe_, (*matches_)[next_++]);
+  while (next_ != FlatRowTable::kEnd) {
+    const uint32_t i = next_;
+    next_ = rows_.Next(i);
+    if (!KeysMatch(i)) continue;
+    AssignJoined(probe_->data(), probe_->size(), rows_.row(i), rows_.width(),
+                 out);
     if (node_.predicate != nullptr) {
-      auto pass = EvalPredicate(*node_.predicate, joined);
+      auto pass = EvalPredicate(*node_.predicate, *out);
       if (!pass.ok()) return pass.status();
       if (!*pass) continue;
     }
-    *out = std::move(joined);
     return true;
   }
   return false;
@@ -153,17 +248,18 @@ StatusOr<bool> MergeJoin::Next(Tuple* out) {
   while (true) {
     if ((li_ >= lg_end_ || ri_ >= rg_end_) && !AdvanceGroups()) return false;
     // Emit the cross product of the current key groups, left-major.
-    Tuple joined = JoinRows(rows_[0][li_], rows_[1][ri_]);
+    const Tuple& left = rows_[0][li_];
+    const Tuple& right = rows_[1][ri_];
+    AssignJoined(left.data(), left.size(), right.data(), right.size(), out);
     if (++ri_ == rg_end_) {
       ri_ = rg_begin_;
       if (++li_ == lg_end_) ri_ = rg_end_;  // group pair exhausted
     }
     if (node_.predicate != nullptr) {
-      auto pass = EvalPredicate(*node_.predicate, joined);
+      auto pass = EvalPredicate(*node_.predicate, *out);
       if (!pass.ok()) return pass.status();
       if (!*pass) continue;
     }
-    *out = std::move(joined);
     return true;
   }
 }
@@ -329,14 +425,24 @@ HashAggregator::HashAggregator(const PhysicalPlan& node)
                      ? node.schema.num_columns() - node.aggregates.size()
                      : node.exprs.size()) {}
 
-std::vector<AggAccumulator>& HashAggregator::Group() {
+AggAccumulator* HashAggregator::Group(const Value* key) {
+  const size_t num_aggs = node_.aggregates.size();
   if (key_width_ == 0) {
-    if (!global_.has_value()) global_.emplace(node_.aggregates.size());
-    return *global_;
+    if (!global_.has_value()) global_.emplace(num_aggs);
+    return global_->data();
   }
-  std::vector<AggAccumulator>& accs = groups_[key_];
-  if (accs.empty()) accs.resize(node_.aggregates.size());
-  return accs;
+  const size_t hash = HashValues(key, key_width_);
+  for (uint32_t i = groups_.Head(hash); i != FlatRowTable::kEnd;
+       i = groups_.Next(i)) {
+    if (groups_.hash(i) != hash) continue;
+    const Value* group = groups_.row(i);
+    size_t k = 0;
+    while (k < key_width_ && key[k].Compare(group[k]) == 0) ++k;
+    if (k == key_width_) return accs_.data() + i * num_aggs;
+  }
+  const uint32_t i = groups_.Insert(key, key_width_, hash);
+  accs_.resize(accs_.size() + num_aggs);
+  return accs_.data() + static_cast<size_t>(i) * num_aggs;
 }
 
 Status HashAggregator::Add(const Tuple& row) {
@@ -345,8 +451,7 @@ Status HashAggregator::Add(const Tuple& row) {
     if (row.size() < key_width_) {
       return Status::Internal("partial aggregation row too narrow");
     }
-    key_.values.assign(row.begin(), row.begin() + key_width_);
-    std::vector<AggAccumulator>& accs = Group();
+    AggAccumulator* accs = Group(row.data());
     size_t col = key_width_;
     for (size_t i = 0; i < node_.aggregates.size(); ++i) {
       STAGEDB_RETURN_IF_ERROR(
@@ -354,13 +459,13 @@ Status HashAggregator::Add(const Tuple& row) {
     }
     return Status::OK();
   }
-  key_.values.clear();
+  key_.clear();
   for (const auto& expr : node_.exprs) {
     auto v = optimizer::Eval(*expr, row);
     if (!v.ok()) return v.status();
-    key_.values.push_back(std::move(*v));
+    key_.push_back(std::move(*v));
   }
-  std::vector<AggAccumulator>& accs = Group();
+  AggAccumulator* accs = Group(key_.data());
   for (size_t i = 0; i < node_.aggregates.size(); ++i) {
     const AggSpec& spec = node_.aggregates[i];
     Value v = Value::Int(1);  // COUNT(*) counts rows
@@ -377,25 +482,34 @@ Status HashAggregator::Add(const Tuple& row) {
 
 std::vector<Tuple> HashAggregator::Finish() {
   const bool partial = node_.agg_mode == AggMode::kPartial;
-  if (key_width_ == 0 && (global_.has_value() || !partial)) {
-    if (!global_.has_value()) global_.emplace(node_.aggregates.size());
-    groups_.emplace(RowKey{}, std::move(*global_));
-    global_.reset();
-  }
-  std::vector<Tuple> out;
-  out.reserve(groups_.size());
-  for (const auto& [key, accs] : groups_) {
-    Tuple row = key.values;
-    for (size_t i = 0; i < node_.aggregates.size(); ++i) {
+  const size_t num_aggs = node_.aggregates.size();
+  // One output row: `key`'s key_width_ values, then the group's aggregates.
+  auto emit = [&](const Value* key, const AggAccumulator* accs) {
+    Tuple row(key, key + key_width_);
+    for (size_t i = 0; i < num_aggs; ++i) {
       if (partial) {
         AppendPartialState(node_.aggregates[i], accs[i], &row);
       } else {
         row.push_back(AggFinalize(node_.aggregates[i], accs[i]));
       }
     }
-    out.push_back(std::move(row));
+    return row;
+  };
+  std::vector<Tuple> out;
+  if (key_width_ == 0) {
+    if (global_.has_value() || !partial) {
+      if (!global_.has_value()) global_.emplace(num_aggs);
+      out.push_back(emit(nullptr, global_->data()));
+      global_.reset();
+    }
+    return out;
   }
-  groups_.clear();
+  out.reserve(groups_.size());
+  for (uint32_t i = 0; i < groups_.size(); ++i) {
+    out.push_back(emit(groups_.row(i), accs_.data() + i * num_aggs));
+  }
+  groups_.Clear();
+  accs_.clear();
   return out;
 }
 

@@ -1,6 +1,5 @@
-// Row-processing helpers shared by the volcano and staged engines: composite
-// keys for hashing, joined rows, and the morsel of rows the staged engine's
-// operators exchange.
+// Row-processing helpers shared by the volcano and staged engines: the key
+// hash, and the morsel of rows the staged engine's operators exchange.
 #ifndef STAGEDB_EXEC_ROW_UTILS_H_
 #define STAGEDB_EXEC_ROW_UTILS_H_
 
@@ -12,43 +11,32 @@
 
 namespace stagedb::exec {
 
-/// A composite key of values (join/group keys).
-struct RowKey {
-  std::vector<catalog::Value> values;
-  bool operator==(const RowKey& o) const {
-    if (values.size() != o.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i].Compare(o.values[i]) != 0) return false;
-    }
-    return true;
-  }
-  bool HasNull() const {
-    for (const catalog::Value& v : values) {
-      if (v.is_null()) return true;
-    }
-    return false;
-  }
-};
+/// The key hash: Value::Hash folded over a key's values in order. Keys that
+/// compare equal column by column (Value::Compare == 0, so an int64 and an
+/// integral double too) hash alike. The join table, the hash aggregator and
+/// the partitioned exchange all hash with this fold, so both inputs of a
+/// partitioned join route equal keys to the same partition.
+inline constexpr size_t kKeyHashSeed = 0x9e3779b97f4a7c15ULL;
 
-struct RowKeyHash {
-  size_t operator()(const RowKey& k) const {
-    size_t h = 0x9e3779b97f4a7c15ULL;
-    for (const catalog::Value& v : k.values) {
-      h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
+/// Folds one more key value into the key hash `h`.
+inline size_t HashFold(size_t h, const catalog::Value& v) {
+  return h ^ (v.Hash() + kKeyHashSeed + (h << 6) + (h >> 2));
+}
 
-/// A join's output row: `left`'s columns followed by `right`'s, built in one
-/// allocation.
-inline catalog::Tuple JoinRows(const catalog::Tuple& left,
-                               const catalog::Tuple& right) {
-  catalog::Tuple joined;
-  joined.reserve(left.size() + right.size());
-  joined.insert(joined.end(), left.begin(), left.end());
-  joined.insert(joined.end(), right.begin(), right.end());
-  return joined;
+/// The key hash of `row`'s values at `cols` (which the caller has checked
+/// are in range).
+inline size_t HashColumns(const catalog::Tuple& row,
+                          const std::vector<size_t>& cols) {
+  size_t h = kKeyHashSeed;
+  for (size_t c : cols) h = HashFold(h, row[c]);
+  return h;
+}
+
+/// The key hash of the `n` values from `first`.
+inline size_t HashValues(const catalog::Value* first, size_t n) {
+  size_t h = kKeyHashSeed;
+  for (size_t i = 0; i < n; ++i) h = HashFold(h, first[i]);
+  return h;
 }
 
 /// The morsel size, in rows, when nothing sets one

@@ -12,7 +12,10 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity) : disk_(disk) {
     frames_.push_back(std::make_unique<Page>());
     free_frames_.push_back(static_cast<int>(i));
   }
-  lru_pos_.assign(capacity, lru_.end());
+  const int sentinel = static_cast<int>(capacity);
+  lru_prev_.assign(capacity + 1, kUnlinked);
+  lru_next_.assign(capacity + 1, kUnlinked);
+  lru_prev_[sentinel] = lru_next_[sentinel] = sentinel;
 }
 
 int BufferPool::FindVictim() {
@@ -21,24 +24,46 @@ int BufferPool::FindVictim() {
     free_frames_.pop_back();
     return f;
   }
-  if (lru_.empty()) return -1;
-  int f = lru_.front();
-  lru_.pop_front();
-  lru_pos_[f] = lru_.end();
+  const int f = lru_next_[frames_.size()];
+  if (f == static_cast<int>(frames_.size())) return -1;  // list is empty
+  UnlinkLru(f);
   return f;
 }
 
 void BufferPool::TouchLru(int frame) {
   UnlinkLru(frame);
-  lru_.push_back(frame);
-  lru_pos_[frame] = std::prev(lru_.end());
+  const int sentinel = static_cast<int>(frames_.size());
+  const int last = lru_prev_[sentinel];
+  lru_prev_[frame] = last;
+  lru_next_[frame] = sentinel;
+  lru_next_[last] = frame;
+  lru_prev_[sentinel] = frame;
 }
 
 void BufferPool::UnlinkLru(int frame) {
-  if (lru_pos_[frame] != lru_.end()) {
-    lru_.erase(lru_pos_[frame]);
-    lru_pos_[frame] = lru_.end();
+  if (lru_next_[frame] == kUnlinked) return;
+  lru_next_[lru_prev_[frame]] = lru_next_[frame];
+  lru_prev_[lru_next_[frame]] = lru_prev_[frame];
+  lru_prev_[frame] = lru_next_[frame] = kUnlinked;
+}
+
+Status BufferPool::Remap(int frame, PageId id) {
+  Page* page = frames_[frame].get();
+  if (page->page_id() == kInvalidPageId) {
+    page_table_[id] = frame;
+    return Status::OK();
   }
+  if (page->dirty()) {
+    Status s = disk_->WritePage(page->page_id(), page->data());
+    if (!s.ok()) {
+      TouchLru(frame);  // the old page stays resident and evictable
+      return s;
+    }
+  }
+  auto node = page_table_.extract(page->page_id());
+  node.key() = id;
+  page_table_.insert(std::move(node));
+  return Status::OK();
 }
 
 StatusOr<Page*> BufferPool::FetchPage(PageId id) {
@@ -56,18 +81,18 @@ StatusOr<Page*> BufferPool::FetchPage(PageId id) {
   if (frame < 0) {
     return Status::ResourceExhausted("buffer pool: all frames pinned");
   }
+  STAGEDB_RETURN_IF_ERROR(Remap(frame, id));
   Page* page = frames_[frame].get();
-  if (page->page_id() != kInvalidPageId) {
-    if (page->dirty()) {
-      STAGEDB_RETURN_IF_ERROR(disk_->WritePage(page->page_id(), page->data()));
-    }
-    page_table_.erase(page->page_id());
+  // The read overwrites every byte, so only the header needs resetting.
+  page->ResetHeader();
+  Status s = disk_->ReadPage(id, page->data());
+  if (!s.ok()) {
+    page_table_.erase(id);
+    free_frames_.push_back(frame);
+    return s;
   }
-  page->Reset();
-  STAGEDB_RETURN_IF_ERROR(disk_->ReadPage(id, page->data()));
   page->set_page_id(id);
   page->set_pin_count(1);
-  page_table_[id] = frame;
   return page;
 }
 
@@ -83,18 +108,12 @@ StatusOr<Page*> BufferPool::NewPage() {
   if (frame < 0) {
     return Status::ResourceExhausted("buffer pool: all frames pinned");
   }
+  STAGEDB_RETURN_IF_ERROR(Remap(frame, id));
   Page* page = frames_[frame].get();
-  if (page->page_id() != kInvalidPageId) {
-    if (page->dirty()) {
-      STAGEDB_RETURN_IF_ERROR(disk_->WritePage(page->page_id(), page->data()));
-    }
-    page_table_.erase(page->page_id());
-  }
   page->Reset();
   page->set_page_id(id);
   page->set_pin_count(1);
   page->set_dirty(true);  // new pages must reach disk eventually
-  page_table_[id] = frame;
   return page;
 }
 

@@ -3,7 +3,6 @@
 #ifndef STAGEDB_STORAGE_BUFFER_POOL_H_
 #define STAGEDB_STORAGE_BUFFER_POOL_H_
 
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -42,14 +41,14 @@ class BufferPool {
  private:
   /// Finds a victim frame (free list first, then LRU unpinned). Returns -1 if
   /// every frame is pinned.
-  int FindVictim();
-  /// Moves a frame to the MRU end of the LRU list. O(1): each frame caches
-  /// its list position in lru_pos_ (the previous std::list::remove-based
-  /// update walked the whole list, turning every unpin into an O(capacity)
-  /// scan once the pool filled).
-  void TouchLru(int frame);
+  int FindVictim() REQUIRES(mu_);
+  /// Moves a frame to the MRU end of the LRU list. O(1), allocation-free.
+  void TouchLru(int frame) REQUIRES(mu_);
   /// Removes a frame from the LRU list if present. O(1).
-  void UnlinkLru(int frame);
+  void UnlinkLru(int frame) REQUIRES(mu_);
+  /// Takes frame `frame` off its old page (writing it back if dirty) and
+  /// maps `id` to it, reusing the page table's node when there was one.
+  Status Remap(int frame, PageId id) REQUIRES(mu_);
 
   DiskManager* disk_;
   mutable Mutex mu_;
@@ -58,10 +57,12 @@ class BufferPool {
   // by the per-frame latch, see Page::latch()).
   std::vector<std::unique_ptr<Page>> frames_;
   std::unordered_map<PageId, int> page_table_ GUARDED_BY(mu_);
-  // front = least recently used, unpinned frames only
-  std::list<int> lru_ GUARDED_BY(mu_);
-  /// Per-frame position in lru_; lru_.end() when not linked.
-  std::vector<std::list<int>::iterator> lru_pos_ GUARDED_BY(mu_);
+  /// The LRU list of unpinned frames, least recently used first: circular
+  /// and doubly linked through these arrays, indexed by frame id, with the
+  /// sentinel at index capacity(). An unlinked frame's links are kUnlinked.
+  static constexpr int kUnlinked = -1;
+  std::vector<int> lru_prev_ GUARDED_BY(mu_);
+  std::vector<int> lru_next_ GUARDED_BY(mu_);
   std::vector<int> free_frames_ GUARDED_BY(mu_);
   int64_t hits_ GUARDED_BY(mu_) = 0;
   int64_t misses_ GUARDED_BY(mu_) = 0;

@@ -33,11 +33,17 @@ class Page {
  public:
   Page() { Reset(); }
 
+  /// Empties the frame and zeroes its bytes (a new page starts blank).
   void Reset() {
+    ResetHeader();
+    std::memset(data_, 0, kPageSize);
+  }
+  /// Empties the frame but leaves its bytes, for a frame a disk read is
+  /// about to overwrite whole.
+  void ResetHeader() {
     page_id_ = kInvalidPageId;
     pin_count_ = 0;
     dirty_ = false;
-    std::memset(data_, 0, kPageSize);
   }
 
   char* data() { return data_; }

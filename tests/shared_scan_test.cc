@@ -80,8 +80,7 @@ class SharedScanTest : public ::testing::Test {
   /// Drains `cursor` to completion, appending to `out`.
   static void Drain(SharedScanManager::Cursor* cursor,
                     std::vector<std::string>* out) {
-    std::shared_ptr<const storage::PageRecords> page;
-    while (cursor->NextPage(&page)) {
+    while (const storage::PageRecords* page = cursor->NextPage()) {
       AppendRecords(*page, out);
     }
     EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
@@ -115,9 +114,9 @@ TEST_F(SharedScanTest, AttachMidScanSeesEveryRecordExactlyOnce) {
 
   // Lead consumes a few pages, then a second reader attaches mid-scan.
   std::vector<std::string> lead_got;
-  std::shared_ptr<const storage::PageRecords> page;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(lead.NextPage(&page));
+    const storage::PageRecords* page = lead.NextPage();
+    ASSERT_NE(page, nullptr);
     AppendRecords(*page, &lead_got);
   }
   auto late = manager.Attach(table_->heap.get());
@@ -143,9 +142,8 @@ TEST_F(SharedScanTest, AttachMidScanSeesEveryRecordExactlyOnce) {
 TEST_F(SharedScanTest, LastReaderDetachResetsCursor) {
   SharedScanManager manager;
   auto reader = manager.Attach(table_->heap.get());
-  std::shared_ptr<const storage::PageRecords> page;
-  ASSERT_TRUE(reader.NextPage(&page));
-  ASSERT_TRUE(reader.NextPage(&page));
+  ASSERT_NE(reader.NextPage(), nullptr);
+  ASSERT_NE(reader.NextPage(), nullptr);
   reader.Detach();  // abandon mid-scan
   EXPECT_FALSE(reader.attached());
 
@@ -168,9 +166,9 @@ TEST_F(SharedScanTest, LaggardBeyondWindowStillSeesEverything) {
   auto laggard = manager.Attach(table_->heap.get());
 
   std::vector<std::string> lead_got, laggard_got;
-  std::shared_ptr<const storage::PageRecords> page;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(lead.NextPage(&page));
+    const storage::PageRecords* page = lead.NextPage();
+    ASSERT_NE(page, nullptr);
     AppendRecords(*page, &lead_got);
   }
   Drain(&laggard, &laggard_got);
@@ -183,15 +181,14 @@ TEST_F(SharedScanTest, LockstepReadersShareTheWindow) {
   SharedScanManager manager;
   auto a = manager.Attach(table_->heap.get());
   auto b = manager.Attach(table_->heap.get());
-  std::shared_ptr<const storage::PageRecords> page;
   std::vector<std::string> a_got, b_got;
   // Alternate page-by-page: b's deliveries should all come from the window.
   while (true) {
-    const bool a_more = a.NextPage(&page);
-    if (a_more) AppendRecords(*page, &a_got);
-    const bool b_more = b.NextPage(&page);
-    if (b_more) AppendRecords(*page, &b_got);
-    if (!a_more && !b_more) break;
+    const storage::PageRecords* a_page = a.NextPage();
+    if (a_page != nullptr) AppendRecords(*a_page, &a_got);
+    const storage::PageRecords* b_page = b.NextPage();
+    if (b_page != nullptr) AppendRecords(*b_page, &b_got);
+    if (a_page == nullptr && b_page == nullptr) break;
   }
   EXPECT_EQ(a_got, IteratorRecords());
   EXPECT_EQ(b_got, IteratorRecords());
@@ -201,14 +198,48 @@ TEST_F(SharedScanTest, LockstepReadersShareTheWindow) {
   EXPECT_GT(stats.DeliveriesPerRead(), 1.9);
 }
 
+TEST_F(SharedScanTest, WindowReusesOnlyImagesNoReaderHolds) {
+  // A one-page window: every physical read drops the previous image, and
+  // reads into it only when no cursor still holds it.
+  SharedScanManager manager(/*window_pages=*/1);
+  auto lead = manager.Attach(table_->heap.get());
+  auto held = manager.Attach(table_->heap.get());
+  const storage::PageRecords* first = lead.NextPage();
+  ASSERT_NE(first, nullptr);
+  ASSERT_EQ(held.NextPage(), first);  // a window hit: the same image
+  std::vector<std::string> first_records;
+  AppendRecords(*first, &first_records);
+
+  // The lead moves on twice while `held` keeps the first image: the first
+  // read may not overwrite it, and the second reuses the lead's own image.
+  std::vector<std::string> lead_got = first_records;
+  const storage::PageRecords* second = lead.NextPage();
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  AppendRecords(*second, &lead_got);
+  const storage::PageRecords* third = lead.NextPage();
+  ASSERT_NE(third, nullptr);
+  EXPECT_EQ(third, second);
+  AppendRecords(*third, &lead_got);
+  std::vector<std::string> still;
+  AppendRecords(*first, &still);
+  EXPECT_EQ(still, first_records);
+
+  std::vector<std::string> held_got = first_records;
+  Drain(&lead, &lead_got);
+  Drain(&held, &held_got);
+  EXPECT_EQ(lead_got, IteratorRecords());
+  EXPECT_EQ(held_got, IteratorRecords());
+}
+
 TEST_F(SharedScanTest, WindowInvalidatedByDml) {
   // A reader caches pages in the window; a DELETE then lands on one of those
   // pages. A reader attaching afterwards must not be served the stale cached
   // copy: the deleted record may not re-surface.
   SharedScanManager manager;
   auto lead = manager.Attach(table_->heap.get());
-  std::shared_ptr<const storage::PageRecords> page;
-  ASSERT_TRUE(lead.NextPage(&page));  // caches the first page
+  const storage::PageRecords* page = lead.NextPage();  // caches page one
+  ASSERT_NE(page, nullptr);
   const std::string victim((*page)[0]);
 
   storage::Rid victim_rid;
