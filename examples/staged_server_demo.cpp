@@ -43,8 +43,8 @@ int main() {
   }
   for (auto& t : clients) t.join();
   std::printf("done, %d errors\n\n", errors.load());
-  std::printf("%s\n", server.StatsReport().c_str());
-  std::printf("database-wide stage counters:\n%s",
-              db->stats()->Report().c_str());
+  std::printf("%s", server.StatsReport().c_str());
+  std::printf("statements run: %lld\n",
+              static_cast<long long>(db->statements_executed()));
   return errors.load() == 0 ? 0 : 1;
 }

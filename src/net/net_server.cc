@@ -890,27 +890,24 @@ std::function<void()> NetServer::MakeDispatch(
   }
   return [this, conn, slot_id = work.slot_id, stmt = std::move(work.stmt),
           params = std::move(work.params)]() {
-    if (db_->options().mode == server::ExecutionMode::kStaged) {
-      {
-        MutexLock lock(engine_mu_);
-        ++engine_inflight_;
-      }
-      auto pending = db_->SubmitPrepared(*stmt, params);
-      if (!pending.ok()) {
-        FinishQuery(conn, slot_id, pending.status());
-        EngineDone();
-        return;
-      }
-      // Fires on an engine worker: deliver the response and bump admission,
-      // but never submit from here — OnQueryDone defers follow-on
-      // dispatches back to the dispatch stage.
-      (*pending)->NotifyOnDone([this, conn, slot_id, pq = *pending]() {
-        FinishQuery(conn, slot_id, pq->Await());
-        EngineDone();
-      });
-    } else {
-      FinishQuery(conn, slot_id, db_->ExecutePrepared(*stmt, params));
+    {
+      MutexLock lock(engine_mu_);
+      ++engine_inflight_;
     }
+    auto pending = db_->SubmitPrepared(*stmt, params);
+    if (!pending.ok()) {
+      FinishQuery(conn, slot_id, pending.status());
+      EngineDone();
+      return;
+    }
+    // Fires on an engine worker (or right here, when the engine ran the
+    // statement inline): deliver the response and bump admission, but never
+    // submit from here — OnQueryDone defers follow-on dispatches back to the
+    // dispatch stage.
+    (*pending)->NotifyOnDone([this, conn, slot_id, pq = *pending]() {
+      FinishQuery(conn, slot_id, pq->Await());
+      EngineDone();
+    });
   };
 }
 

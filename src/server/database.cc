@@ -231,12 +231,12 @@ PendingQuery::~PendingQuery() {
   // Abandoned without Await: the client never saw an ack, so the statement
   // must not commit. Wait out the in-flight query first — the engine still
   // holds the context this object owns.
-  (void)query_->Await();
+  if (query_ != nullptr) (void)query_->Await();
   (void)std::exchange(db_, nullptr)->FinishStatement(&txn_, false);
 }
 
 StatusOr<QueryResult> PendingQuery::Await() {
-  auto rows = query_->Await();
+  auto rows = query_ != nullptr ? query_->Await() : std::move(rows_);
   // The statement does not ack until its commit is published and its commit
   // record synced (or it is undone).
   const Status commit =
@@ -250,9 +250,15 @@ StatusOr<QueryResult> PendingQuery::Await() {
   return result;
 }
 
-bool PendingQuery::done() const { return query_->done(); }
+bool PendingQuery::done() const {
+  return query_ == nullptr || query_->done();
+}
 
 void PendingQuery::NotifyOnDone(std::function<void()> callback) {
+  if (query_ == nullptr) {
+    callback();
+    return;
+  }
   query_->NotifyOnDone(std::move(callback));
 }
 
@@ -396,12 +402,6 @@ frontend::PlanCacheStats Database::CacheStats() const {
   return plan_cache_->Stats();
 }
 
-int64_t Database::statements_executed() const {
-  return const_cast<StatsRegistry&>(stats_)
-      .GetCounter("db.statements")
-      ->value();
-}
-
 StatusOr<std::string> Database::Explain(const std::string& sql) {
   auto stmt = parser::ParseStatement(sql, catalog_->symbols());
   if (!stmt.ok()) return stmt.status();
@@ -411,26 +411,21 @@ StatusOr<std::string> Database::Explain(const std::string& sql) {
   return (*plan)->ToString();
 }
 
-StatusOr<std::shared_ptr<const frontend::CachedPlan>> Database::GetOrPlanCached(
-    const frontend::NormalizedStatement& norm) {
+StatusOr<std::shared_ptr<const frontend::CachedPlan>>
+Database::LookupOrParse(const frontend::NormalizedStatement& norm,
+                        std::unique_ptr<parser::Statement>* stmt) {
   if (plan_cache_ != nullptr) {
     if (auto hit = plan_cache_->Lookup(norm.key, catalog_->version())) {
       return hit;
     }
   }
-  // The facade performs the parse and optimize work itself, so it owns the
-  // per-stage counters here; the staged server counts its own stage pops.
-  stats_.GetCounter("stage.parse.packets")->Add(1);
   parser::internal::Parser parser(norm.tokens, catalog_->symbols());
-  auto stmt = parser.ParseSingle();
-  if (!stmt.ok()) return stmt.status();
-  stats_.GetCounter("stage.optimize.packets")->Add(1);
-  return PlanAndCacheTemplate(**stmt, norm);
+  STAGEDB_ASSIGN_OR_RETURN(*stmt, parser.ParseSingle());
+  return std::shared_ptr<const frontend::CachedPlan>();
 }
 
-StatusOr<std::shared_ptr<const frontend::CachedPlan>>
-Database::PlanAndCacheTemplate(const parser::Statement& stmt,
-                               const frontend::NormalizedStatement& norm) {
+StatusOr<std::shared_ptr<const frontend::CachedPlan>> Database::PlanAndPublish(
+    const parser::Statement& stmt, const frontend::NormalizedStatement& norm) {
   // Read the epoch BEFORE planning: if a DDL interleaves, the entry is
   // tagged with an epoch older than the catalog's — a conservative stale
   // mark that forces a replan — never the other way around.
@@ -445,6 +440,57 @@ Database::PlanAndCacheTemplate(const parser::Statement& stmt,
   entry->epoch = epoch;
   if (plan_cache_ != nullptr) plan_cache_->Insert(norm.key, entry);
   return std::shared_ptr<const frontend::CachedPlan>(std::move(entry));
+}
+
+StatusOr<std::shared_ptr<const frontend::CachedPlan>> Database::GetOrPlanCached(
+    const frontend::NormalizedStatement& norm) {
+  std::unique_ptr<parser::Statement> stmt;
+  STAGEDB_ASSIGN_OR_RETURN(auto hit, LookupOrParse(norm, &stmt));
+  if (hit != nullptr) return hit;
+  return PlanAndPublish(*stmt, norm);
+}
+
+Status Database::ParseStep(const std::string& sql, AdHocStatement* st) {
+  if (plan_cache_ != nullptr) {
+    auto norm = frontend::Normalize(sql);
+    // Not cacheable (DDL, transaction control, explicit '?', lex error):
+    // the direct parse below reports any error.
+    if (norm.ok() && norm->cacheable && norm->auto_params) {
+      st->norm = std::move(*norm);
+      STAGEDB_ASSIGN_OR_RETURN(auto hit, LookupOrParse(*st->norm, &st->stmt));
+      if (hit == nullptr) return Status::OK();
+      STAGEDB_ASSIGN_OR_RETURN(
+          st->plan, frontend::InstantiatePlan(*hit->plan, st->norm->params));
+      return Status::OK();
+    }
+  }
+  STAGEDB_ASSIGN_OR_RETURN(st->stmt,
+                           parser::ParseStatement(sql, catalog_->symbols()));
+  return Status::OK();
+}
+
+Status Database::OptimizeStep(AdHocStatement* st) {
+  using Kind = parser::Statement::Kind;
+  const Kind kind = st->stmt->kind;
+  if (kind != Kind::kSelect && kind != Kind::kInsert &&
+      kind != Kind::kDelete && kind != Kind::kUpdate) {
+    // Utility statements bypass the planner (the "additional routing
+    // information" of §4.3).
+    STAGEDB_RETURN_IF_ERROR(RunUtility(*st->stmt));
+    st->result = OkResult();
+    return Status::OK();
+  }
+  if (!st->norm.has_value()) {
+    Planner planner(catalog_.get(), options_.planner);
+    STAGEDB_ASSIGN_OR_RETURN(st->plan, planner.Plan(*st->stmt));
+    return Status::OK();
+  }
+  // Publish the template for the statements queued behind this one, then
+  // bind this statement's values.
+  STAGEDB_ASSIGN_OR_RETURN(auto entry, PlanAndPublish(*st->stmt, *st->norm));
+  STAGEDB_ASSIGN_OR_RETURN(
+      st->plan, frontend::InstantiatePlan(*entry->plan, st->norm->params));
+  return Status::OK();
 }
 
 StatusOr<std::shared_ptr<PreparedStatement>> Database::Prepare(
@@ -463,9 +509,8 @@ StatusOr<std::shared_ptr<PreparedStatement>> Database::Prepare(
   return prepared;
 }
 
-StatusOr<QueryResult> Database::ExecutePrepared(
+StatusOr<std::unique_ptr<PhysicalPlan>> Database::Bind(
     const PreparedStatement& stmt, const std::vector<catalog::Value>& params) {
-  stats_.GetCounter("db.statements")->Add(1);
   const std::vector<catalog::Value>& effective =
       (params.empty() && stmt.norm_.auto_params) ? stmt.norm_.params : params;
   if (effective.size() != stmt.num_params()) {
@@ -473,61 +518,39 @@ StatusOr<QueryResult> Database::ExecutePrepared(
         StrFormat("statement takes %zu parameter(s), got %zu",
                   stmt.num_params(), effective.size()));
   }
-  auto entry = GetOrPlanCached(stmt.norm_);
-  if (!entry.ok()) return entry.status();
-  auto plan = frontend::InstantiatePlan(*(*entry)->plan, effective);
-  if (!plan.ok()) return plan.status();
-  return ExecutePlanned(plan->get());
+  STAGEDB_ASSIGN_OR_RETURN(auto entry, GetOrPlanCached(stmt.norm_));
+  return frontend::InstantiatePlan(*entry->plan, effective);
 }
 
 StatusOr<std::shared_ptr<PendingQuery>> Database::SubmitPrepared(
     const PreparedStatement& stmt, const std::vector<catalog::Value>& params) {
-  if (options_.mode != ExecutionMode::kStaged) {
-    return Status::InvalidArgument(
-        "SubmitPrepared requires staged execution mode");
-  }
-  stats_.GetCounter("db.statements")->Add(1);
-  const std::vector<catalog::Value>& effective =
-      (params.empty() && stmt.norm_.auto_params) ? stmt.norm_.params : params;
-  if (effective.size() != stmt.num_params()) {
-    return Status::InvalidArgument(
-        StrFormat("statement takes %zu parameter(s), got %zu",
-                  stmt.num_params(), effective.size()));
-  }
-  auto entry = GetOrPlanCached(stmt.norm_);
-  if (!entry.ok()) return entry.status();
-  auto plan = frontend::InstantiatePlan(*(*entry)->plan, effective);
-  if (!plan.ok()) return plan.status();
-  auto pending = SubmitPlanned(plan->get());
-  if (!pending.ok()) return pending.status();
+  STAGEDB_ASSIGN_OR_RETURN(auto plan, Bind(stmt, params));
+  STAGEDB_ASSIGN_OR_RETURN(auto pending, SubmitPlanned(plan.get()));
   // The engine executes against the plan's nodes; the instantiated plan must
   // live as long as the in-flight query.
-  (*pending)->owned_plan_ = std::move(*plan);
+  pending->owned_plan_ = std::move(plan);
   return pending;
 }
 
-StatusOr<QueryResult> Database::Execute(const std::string& sql) {
-  stats_.GetCounter("db.statements")->Add(1);
-  // --- front-end work reuse: serve repeated/parameterized statements from
-  // the plan cache, skipping parse + optimize on a hit ---
-  if (plan_cache_ != nullptr) {
-    auto norm = frontend::Normalize(sql);
-    if (norm.ok() && norm->cacheable && norm->auto_params) {
-      auto entry = GetOrPlanCached(*norm);
-      if (!entry.ok()) return entry.status();
-      auto plan = frontend::InstantiatePlan(*(*entry)->plan, norm->params);
-      if (!plan.ok()) return plan.status();
-      return ExecutePlanned(plan->get());
-    }
-    // Not cacheable (DDL, txn control, explicit '?', lex error): fall
-    // through to the direct path, which reports any error as before.
-  }
-  // --- parse stage ---
-  auto stmt_or = parser::ParseStatement(sql, catalog_->symbols());
-  if (!stmt_or.ok()) return stmt_or.status();
-  stats_.GetCounter("stage.parse.packets")->Add(1);
-  const parser::Statement& stmt = **stmt_or;
+StatusOr<QueryResult> Database::ExecutePrepared(
+    const PreparedStatement& stmt, const std::vector<catalog::Value>& params) {
+  STAGEDB_ASSIGN_OR_RETURN(auto pending, SubmitPrepared(stmt, params));
+  return pending->Await();
+}
 
+StatusOr<QueryResult> Database::Execute(const std::string& sql) {
+  AdHocStatement st;
+  STAGEDB_RETURN_IF_ERROR(ParseStep(sql, &st));
+  if (st.plan == nullptr) {
+    STAGEDB_RETURN_IF_ERROR(OptimizeStep(&st));
+    if (st.result.has_value()) return std::move(*st.result);
+  }
+  STAGEDB_ASSIGN_OR_RETURN(auto pending, SubmitPlanned(st.plan.get()));
+  return pending->Await();
+}
+
+Status Database::RunUtility(const parser::Statement& stmt) {
+  statements_.Add();
   using Kind = parser::Statement::Kind;
   switch (stmt.kind) {
     case Kind::kCreateTable: {
@@ -539,19 +562,17 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
       const std::string schema_payload = SerializeSchema(cols);
       auto table = catalog_->CreateTable(ct.table, Schema(std::move(cols)));
       if (!table.ok()) return table.status();
-      if (durable()) {
-        storage::WalRecord r;
-        r.type = storage::WalRecord::Type::kCreateTable;
-        r.table_id = (*table)->id;
-        r.before = ct.table;
-        r.after = schema_payload;
-        STAGEDB_RETURN_IF_ERROR(AppendDdl(std::move(r)));
-      }
-      return OkResult();
+      if (!durable()) return Status::OK();
+      storage::WalRecord r;
+      r.type = storage::WalRecord::Type::kCreateTable;
+      r.table_id = (*table)->id;
+      r.before = ct.table;
+      r.after = schema_payload;
+      return AppendDdl(std::move(r));
     }
     case Kind::kCreateIndex: {
       const auto& ci = static_cast<const parser::CreateIndexStmt&>(stmt);
-      STAGEDB_RETURN_IF_ERROR(RunDdlExclusive(ci.table, [&]() -> Status {
+      return RunDdlExclusive(ci.table, [&]() -> Status {
         auto index = catalog_->CreateIndex(ci.index, ci.table, ci.column);
         if (!index.ok()) return index.status();
         if (!durable()) return Status::OK();
@@ -562,20 +583,18 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
         r.after.push_back(kUnitSep);
         r.after += ci.column;
         return AppendDdl(std::move(r));
-      }));
-      return OkResult();
+      });
     }
     case Kind::kDropTable: {
       const auto& dt = static_cast<const parser::DropTableStmt&>(stmt);
-      STAGEDB_RETURN_IF_ERROR(RunDdlExclusive(dt.table, [&]() -> Status {
+      return RunDdlExclusive(dt.table, [&]() -> Status {
         STAGEDB_RETURN_IF_ERROR(catalog_->DropTable(dt.table));
         if (!durable()) return Status::OK();
         storage::WalRecord r;
         r.type = storage::WalRecord::Type::kDropTable;
         r.before = dt.table;
         return AppendDdl(std::move(r));
-      }));
-      return OkResult();
+      });
     }
     case Kind::kBegin: {
       MutexLock lock(txn_mu_);
@@ -593,7 +612,7 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
       active_mvcc_txn_->id = txn_mgr_->AllocateTxnId();
       active_mvcc_txn_->snapshot = txn_mgr_->BeginSnapshot();
       active_mvcc_txn_->registered = true;
-      return OkResult();
+      return Status::OK();
     }
     case Kind::kCommit:
     case Kind::kRollback: {
@@ -608,22 +627,11 @@ StatusOr<QueryResult> Database::Execute(const std::string& sql) {
       }
       // COMMIT does not ack until the log is durable (group-commit ticket or
       // inline fsync); ROLLBACK undoes the write set.
-      STAGEDB_RETURN_IF_ERROR(
-          FinishStatement(&txn, stmt.kind == Kind::kCommit));
-      return OkResult();
+      return FinishStatement(&txn, stmt.kind == Kind::kCommit);
     }
     default:
-      break;
+      return Status::Internal("not a utility statement");
   }
-
-  // --- optimize stage ---
-  Planner planner(catalog_.get(), options_.planner);
-  auto plan_or = planner.Plan(stmt);
-  if (!plan_or.ok()) return plan_or.status();
-  stats_.GetCounter("stage.optimize.packets")->Add(1);
-  const std::unique_ptr<PhysicalPlan>& plan = *plan_or;
-
-  return ExecutePlanned(plan.get());
 }
 
 Status Database::BeginStatement(const PhysicalPlan* plan,
@@ -733,38 +741,20 @@ Status Database::RunDdlExclusive(const std::string& table,
   return status;
 }
 
-StatusOr<QueryResult> Database::ExecutePlanned(const PhysicalPlan* plan) {
-  exec::ExecContext ctx;
-  OpenTxn txn;
-  STAGEDB_RETURN_IF_ERROR(BeginStatement(plan, &ctx, &txn));
-  stats_.GetCounter("stage.execute.packets")->Add(1);
-  auto rows = options_.mode == ExecutionMode::kStaged
-                  ? staged_->engine.Execute(plan, &ctx)
-                  : exec::ExecutePlan(plan, &ctx);
-  const Status commit = FinishStatement(&txn, rows.ok());
-  if (!rows.ok()) return rows.status();
-  if (!commit.ok()) return commit;
-  QueryResult result;
-  result.schema = plan->schema;
-  result.plan_text = plan->ToString();
-  result.rows = std::move(*rows);
-  return result;
-}
-
 StatusOr<std::shared_ptr<PendingQuery>> Database::SubmitPlanned(
     const PhysicalPlan* plan) {
-  if (options_.mode != ExecutionMode::kStaged) {
-    return Status::InvalidArgument(
-        "SubmitPlanned requires staged execution mode");
-  }
+  statements_.Add();
   auto pending = std::make_shared<PendingQuery>();
   STAGEDB_RETURN_IF_ERROR(BeginStatement(plan, &pending->ctx_, &pending->txn_));
   // From here the statement is open until Await or ~PendingQuery finishes it.
   pending->db_ = this;
   pending->schema_ = plan->schema;
   pending->plan_text_ = plan->ToString();
-  stats_.GetCounter("stage.execute.packets")->Add(1);
-  pending->query_ = staged_->engine.Submit(plan, &pending->ctx_);
+  if (staged_ != nullptr) {
+    pending->query_ = staged_->engine.Submit(plan, &pending->ctx_);
+  } else {
+    pending->rows_ = exec::ExecutePlan(plan, &pending->ctx_);
+  }
   return pending;
 }
 

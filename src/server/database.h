@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,9 +113,11 @@ struct OpenTxn {
   std::unique_ptr<exec::WalSink> wal_sink;
 };
 
-/// Handle on a query submitted asynchronously to the staged engine (see
-/// Database::SubmitPlanned). Owns the execution context for the query's
-/// lifetime; Await consumes the result and must be called at most once.
+/// Handle on a submitted statement (see Database::SubmitPlanned). Owns the
+/// execution context for the statement's lifetime; Await consumes the result
+/// and must be called at most once. The staged engine runs the statement
+/// asynchronously; the volcano engine has already run it on the submitting
+/// thread, so its handle is done from the start.
 class PendingQuery {
  public:
   /// If the query was never awaited, waits for it and finishes it as failed:
@@ -122,13 +125,14 @@ class PendingQuery {
   /// pin the vacuum horizon with its snapshot.
   ~PendingQuery();
 
-  /// Blocks until the query completes and returns its result.
+  /// Blocks until the query completes, finishes its statement (commit or
+  /// undo) and returns its result.
   StatusOr<QueryResult> Await();
   /// True once the query has completed (Await would not block).
   bool done() const;
   /// Fires `callback` exactly once on completion (immediately if already
-  /// done); used by the staged server to park lifecycle packets instead of
-  /// blocking an execute-stage worker.
+  /// done); used by the servers to park a packet instead of blocking a
+  /// stage worker.
   void NotifyOnDone(std::function<void()> callback);
 
  private:
@@ -136,7 +140,10 @@ class PendingQuery {
   catalog::Schema schema_;
   std::string plan_text_;
   exec::ExecContext ctx_;
+  /// The staged engine's in-flight query; null when the volcano engine ran
+  /// the statement inline and left its rows in `rows_`.
   std::shared_ptr<engine::StagedQuery> query_;
+  StatusOr<std::vector<catalog::Tuple>> rows_{Status::Internal("not run")};
   /// The statement's transaction state; the context points into it.
   OpenTxn txn_;
   /// Set once the statement began; cleared when Await (or the destructor)
@@ -145,6 +152,24 @@ class PendingQuery {
   /// Set by SubmitPrepared: the engine executes against the plan's nodes, so
   /// an instantiated-on-the-fly plan must live as long as the query.
   std::unique_ptr<optimizer::PhysicalPlan> owned_plan_;
+};
+
+/// An ad-hoc SQL statement between the two front-end steps: the backpack
+/// Figure 3's packet carries from the parse stage to the optimize stage.
+/// Database::ParseStep fills it and Database::OptimizeStep finishes it; a
+/// statement that leaves the front end holds either `plan` or `result`.
+struct AdHocStatement {
+  /// Set for a statement the plan cache serves: its key drives the lookup
+  /// and its extracted literals bind the template.
+  std::optional<frontend::NormalizedStatement> norm;
+  /// The parsed statement, waiting for the optimize step.
+  std::unique_ptr<parser::Statement> stmt;
+  /// The executable plan: set by the parse step on a plan-cache hit (the
+  /// bypass past optimize), else by the optimize step.
+  std::unique_ptr<optimizer::PhysicalPlan> plan;
+  /// A utility statement's (DDL, transaction control) result: the optimize
+  /// step runs it.
+  std::optional<QueryResult> result;
 };
 
 /// A prepared statement: the normalized form of one SQL statement, reusable
@@ -177,8 +202,23 @@ class Database {
 
   static StatusOr<std::unique_ptr<Database>> Open(DatabaseOptions options = {});
 
-  /// Parses, plans, and executes one SQL statement.
+  /// Parses, plans, and executes one SQL statement on the caller's thread:
+  /// ParseStep, OptimizeStep unless the plan cache already planned it, then
+  /// SubmitPlanned and Await.
   StatusOr<QueryResult> Execute(const std::string& sql);
+
+  /// The front end's parse step: normalizes `sql` and looks up the plan
+  /// cache. A hit instantiates the cached template into `st->plan`, so the
+  /// statement skips the optimize step (Figure 3's precompiled bypass); a
+  /// miss, or a statement the cache does not serve, parses into `st->stmt`.
+  Status ParseStep(const std::string& sql, AdHocStatement* st);
+
+  /// The front end's optimize step, for a statement ParseStep left parsed.
+  /// A utility statement (DDL, transaction control) runs here and leaves its
+  /// result in `st->result`. Any other statement is planned into `st->plan`;
+  /// when the plan cache serves it, its template is published under the
+  /// catalog epoch read before planning and then instantiated.
+  Status OptimizeStep(AdHocStatement* st);
 
   /// Parses and plans only (EXPLAIN). Always plans fresh (never consults or
   /// populates the plan cache).
@@ -187,50 +227,41 @@ class Database {
   /// Prepares a statement for repeated execution: normalizes it, plans the
   /// bound template, and warms the plan cache. Only SELECT / INSERT /
   /// UPDATE / DELETE can be prepared. Statements with explicit '?'
-  /// placeholders take values at ExecutePrepared time; statements written
-  /// with literals are auto-parameterized (the literals become the default
+  /// placeholders take values at execution time; statements written with
+  /// literals are auto-parameterized (the literals become the default
   /// parameter values).
   StatusOr<std::shared_ptr<PreparedStatement>> Prepare(const std::string& sql);
 
-  /// Executes a prepared statement with the given parameter values (empty =
-  /// the auto-extracted defaults). A plan-cache hit skips parse and optimize
-  /// entirely; a stale or evicted entry is transparently replanned under the
-  /// current catalog epoch, so DDL between executions can never yield a
-  /// stale-plan execution.
+  /// SubmitPrepared, then Await.
   StatusOr<QueryResult> ExecutePrepared(
       const PreparedStatement& stmt,
       const std::vector<catalog::Value>& params = {});
 
-  /// Asynchronous counterpart of ExecutePrepared for the staged engine: the
-  /// same normalize/replan/instantiate protocol, but the instantiated plan
-  /// is submitted without blocking (the network front-end's EXECUTE fast
-  /// path — Figure 3's precompiled bypass straight into the execute stage).
-  /// Only available in kStaged mode; volcano callers use ExecutePrepared.
+  /// Binds a prepared statement to the given parameter values (empty = the
+  /// auto-extracted defaults) and submits it. A plan-cache hit skips parse
+  /// and optimize entirely (Figure 3's precompiled bypass straight into
+  /// execute); a stale or evicted entry is transparently replanned under the
+  /// current catalog epoch, so DDL between executions can never yield a
+  /// stale-plan execution.
   StatusOr<std::shared_ptr<PendingQuery>> SubmitPrepared(
       const PreparedStatement& stmt,
       const std::vector<catalog::Value>& params = {});
 
-  /// Executes an already-planned statement (used by the staged server's
-  /// execute stage; Figure 3's precompiled-query bypass).
-  StatusOr<QueryResult> ExecutePlanned(const optimizer::PhysicalPlan* plan);
-
-  /// Submits an already-planned statement to the staged engine without
-  /// blocking: returns a handle whose completion can be observed or awaited.
-  /// Only available in kStaged mode (InvalidArgument otherwise) — callers
-  /// fall back to ExecutePlanned. This is what lets concurrent queries
-  /// genuinely overlap inside the execute stage (and share fscan elevators).
+  /// Opens the statement of an already-planned `plan` and hands it to the
+  /// engine, returning a handle whose completion can be observed or awaited;
+  /// `plan` must outlive the handle's completion. The staged engine runs it
+  /// asynchronously, so concurrent queries overlap inside the engine (and
+  /// share fscan elevators); the volcano engine runs it to completion before
+  /// returning. Either way the statement commits (or is undone) at Await.
   StatusOr<std::shared_ptr<PendingQuery>> SubmitPlanned(
       const optimizer::PhysicalPlan* plan);
 
   catalog::Catalog* catalog() { return catalog_.get(); }
   storage::BufferPool* buffer_pool() { return pool_.get(); }
   storage::MemDiskManager* disk() { return disk_.get(); }
-  StatsRegistry* stats() { return &stats_; }
   const DatabaseOptions& options() const { return options_; }
 
-  /// The shared front-end plan cache (nullptr when disabled). The staged
-  /// server's parse stage consults it directly; the threaded server reuses
-  /// it through Execute.
+  /// The shared front-end plan cache (nullptr when disabled).
   frontend::PlanCache* plan_cache() { return plan_cache_.get(); }
   /// Plan-cache counters (zeros when the cache is disabled).
   frontend::PlanCacheStats CacheStats() const;
@@ -242,17 +273,10 @@ class Database {
   StatusOr<std::shared_ptr<const frontend::CachedPlan>> GetOrPlanCached(
       const frontend::NormalizedStatement& norm);
 
-  /// The plan-and-publish half of GetOrPlanCached, for callers that already
-  /// parsed the normalized statement (the staged server's optimize stage):
-  /// plans the template under the pre-read epoch and inserts it into the
-  /// cache. Both cache-population paths share this so the invalidation
-  /// protocol lives in one place.
-  StatusOr<std::shared_ptr<const frontend::CachedPlan>> PlanAndCacheTemplate(
-      const parser::Statement& stmt, const frontend::NormalizedStatement& norm);
-
-  /// Statement counts by lifecycle stage (connect/parse/optimize/execute),
-  /// mirroring the monitoring hooks of the staged design.
-  int64_t statements_executed() const;
+  /// Statements run so far, each counted once where it starts running:
+  /// SubmitPlanned for a planned statement, the optimize step for a utility
+  /// statement.
+  int64_t statements_executed() const { return statements_.value(); }
 
   /// Per-stage scheduling/latency snapshot of the runtime hosting the
   /// service stages (queue depths, pops, wait/service histograms — §5.2
@@ -306,6 +330,23 @@ class Database {
   /// Appends + syncs a DDL record (auto-committed at append time).
   Status AppendDdl(storage::WalRecord record);
 
+  /// The cache lookup, then on a miss the parse of the normalized tokens
+  /// into `*stmt`: returns the cached template on a hit, else null.
+  StatusOr<std::shared_ptr<const frontend::CachedPlan>> LookupOrParse(
+      const frontend::NormalizedStatement& norm,
+      std::unique_ptr<parser::Statement>* stmt);
+  /// Plans `stmt`'s template under the catalog epoch read before planning
+  /// and inserts it into the cache: the one place the cache is filled, so
+  /// the invalidation protocol lives here only.
+  StatusOr<std::shared_ptr<const frontend::CachedPlan>> PlanAndPublish(
+      const parser::Statement& stmt, const frontend::NormalizedStatement& norm);
+  /// The prepared path's bind step: checks the parameter count, gets the
+  /// template (GetOrPlanCached) and instantiates it with the values.
+  StatusOr<std::unique_ptr<optimizer::PhysicalPlan>> Bind(
+      const PreparedStatement& stmt, const std::vector<catalog::Value>& params);
+  /// Runs a utility statement (DDL, transaction control).
+  Status RunUtility(const parser::Statement& stmt);
+
   /// Opens `plan`'s statement: the MVCC transaction (the explicit one when a
   /// BEGIN is open, else a fresh registered snapshot), then — for durable
   /// DML — a wal transaction and sink, then — for DML — the DDL barrier's
@@ -335,7 +376,7 @@ class Database {
   std::unique_ptr<storage::WriteAheadLog> wal_;
   std::unique_ptr<storage::TransactionManager> txn_mgr_;
   std::unique_ptr<frontend::PlanCache> plan_cache_;
-  StatsRegistry stats_;
+  Counter statements_;
   storage::RecoveryStats recovery_stats_;
   // The DDL barrier: DML holds its target table shared until its MVCC
   // transaction ends; CREATE INDEX and DROP TABLE take it exclusive.

@@ -4,10 +4,6 @@
 #include <chrono>
 
 #include "common/string_util.h"
-#include "frontend/normalizer.h"
-#include "frontend/plan_cache.h"
-#include "optimizer/planner.h"
-#include "parser/parser.h"
 
 namespace stagedb::server {
 
@@ -82,24 +78,39 @@ class LifecycleTask : public StageTask {
   void OnRetired() override;
 
  private:
+  RunOutcome MoveTo(Phase phase, Stage* stage) {
+    phase_ = phase;
+    set_next_stage(stage);
+    return RunOutcome::kMoved;
+  }
+  /// Sends the packet to disconnect carrying `result`.
+  RunOutcome Disconnect(StatusOr<QueryResult> result) {
+    result_ = std::move(result);
+    return MoveTo(Phase::kDisconnect, server_->disconnect_);
+  }
+  /// Routes the packet after a front-end step: a failure or a utility
+  /// statement's result to disconnect, a plan to execute, a parsed statement
+  /// to optimize.
+  RunOutcome Advance(const Status& status);
+
   StagedServer* server_;
   std::shared_ptr<Request> request_;
   Phase phase_ = Phase::kConnect;
-  // The backpack.
-  std::unique_ptr<parser::Statement> stmt_;
-  /// Set at the parse phase for cacheable statements: the normalized form
-  /// whose key/params drive the plan-cache lookup (hit) or population (miss
-  /// at the optimize phase).
-  std::unique_ptr<frontend::NormalizedStatement> norm_;
-  std::unique_ptr<optimizer::PhysicalPlan> plan_;
-  std::shared_ptr<PendingQuery> pending_;  // in-flight staged execution
+  AdHocStatement stmt_;  // the backpack
+  std::shared_ptr<PendingQuery> pending_;  // submitted, not yet collected
   StatusOr<QueryResult> result_{Status::Internal("not executed")};
-  bool failed_ = false;
   /// False while a NotifyOnDone callback targeting this packet may still be
   /// running on an engine worker thread. OnRetired waits for it before the
   /// packet frees itself (which also gates server teardown via inflight_).
   std::atomic<bool> callback_done_{true};
 };
+
+RunOutcome LifecycleTask::Advance(const Status& status) {
+  if (!status.ok()) return Disconnect(status);
+  if (stmt_.result.has_value()) return Disconnect(std::move(*stmt_.result));
+  if (stmt_.plan != nullptr) return MoveTo(Phase::kExecute, server_->execute_);
+  return MoveTo(Phase::kOptimize, server_->optimize_);
+}
 
 RunOutcome LifecycleTask::Run() {
   Database* db = server_->db_;
@@ -109,159 +120,35 @@ RunOutcome LifecycleTask::Run() {
   // in-flight in the engine (pending_ set) is allowed to collect its result.
   if (server_->shed_queued_.load(std::memory_order_acquire) &&
       pending_ == nullptr && phase_ != Phase::kDisconnect) {
-    result_ = Status::Aborted("server shutting down");
-    failed_ = true;
     server_->rejected_on_drain_.fetch_add(1, std::memory_order_relaxed);
-    phase_ = Phase::kDisconnect;
-    set_next_stage(server_->disconnect_);
-    return RunOutcome::kMoved;
+    return Disconnect(Status::Aborted("server shutting down"));
   }
   switch (phase_) {
-    case Phase::kConnect: {
-      // Client/session bookkeeping; precompiled queries could route straight
-      // to execute here (Figure 3's bypass edge).
-      db->stats()->GetCounter("stage.connect.packets")->Add(1);
-      phase_ = Phase::kParse;
-      set_next_stage(server_->parse_);
-      return RunOutcome::kMoved;
-    }
-    case Phase::kParse: {
-      db->stats()->GetCounter("stage.parse.packets")->Add(1);
-      // Front-end work reuse (§2/§5): consult the shared plan cache for a
-      // repeated/parameterized statement before doing any parse work. A hit
-      // routes the packet straight to the execute stage — Figure 3's
-      // precompiled-query bypass — visible as fewer optimize-stage pops
-      // in StageRuntime::Stats().
-      frontend::PlanCache* cache = db->plan_cache();
-      if (cache != nullptr) {
-        auto norm = frontend::Normalize(request_->sql());
-        if (norm.ok() && norm->cacheable && norm->auto_params) {
-          norm_ = std::make_unique<frontend::NormalizedStatement>(
-              std::move(*norm));
-          if (auto hit =
-                  cache->Lookup(norm_->key, db->catalog()->version())) {
-            auto plan = frontend::InstantiatePlan(*hit->plan, norm_->params);
-            if (!plan.ok()) {
-              result_ = plan.status();
-              failed_ = true;
-              phase_ = Phase::kDisconnect;
-              set_next_stage(server_->disconnect_);
-              return RunOutcome::kMoved;
-            }
-            plan_ = std::move(*plan);
-            phase_ = Phase::kExecute;
-            set_next_stage(server_->execute_);
-            return RunOutcome::kMoved;
-          }
-          // Miss: parse the normalized token stream so the optimize phase
-          // can plan (and cache) the parameterized template.
-          parser::internal::Parser parser(norm_->tokens,
-                                          db->catalog()->symbols());
-          auto stmt = parser.ParseSingle();
-          if (!stmt.ok()) {
-            result_ = stmt.status();
-            failed_ = true;
-            phase_ = Phase::kDisconnect;
-            set_next_stage(server_->disconnect_);
-            return RunOutcome::kMoved;
-          }
-          stmt_ = std::move(*stmt);
-          phase_ = Phase::kOptimize;
-          set_next_stage(server_->optimize_);
-          return RunOutcome::kMoved;
-        }
-      }
-      auto stmt = parser::ParseStatement(request_->sql(),
-                                         db->catalog()->symbols());
-      if (!stmt.ok()) {
-        result_ = stmt.status();
-        failed_ = true;
-        phase_ = Phase::kDisconnect;
-        set_next_stage(server_->disconnect_);
-        return RunOutcome::kMoved;
-      }
-      stmt_ = std::move(*stmt);
-      phase_ = Phase::kOptimize;
-      set_next_stage(server_->optimize_);
-      return RunOutcome::kMoved;
-    }
-    case Phase::kOptimize: {
-      db->stats()->GetCounter("stage.optimize.packets")->Add(1);
-      // DDL / txn-control statements bypass the planner (the "additional
-      // routing information" of §4.3): execute them directly here.
-      using Kind = parser::Statement::Kind;
-      const Kind kind = stmt_->kind;
-      if (kind != Kind::kSelect && kind != Kind::kInsert &&
-          kind != Kind::kDelete && kind != Kind::kUpdate) {
-        result_ = db->Execute(request_->sql());
-        failed_ = !result_.ok();
-        phase_ = Phase::kDisconnect;
-        set_next_stage(server_->disconnect_);
-        return RunOutcome::kMoved;
-      }
-      if (norm_ != nullptr) {
-        // Cache-miss path: plan the parameterized template, publish it for
-        // the queries queued behind this one (the epoch tagging and insert
-        // protocol is shared with the facade), then bind this query's
-        // values.
-        auto entry = db->PlanAndCacheTemplate(*stmt_, *norm_);
-        if (!entry.ok()) {
-          result_ = entry.status();
-          failed_ = true;
-          phase_ = Phase::kDisconnect;
-          set_next_stage(server_->disconnect_);
-          return RunOutcome::kMoved;
-        }
-        auto plan = frontend::InstantiatePlan(*(*entry)->plan, norm_->params);
-        if (!plan.ok()) {
-          result_ = plan.status();
-          failed_ = true;
-          phase_ = Phase::kDisconnect;
-          set_next_stage(server_->disconnect_);
-          return RunOutcome::kMoved;
-        }
-        plan_ = std::move(*plan);
-        phase_ = Phase::kExecute;
-        set_next_stage(server_->execute_);
-        return RunOutcome::kMoved;
-      }
-      optimizer::Planner planner(db->catalog(), db->options().planner);
-      auto plan = planner.Plan(*stmt_);
-      if (!plan.ok()) {
-        result_ = plan.status();
-        failed_ = true;
-        phase_ = Phase::kDisconnect;
-        set_next_stage(server_->disconnect_);
-        return RunOutcome::kMoved;
-      }
-      plan_ = std::move(*plan);
-      phase_ = Phase::kExecute;
-      set_next_stage(server_->execute_);
-      return RunOutcome::kMoved;
-    }
+    case Phase::kConnect:
+      // Client/session bookkeeping.
+      return MoveTo(Phase::kParse, server_->parse_);
+    case Phase::kParse:
+      // Front-end work reuse (§2/§5): a plan-cache hit comes back planned
+      // and routes straight to execute — Figure 3's precompiled-query
+      // bypass, visible as fewer optimize-stage pops.
+      return Advance(db->ParseStep(request_->sql(), &stmt_));
+    case Phase::kOptimize:
+      return Advance(db->OptimizeStep(&stmt_));
     case Phase::kExecute: {
-      if (pending_ != nullptr) {
-        // Resumed after the staged query completed: collect the result.
-        result_ = pending_->Await();
-        pending_.reset();
-        phase_ = Phase::kDisconnect;
-        set_next_stage(server_->disconnect_);
-        return RunOutcome::kMoved;
-      }
-      db->stats()->GetCounter("stage.execute.packets")->Add(1);
-      if (db->options().mode == ExecutionMode::kStaged) {
-        // Submit asynchronously and park this packet: the execute-stage
-        // worker is free to start the next query, so concurrent queries
-        // genuinely overlap inside the engine (and cooperating fscan packets
-        // can share one elevator scan, §5.4).
-        auto pending = db->SubmitPlanned(plan_.get());
-        if (pending.ok()) {
-          pending_ = std::move(*pending);
+      if (pending_ == nullptr) {
+        auto pending = db->SubmitPlanned(stmt_.plan.get());
+        if (!pending.ok()) return Disconnect(pending.status());
+        pending_ = std::move(*pending);
+        if (!pending_->done()) {
+          // Park this packet: the execute-stage worker is free to start the
+          // next query, so concurrent queries genuinely overlap inside the
+          // engine (and cooperating fscan packets can share one elevator
+          // scan, §5.4). The callback may fire on an engine worker thread
+          // and race with this packet being re-woken through the
+          // CanMakeProgress fallback; callback_done_ keeps the packet (and
+          // the server's stages) alive until the callback has fully left
+          // Activate (see OnRetired).
           Stage* execute = server_->execute_;
-          // The callback may fire on an engine worker thread and race with
-          // this packet being re-woken through the CanMakeProgress fallback;
-          // callback_done_ keeps the packet (and the server's stages) alive
-          // until the callback has fully left Activate (see OnRetired).
           callback_done_.store(false, std::memory_order_relaxed);
           pending_->NotifyOnDone([this, execute] {
             execute->Activate(this);
@@ -269,17 +156,15 @@ RunOutcome LifecycleTask::Run() {
           });
           return RunOutcome::kBlocked;
         }
-        // Fall through to the synchronous path on submission failure.
       }
-      result_ = db->ExecutePlanned(plan_.get());
-      phase_ = Phase::kDisconnect;
-      set_next_stage(server_->disconnect_);
-      return RunOutcome::kMoved;
+      // Done at submission (the volcano engine runs inline) or resumed
+      // after the staged query completed: collect the result.
+      auto result = pending_->Await();
+      pending_.reset();
+      return Disconnect(std::move(result));
     }
-    case Phase::kDisconnect: {
-      db->stats()->GetCounter("stage.disconnect.packets")->Add(1);
+    case Phase::kDisconnect:
       return RunOutcome::kDone;
-    }
   }
   return RunOutcome::kDone;
 }
@@ -328,30 +213,24 @@ StagedServer::~StagedServer() {
 }
 
 std::shared_ptr<Request> StagedServer::Submit(std::string sql) {
-  auto request = std::make_shared<Request>(std::move(sql));
-  {
-    // Admission control: block while the server is at capacity ("new queries
-    // queue up in the first stage").
-    MutexLock lock(admission_mu_);
-    admission_cv_.Wait(admission_mu_, [&]() REQUIRES(admission_mu_) {
-      return draining_ || inflight_ < options_.admission_capacity;
-    });
-    if (draining_) {
-      lock.Unlock();
-      request->Complete(Status::Aborted("server shutting down"));
-      return request;
-    }
-    ++inflight_;
-  }
-  auto* task = new LifecycleTask(this, request);
-  connect_->Enqueue(task);
-  return request;
+  return Admit(std::move(sql), /*wait=*/true);
 }
 
 std::shared_ptr<Request> StagedServer::TrySubmit(std::string sql) {
+  return Admit(std::move(sql), /*wait=*/false);
+}
+
+std::shared_ptr<Request> StagedServer::Admit(std::string sql, bool wait) {
   auto request = std::make_shared<Request>(std::move(sql));
   {
     MutexLock lock(admission_mu_);
+    if (wait) {
+      // Admission control: block while the server is at capacity ("new
+      // queries queue up in the first stage").
+      admission_cv_.Wait(admission_mu_, [&]() REQUIRES(admission_mu_) {
+        return draining_ || inflight_ < options_.admission_capacity;
+      });
+    }
     if (draining_) {
       lock.Unlock();
       request->Complete(Status::Aborted("server shutting down"));

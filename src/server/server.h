@@ -108,6 +108,10 @@ class StagedServer : public Server {
 
  private:
   friend class LifecycleTask;
+  /// Submit and TrySubmit: admits one request (waiting for room when `wait`,
+  /// else returning nullptr at capacity) and enqueues its packet at connect.
+  std::shared_ptr<Request> Admit(std::string sql, bool wait);
+
   Database* db_;
   ServerOptions options_;
   engine::StageRuntime runtime_;

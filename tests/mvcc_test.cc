@@ -721,61 +721,64 @@ INSTANTIATE_TEST_SUITE_P(
              "Snapshot";
     });
 
-// The DDL barrier across threads: a standalone UPDATE submitted to the
-// staged engine and not yet awaited holds its table against DDL. CREATE
-// INDEX on another thread waits until Await finishes the statement — by
-// committing it or by undoing it — and then indexes what it left behind.
-// SubmitPrepared exists only in staged mode, so this case has no volcano
-// variant.
+// The DDL barrier across threads: a standalone UPDATE submitted and not yet
+// awaited holds its table against DDL. The staged engine runs it
+// asynchronously and the volcano engine inline, but either way the statement
+// stays open until Await. CREATE INDEX on another thread waits until Await
+// finishes the statement — by committing it or by undoing it — and then
+// indexes what it left behind.
 TEST(MvccDdlBarrierTest, CreateIndexWaitsForUnawaitedUpdate) {
-  DatabaseOptions options;
-  options.mode = ExecutionMode::kStaged;
-  auto db_or = Database::Open(options);
-  ASSERT_TRUE(db_or.ok());
-  auto db = std::move(*db_or);
-  for (const char* sql : {"CREATE TABLE t (id INTEGER, v INTEGER, w INTEGER)",
-                          "CREATE INDEX t_id ON t (id)",
-                          "INSERT INTO t VALUES (1, 10, 100), (2, 20, 200), "
-                          "(3, 30, 300)"}) {
-    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+  for (const auto mode : {ExecutionMode::kVolcano, ExecutionMode::kStaged}) {
+    SCOPED_TRACE(mode == ExecutionMode::kStaged ? "staged" : "volcano");
+    DatabaseOptions options;
+    options.mode = mode;
+    auto db_or = Database::Open(options);
+    ASSERT_TRUE(db_or.ok());
+    auto db = std::move(*db_or);
+    for (const char* sql :
+         {"CREATE TABLE t (id INTEGER, v INTEGER, w INTEGER)",
+          "CREATE INDEX t_id ON t (id)",
+          "INSERT INTO t VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300)"}) {
+      ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+    }
+    struct Case {
+      const char* update;
+      bool commits;
+      const char* ddl;
+      const char* column;
+    };
+    for (const Case& c : {
+             Case{"UPDATE t SET v = v + 1 WHERE id = 1", true,
+                  "CREATE INDEX t_v ON t (v)", "v"},
+             // Shifting every key collides with the next row's live key.
+             Case{"UPDATE t SET id = id + 1", false,
+                  "CREATE INDEX t_w ON t (w)", "w"},
+         }) {
+      SCOPED_TRACE(c.update);
+      auto stmt = db->Prepare(c.update);
+      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+      auto pending = db->SubmitPrepared(**stmt);
+      ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+      std::atomic<bool> ddl_done{false};
+      Status ddl_status;
+      std::thread ddl([&] {
+        ddl_status = db->Execute(c.ddl).status();
+        ddl_done.store(true);
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      EXPECT_FALSE(ddl_done.load()) << "DDL ran beside an unfinished UPDATE";
+      auto updated = (*pending)->Await();
+      EXPECT_EQ(updated.ok(), c.commits) << updated.status().ToString();
+      ddl.join();
+      EXPECT_TRUE(ddl_status.ok()) << ddl_status.ToString();
+      ExpectIndexMatchesHeap(db.get(), "id");
+      ExpectIndexMatchesHeap(db.get(), c.column);
+    }
+    auto v1 = db->Execute("SELECT v FROM t WHERE id = 1");
+    ASSERT_TRUE(v1.ok());
+    ASSERT_EQ(v1->rows.size(), 1u);
+    EXPECT_EQ(v1->rows[0][0].int_value(), 11);
   }
-  struct Case {
-    const char* update;
-    bool commits;
-    const char* ddl;
-    const char* column;
-  };
-  for (const Case& c : {
-           Case{"UPDATE t SET v = v + 1 WHERE id = 1", true,
-                "CREATE INDEX t_v ON t (v)", "v"},
-           // Shifting every key collides with the next row's live key.
-           Case{"UPDATE t SET id = id + 1", false,
-                "CREATE INDEX t_w ON t (w)", "w"},
-       }) {
-    SCOPED_TRACE(c.update);
-    auto stmt = db->Prepare(c.update);
-    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-    auto pending = db->SubmitPrepared(**stmt);
-    ASSERT_TRUE(pending.ok()) << pending.status().ToString();
-    std::atomic<bool> ddl_done{false};
-    Status ddl_status;
-    std::thread ddl([&] {
-      ddl_status = db->Execute(c.ddl).status();
-      ddl_done.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_FALSE(ddl_done.load()) << "DDL ran beside an unfinished UPDATE";
-    auto updated = (*pending)->Await();
-    EXPECT_EQ(updated.ok(), c.commits) << updated.status().ToString();
-    ddl.join();
-    EXPECT_TRUE(ddl_status.ok()) << ddl_status.ToString();
-    ExpectIndexMatchesHeap(db.get(), "id");
-    ExpectIndexMatchesHeap(db.get(), c.column);
-  }
-  auto v1 = db->Execute("SELECT v FROM t WHERE id = 1");
-  ASSERT_TRUE(v1.ok());
-  ASSERT_EQ(v1->rows.size(), 1u);
-  EXPECT_EQ(v1->rows[0][0].int_value(), 11);
 }
 
 TEST(MvccVacuumSqlTest, VacuumNowReclaimsDeadVersions) {

@@ -221,11 +221,22 @@ TEST(WireTest, OutputBufferResumesPartialWritesOnEagain) {
 // End-to-end over a real socket
 // ---------------------------------------------------------------------------
 
+constexpr ExecutionMode kModes[] = {ExecutionMode::kStaged,
+                                    ExecutionMode::kVolcano};
+
+const char* ModeName(ExecutionMode mode) {
+  return mode == ExecutionMode::kStaged ? "staged" : "volcano";
+}
+
 class NetTest : public ::testing::Test {
  protected:
-  void StartServer(NetServerOptions options = {}) {
+  /// Opens a database in `mode` and listens on it, replacing any server a
+  /// previous call started.
+  void StartServer(NetServerOptions options = {},
+                   ExecutionMode mode = ExecutionMode::kStaged) {
+    srv_.reset();
     DatabaseOptions dbo;
-    dbo.mode = ExecutionMode::kStaged;
+    dbo.mode = mode;
     auto db = Database::Open(dbo);
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
@@ -251,15 +262,20 @@ class NetTest : public ::testing::Test {
   std::unique_ptr<NetServer> srv_;
 };
 
+// The round-trip cases run in both modes: a volcano EXECUTE runs inline on
+// the dispatch stage, a staged one completes on an engine worker.
 TEST_F(NetTest, QueryRoundTrip) {
-  StartServer();
-  auto client = Connect();
-  ASSERT_NE(client, nullptr);
-  auto result = client->Query("SELECT COUNT(*) FROM t");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->rows.size(), 1u);
-  EXPECT_EQ(result->rows[0][0].int_value(), 10);
-  EXPECT_EQ(srv_->GetStats().ok_responses, 1);
+  for (const ExecutionMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    StartServer({}, mode);
+    auto client = Connect();
+    ASSERT_NE(client, nullptr);
+    auto result = client->Query("SELECT COUNT(*) FROM t");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->rows.size(), 1u);
+    EXPECT_EQ(result->rows[0][0].int_value(), 10);
+    EXPECT_EQ(srv_->GetStats().ok_responses, 1);
+  }
 }
 
 TEST_F(NetTest, MalformedSqlPropagatesAsError) {
@@ -274,22 +290,25 @@ TEST_F(NetTest, MalformedSqlPropagatesAsError) {
 }
 
 TEST_F(NetTest, PrepareExecuteWithParams) {
-  StartServer();
-  auto client = Connect();
-  ASSERT_NE(client, nullptr);
-  auto prep = client->Prepare("SELECT COUNT(*) FROM t WHERE a < ?");
-  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-  EXPECT_EQ(prep->num_params, 1u);
-  for (int i = 0; i <= 10; ++i) {
-    auto result = client->Execute(prep->stmt_id, {Value::Int(i)});
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->rows[0][0].int_value(), i);
+  for (const ExecutionMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    StartServer({}, mode);
+    auto client = Connect();
+    ASSERT_NE(client, nullptr);
+    auto prep = client->Prepare("SELECT COUNT(*) FROM t WHERE a < ?");
+    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+    EXPECT_EQ(prep->num_params, 1u);
+    for (int i = 0; i <= 10; ++i) {
+      auto result = client->Execute(prep->stmt_id, {Value::Int(i)});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->rows[0][0].int_value(), i);
+    }
+    // Wrong arity and unknown handle are per-request errors.
+    EXPECT_FALSE(client->Execute(prep->stmt_id, {}).ok());
+    auto missing = client->Execute(prep->stmt_id + 100, {Value::Int(1)});
+    EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+    EXPECT_TRUE(client->Query("SELECT COUNT(*) FROM t").ok());
   }
-  // Wrong arity and unknown handle are per-request errors.
-  EXPECT_FALSE(client->Execute(prep->stmt_id, {}).ok());
-  auto missing = client->Execute(prep->stmt_id + 100, {Value::Int(1)});
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(client->Query("SELECT COUNT(*) FROM t").ok());
 }
 
 TEST_F(NetTest, OversizedFrameGetsErrorThenClose) {
@@ -318,23 +337,26 @@ TEST_F(NetTest, ClientSentServerFrameIsProtocolError) {
 }
 
 TEST_F(NetTest, PipelinedResponsesArriveInOrder) {
-  StartServer();
-  auto client = Connect();
-  ASSERT_NE(client, nullptr);
-  // Distinguishable answers: COUNT(*) WHERE a < k == k.
-  constexpr int kDepth = 8;
-  for (int k = 1; k <= kDepth; ++k) {
-    ASSERT_TRUE(
-        client
-            ->SendQuery("SELECT COUNT(*) FROM t WHERE a < " +
-                        std::to_string(k))
-            .ok());
-  }
-  for (int k = 1; k <= kDepth; ++k) {
-    auto resp = client->ReadResponse();
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    EXPECT_EQ(resp->result.rows[0][0].int_value(), k)
-        << "response " << k << " out of order";
+  for (const ExecutionMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    StartServer({}, mode);
+    auto client = Connect();
+    ASSERT_NE(client, nullptr);
+    // Distinguishable answers: COUNT(*) WHERE a < k == k.
+    constexpr int kDepth = 8;
+    for (int k = 1; k <= kDepth; ++k) {
+      ASSERT_TRUE(
+          client
+              ->SendQuery("SELECT COUNT(*) FROM t WHERE a < " +
+                          std::to_string(k))
+              .ok());
+    }
+    for (int k = 1; k <= kDepth; ++k) {
+      auto resp = client->ReadResponse();
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      EXPECT_EQ(resp->result.rows[0][0].int_value(), k)
+          << "response " << k << " out of order";
+    }
   }
 }
 

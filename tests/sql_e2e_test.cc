@@ -5,6 +5,7 @@
 
 #include "catalog/catalog.h"
 #include "server/database.h"
+#include "server/server.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
@@ -281,6 +282,23 @@ TEST_F(SqlTest, StatsCountersAdvance) {
   Exec("INSERT INTO t VALUES (1)");
   Exec("SELECT * FROM t");
   EXPECT_EQ(db_->statements_executed(), before + 2);
+  // Every entry point counts a statement once. Preparing runs nothing.
+  auto prepared = db_->Prepare("SELECT a FROM t WHERE a = 1");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(db_->statements_executed(), before + 2);
+  ASSERT_TRUE(db_->ExecutePrepared(**prepared).ok());
+  EXPECT_EQ(db_->statements_executed(), before + 3);
+  // The staged server submits a query from its execute stage and runs DDL
+  // at its optimize stage.
+  StagedServer server(db_.get());
+  ASSERT_TRUE(server.Submit("SELECT COUNT(*) FROM t")->Await().ok());
+  EXPECT_EQ(db_->statements_executed(), before + 4);
+  ASSERT_TRUE(server.Submit("CREATE TABLE u (x INTEGER)")->Await().ok());
+  EXPECT_EQ(db_->statements_executed(), before + 5);
+  // A statement that does not parse never runs.
+  EXPECT_FALSE(server.Submit("SELEKT broken")->Await().ok());
+  EXPECT_FALSE(db_->Execute("SELEKT broken").ok());
+  EXPECT_EQ(db_->statements_executed(), before + 5);
 }
 
 }  // namespace
